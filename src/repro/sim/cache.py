@@ -43,6 +43,11 @@ class CacheLine:
     def meta(self, value: dict[str, Any]) -> None:
         self._meta = value
 
+    def peek_meta(self, key: str, default: Any = None) -> Any:
+        """Read one scratch entry without materializing the dict."""
+        meta = self._meta
+        return default if meta is None else meta.get(key, default)
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"CacheLine(addr={self.addr:#x}, state={self.state!r}, "
                 f"data={self.data!r}, dirty={self.dirty}, "

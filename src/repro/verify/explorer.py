@@ -215,7 +215,7 @@ class Explorer:
 
 
 def _final_value(system, addr):
-    value = invariants._authoritative_value(system, addr)
+    value = invariants.authoritative_value(system, addr)
     return value if value is not None else 0
 
 

@@ -18,6 +18,26 @@ These encode the properties the paper's Murphi stage checks:
 ``attach_monitor`` samples the invariants periodically during a run,
 which is how the Rule-II failure-injection experiment (Fig. 4) catches
 the transient SWMR window that ``violate_atomicity`` opens.
+
+``check_all`` walks every bridge and L1 array once, so one sample costs
+O(resident lines), then runs SWMR, value, inclusion, compound in that
+order and raises the first violation: check order beats address order;
+within a check the lowest address (inclusion, compound: first line) wins.
+The walk is read-only and keeps these behaviours:
+
+- Compound legality skips a line only while its *own* bridge blocks it.
+- "Quiet" (value check) is global: no bridge or port, L1 MSHR,
+  ``home.busy`` entry or home ``data_pending`` touches the line.
+- The intra-cluster L1 SWMR check runs wherever the cluster's bridge
+  holds the line, tearing down (``evicting`` / ``port.wb``) or not; a
+  tearing-down line is left out of the cross-cluster counts.
+- Authoritative value: the first non-RCC L1 line in M/O/E (cluster, then
+  L1 order), else the first dirty non-stale bridge line, else the
+  backing store; ``None`` skips the value check.
+- Inclusion reports in cluster -> L1 -> ``CacheArray.lines()`` order.
+- Lines held only by RCC L1s are walked but can break nothing.
+- No meta dict or ``DirRecord`` is created: a missing record summarizes
+  to "I" and a missing ``stale`` flag reads as False.
 """
 
 from __future__ import annotations
@@ -29,6 +49,7 @@ from repro.sim.l1 import RccL1
 #: L1 states with write permission / any permission.
 _WRITER_STATES = {"E", "M"}
 _HOLDER_STATES = {"S", "E", "M", "O", "F"}
+_OWNER_STATES = {"M", "O", "E"}
 
 #: Permission carried by each local-directory summary letter.
 _SUMMARY_PERM = {"I": NONE, "S": READ, "O": READ, "M": WRITE}
@@ -60,73 +81,77 @@ def derive_forbidden_pairs(local_variant, global_variant,
     return forbidden
 
 
-def _cluster_lines(system):
-    """Yield (cluster, addr) pairs for every line present anywhere."""
-    seen = set()
-    for cluster in system.clusters:
-        for line in cluster.bridge.cache.lines():
-            seen.add(line.addr)
-        for l1 in cluster.l1s:
-            for line in l1.cache.lines():
-                seen.add(line.addr)
-    return sorted(seen)
+class _Walk:
+    """One visit of every bridge and L1 line: ``bridges[addr]`` holds
+    ``(cluster, line)``, ``holders[addr]`` non-RCC ``(cluster, l1, line)``
+    holders, both in cluster then L1 order, plus the first inclusion and
+    compound violation in their report order."""
 
-
-def check_swmr(system) -> None:
-    """Single-writer-multiple-reader across the whole machine."""
-    for addr in _cluster_lines(system):
-        writer_clusters = []
-        holder_clusters = []
+    def __init__(self, system) -> None:
+        self.bridges: dict[int, list] = {}
+        self.holders: dict[int, list] = {}
+        self.inclusion: str | None = None
+        self.compound: str | None = None
         for cluster in system.clusters:
-            line = cluster.bridge.cache.peek(addr)
-            if line is None:
-                continue
             bridge = cluster.bridge
-            tearing_down = (
-                addr in bridge.evicting or addr in bridge.port.wb
-            )
-            if tearing_down:
-                # A mid-eviction line keeps its state label until the
-                # writeback completes, but the permission is unusable
-                # (the line is blocked); the home may legitimately have
-                # re-granted the line already.
-                _check_intra_cluster_swmr(cluster, addr)
+            present: set[int] = set()
+            for line in bridge.cache.lines():
+                addr = line.addr
+                present.add(addr)
+                self.bridges.setdefault(addr, []).append((cluster, line))
+                if self.compound is None and not bridge.blocked(addr):
+                    record = line.peek_meta("dir")
+                    local = "I" if record is None else record.summary()
+                    if bridge.policy.forbidden(local, line.state):
+                        self.compound = (f"compound: {bridge.node_id} line 0x{addr:x} in "
+                                         f"forbidden state ({local}, {line.state})")
+            # RCC relaxes inclusion (paper footnote 5).
+            inclusive = not bridge.variant.self_invalidating
+            for l1 in cluster.l1s:
+                rcc = isinstance(l1, RccL1)  # stale-until-acquire by design
+                for line in l1.cache.lines():
+                    if line.state not in _HOLDER_STATES:
+                        continue
+                    addr = line.addr
+                    if not rcc:
+                        self.holders.setdefault(addr, []).append((cluster, l1, line))
+                    if inclusive and self.inclusion is None and addr not in present:
+                        self.inclusion = (f"inclusion: {l1.node_id} holds 0x{addr:x} "
+                                          f"({line.state}) absent from {bridge.node_id}")
+
+
+def check_swmr(system, walk=None) -> None:
+    """SWMR; only an address with two bridge lines or two L1 holders can break it."""
+    walk = walk or _Walk(system)
+    suspects = {addr for addr, lines in walk.bridges.items() if len(lines) > 1}
+    suspects.update(addr for addr, held in walk.holders.items() if len(held) > 1)
+    for addr in sorted(suspects):
+        held = walk.holders.get(addr, ())
+        writer_clusters, holder_clusters = [], []
+        for cluster, line in walk.bridges.get(addr, ()):
+            holders = [l1.node_id for c, l1, _ in held if c is cluster]
+            writers = [l1.node_id for c, l1, l1_line in held
+                       if c is cluster and l1_line.state in _WRITER_STATES]
+            if len(writers) > 1:
+                raise ConsistencyViolation(f"SWMR: L1s {writers} both writable for 0x{addr:x}")
+            if writers and len(holders) > 1:
+                raise ConsistencyViolation(
+                    f"SWMR: {writers[0]} writable while {holders} hold 0x{addr:x}")
+            bridge = cluster.bridge
+            if addr in bridge.evicting or addr in bridge.port.wb:
+                # A tearing-down line keeps its state label, not its
+                # permission: the home may already have re-granted it.
                 continue
-            if system.config.global_protocol and line.state in _WRITER_STATES:
+            if line.state in _WRITER_STATES:
                 writer_clusters.append(cluster.index)
             if line.state in _HOLDER_STATES:
                 holder_clusters.append(cluster.index)
-            _check_intra_cluster_swmr(cluster, addr)
         if len(writer_clusters) > 1:
-            raise ConsistencyViolation(
-                f"SWMR: clusters {writer_clusters} both hold global write "
-                f"permission for 0x{addr:x}"
-            )
+            raise ConsistencyViolation(f"SWMR: clusters {writer_clusters} both hold global "
+                                       f"write permission for 0x{addr:x}")
         if writer_clusters and len(holder_clusters) > 1:
-            raise ConsistencyViolation(
-                f"SWMR: cluster {writer_clusters[0]} owns 0x{addr:x} while "
-                f"clusters {holder_clusters} hold copies"
-            )
-
-
-def _check_intra_cluster_swmr(cluster, addr) -> None:
-    writers, holders = [], []
-    for l1 in cluster.l1s:
-        if isinstance(l1, RccL1):
-            continue
-        state = l1.line_state(addr)
-        if state in _WRITER_STATES:
-            writers.append(l1.node_id)
-        if state in _HOLDER_STATES:
-            holders.append(l1.node_id)
-    if len(writers) > 1:
-        raise ConsistencyViolation(
-            f"SWMR: L1s {writers} both writable for 0x{addr:x}"
-        )
-    if writers and len(holders) > 1:
-        raise ConsistencyViolation(
-            f"SWMR: {writers[0]} writable while {holders} hold 0x{addr:x}"
-        )
+            raise ConsistencyViolation(f"SWMR: cluster {writer_clusters[0]} owns 0x{addr:x} "
+                                       f"while clusters {holder_clusters} hold copies")
 
 
 def _line_quiet(system, addr) -> bool:
@@ -145,85 +170,60 @@ def _line_quiet(system, addr) -> bool:
     return True
 
 
-def check_value_coherence(system) -> None:
-    """Readable copies match the authoritative value for their line.
-
-    Lines with an in-flight transaction are skipped: mid-recall the
-    authoritative value legitimately travels inside a WBData message.
-    """
-    for addr in _cluster_lines(system):
-        if not _line_quiet(system, addr):
-            continue
-        authoritative = _authoritative_value(system, addr)
-        if authoritative is None:
-            continue
-        for cluster in system.clusters:
-            for l1 in cluster.l1s:
-                if isinstance(l1, RccL1):
-                    continue  # stale-until-acquire by design
-                line = l1.cache.peek(addr)
-                if line is None or line.state not in _HOLDER_STATES:
-                    continue
-                if line.data != authoritative:
-                    raise ConsistencyViolation(
-                        f"value: {l1.node_id} reads {line.data} for "
-                        f"0x{addr:x}, authoritative is {authoritative}"
-                    )
+def check_value_coherence(system, walk=None) -> None:
+    """Readable copies of every quiet line match its authoritative value."""
+    walk = walk or _Walk(system)
+    for addr in sorted(walk.holders):
+        held = walk.holders[addr]
+        value = _authoritative(system, addr, [line for _, _, line in held],
+                               [line for _, line in walk.bridges.get(addr, ())])
+        mismatch = next((pair for pair in held if pair[2].data != value), None)
+        if value is not None and mismatch and _line_quiet(system, addr):
+            raise ConsistencyViolation(
+                f"value: {mismatch[1].node_id} reads {mismatch[2].data} for "
+                f"0x{addr:x}, authoritative is {value}")
 
 
-def _authoritative_value(system, addr):
+def authoritative_value(system, addr):
+    """The value every readable non-RCC copy of ``addr`` must hold now."""
+    clusters = system.clusters
+    l1_lines = [l1.cache.peek(addr) for c in clusters for l1 in c.l1s if not isinstance(l1, RccL1)]
+    return _authoritative(system, addr, l1_lines, [c.bridge.cache.peek(addr) for c in clusters])
+
+
+def _authoritative(system, addr, l1_lines, bridge_lines):
     # Priority: any L1 owner; then a dirty cluster cache; then memory.
-    for cluster in system.clusters:
-        for l1 in cluster.l1s:
-            if isinstance(l1, RccL1):
-                continue
-            line = l1.cache.peek(addr)
-            if line is not None and line.state in ("M", "O", "E"):
-                return line.data
-    for cluster in system.clusters:
-        line = cluster.bridge.cache.peek(addr)
-        if line is not None and line.dirty and not line.meta.get("stale"):
+    for line in l1_lines:
+        if line is not None and line.state in _OWNER_STATES:
+            return line.data
+    for line in bridge_lines:
+        if line is not None and line.dirty and not line.peek_meta("stale", False):
             return line.data
     return system.backing.read(addr)
 
 
-def check_inclusion(system) -> None:
+def check_inclusion(system, walk=None) -> None:
     """MESI-family L1 contents are included in their cluster cache."""
-    for cluster in system.clusters:
-        bridge = cluster.bridge
-        if bridge.variant.self_invalidating:
-            continue  # RCC relaxes inclusion (paper footnote 5)
-        for l1 in cluster.l1s:
-            for line in l1.cache.lines():
-                if line.state in _HOLDER_STATES and bridge.cache.peek(line.addr) is None:
-                    raise ConsistencyViolation(
-                        f"inclusion: {l1.node_id} holds 0x{line.addr:x} "
-                        f"({line.state}) absent from {bridge.node_id}"
-                    )
+    message = (walk or _Walk(system)).inclusion
+    if message is not None:
+        raise ConsistencyViolation(message)
 
 
-def check_compound_states(system) -> None:
+def check_compound_states(system, walk=None) -> None:
     """No unblocked line sits in a policy-forbidden compound state."""
-    for cluster in system.clusters:
-        bridge = cluster.bridge
-        for line in bridge.cache.lines():
-            if bridge.blocked(line.addr):
-                continue
-            local_summary = bridge.dir_record(line).summary()
-            if bridge.policy.forbidden(local_summary, line.state):
-                raise ConsistencyViolation(
-                    f"compound: {bridge.node_id} line 0x{line.addr:x} in "
-                    f"forbidden state ({local_summary}, {line.state})"
-                )
+    message = (walk or _Walk(system)).compound
+    if message is not None:
+        raise ConsistencyViolation(message)
 
 
 ALL_CHECKS = (check_swmr, check_value_coherence, check_inclusion, check_compound_states)
 
 
 def check_all(system) -> None:
-    """Run every invariant monitor once; raises on violation."""
+    """Run every invariant monitor over one walk; raises on violation."""
+    walk = _Walk(system)
     for check in ALL_CHECKS:
-        check(system)
+        check(system, walk)
 
 
 def attach_monitor(system, period_ticks: int = 5_000) -> list:

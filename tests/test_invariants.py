@@ -1,12 +1,56 @@
 """Invariant monitors + the Rule-II failure-injection experiment (Fig. 4)."""
 
+import hashlib
+import json
+import os
+
 import pytest
 
 from repro.cpu.isa import ThreadProgram, fence, load, rmw, store
 from repro.errors import ConsistencyViolation
+from repro.scenario.runner import run_scenario
+from repro.scenario.schema import Scenario
 from repro.sim.config import two_cluster_config
 from repro.sim.system import build_system
 from repro.verify import invariants
+from repro.workloads import WORKLOADS
+
+FIXTURE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "fixtures", "scenarios")
+
+#: Failure dict and sha256 of the canonical outcome JSON of every shrunk
+#: fixture: a change to any monitor message or sampled window shows here.
+FIXTURE_PINS = {
+    "invariant-015b21bf.toml": (
+        {"kind": "invariant",
+         "message": "c3.0: WBData recall response for line 0x1004 that was "
+                    "torn down mid-recall (Rule II atomicity broken)"},
+        "58ff2741619c7eb823e0bb778a332aa8f0a92c482099e855fb78c3354bee2368"),
+    "invariant-b3871d58.toml": (
+        {"kind": "invariant",
+         "message": "value: l1.1.1 reads 20072 for 0x100c, authoritative is 0"},
+        "aa7984517bf3b0a6ec0de6048a255f22c1826174ce8d16d73694f2b6c17b6f9a"),
+    "rule2-d82f2460.toml": (
+        {"kind": "rule2",
+         "message": "BIRspS to home left the cluster while the local recall "
+                    "of 0x100b was still collecting acks"},
+        "4b00a0542cee1c73530eff3e25287fc93b989aa064ed5a2eb633317165054698"),
+}
+
+
+def _fig4_pin(l1_id):
+    inclusion = (f"ConsistencyViolation: inclusion: {l1_id} holds 0x7 (M) "
+                 "absent from c3.0")
+    return [inclusion] * 3 + [
+        "InvariantViolation: c3.0: WBData recall response for line 0x7 that "
+        "was torn down mid-recall (Rule II atomicity broken)"]
+
+
+#: Every violation the Fig. 4 experiment records, per seed; the list
+#: length also pins which monitor samples fired.
+FIG4_PINS = {0: _fig4_pin("l1.0.0"), 1: _fig4_pin("l1.0.0"),
+             2: _fig4_pin("l1.0.0"), 3: _fig4_pin("l1.0.1"),
+             4: _fig4_pin("l1.0.0"), 5: _fig4_pin("l1.0.1")}
 
 
 def run_contended(violate_atomicity, seed=0, rounds=12):
@@ -42,6 +86,21 @@ def test_rule2_violation_detected():
         if detected:
             break
     assert detected > 0, "Rule-II violation never manifested across seeds"
+
+
+@pytest.mark.parametrize("seed", sorted(FIG4_PINS))
+def test_rule2_violation_messages_pinned(seed):
+    _system, violations = run_contended(violate_atomicity=True, seed=seed)
+    assert [f"{type(exc).__name__}: {exc}" for exc in violations] == FIG4_PINS[seed]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_PINS))
+def test_fixture_outcome_pinned(name):
+    outcome = run_scenario(Scenario.load(os.path.join(FIXTURE_DIR, name)))
+    failure, digest = FIXTURE_PINS[name]
+    assert outcome["failure"] == failure
+    text = json.dumps(outcome, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_swmr_detects_planted_double_writer():
@@ -105,3 +164,138 @@ def test_invariants_hold_after_heavy_mixed_run():
     system.run_threads(programs, placement=[0, 1, 2, 3])
     assert violations == []
     invariants.check_all(system)
+
+
+def _mesi_system(local_b="MESI"):
+    return build_system(two_cluster_config("MESI", "CXL", local_b))
+
+
+def _plant_divergent_sharer(system, addr, stale=9, good=5):
+    system.clusters[0].bridge.cache.insert(addr, state="S", data=good)
+    system.clusters[0].l1s[0].cache.insert(addr, state="S", data=stale)
+    system.backing.write(addr, good)
+
+
+def _plant_double_writer(system, addr):
+    system.clusters[0].bridge.cache.insert(addr, state="M", data=1)
+    system.clusters[1].bridge.cache.insert(addr, state="M", data=2)
+
+
+def test_check_order_beats_address_order():
+    system = _mesi_system()
+    _plant_divergent_sharer(system, 0x3)
+    _plant_double_writer(system, 0x9)
+    with pytest.raises(ConsistencyViolation) as exc:
+        invariants.check_all(system)
+    assert str(exc.value) == "SWMR: clusters [0, 1] both hold global write permission for 0x9"
+
+
+def test_lowest_address_wins_within_one_check():
+    system = _mesi_system()
+    _plant_double_writer(system, 0x9)
+    _plant_double_writer(system, 0x5)
+    with pytest.raises(ConsistencyViolation, match="0x5$"):
+        invariants.check_all(system)
+    system = _mesi_system()
+    _plant_divergent_sharer(system, 0x3, stale=8)
+    _plant_divergent_sharer(system, 0x2)
+    with pytest.raises(ConsistencyViolation) as exc:
+        invariants.check_all(system)
+    assert str(exc.value) == "value: l1.0.0 reads 9 for 0x2, authoritative is 5"
+
+
+def test_inclusion_reports_in_l1_order_not_address_order():
+    system = _mesi_system()
+    system.clusters[0].l1s[1].cache.insert(0x2, state="S", data=0)
+    system.clusters[0].l1s[0].cache.insert(0x8, state="S", data=0)
+    with pytest.raises(ConsistencyViolation) as exc:
+        invariants.check_all(system)
+    assert str(exc.value) == "inclusion: l1.0.0 holds 0x8 (S) absent from c3.0"
+
+
+def _plant_forbidden_compound(system, addr):
+    bridge = system.clusters[0].bridge
+    line = bridge.cache.insert(addr, state="I", data=None)
+    bridge.dir_record(line).sharers.add("l1.0.0")
+
+
+def test_compound_skips_only_lines_blocked_at_their_own_bridge():
+    system = _mesi_system()
+    _plant_forbidden_compound(system, 0x4)
+    system.clusters[1].bridge.evicting.add(0x4)
+    with pytest.raises(ConsistencyViolation, match=r"compound: c3\.0 line 0x4"):
+        invariants.check_all(system)
+    system.clusters[0].bridge.evicting.add(0x4)
+    invariants.check_all(system)
+
+
+@pytest.mark.parametrize("blocker", ["bridge", "mshr", "home"])
+def test_value_check_quiet_test_is_global(blocker):
+    system = _mesi_system()
+    _plant_divergent_sharer(system, 0x3)
+    if blocker == "bridge":
+        system.clusters[1].bridge.evicting.add(0x3)
+    elif blocker == "mshr":
+        system.clusters[1].l1s[1].mshrs[0x3] = object()
+    else:
+        system.home.busy[0x3] = object()
+    invariants.check_value_coherence(system)
+
+
+def test_intra_cluster_swmr_scoped_to_bridge_held_lines():
+    system = _mesi_system()
+    for l1 in system.clusters[0].l1s[:2]:
+        l1.cache.insert(0x6, state="M", data=1)
+    invariants.check_swmr(system)  # no bridge line: inclusion's job
+    bridge = system.clusters[0].bridge
+    bridge.cache.insert(0x6, state="M", data=1)
+    bridge.evicting.add(0x6)  # tearing down still checks the L1s
+    with pytest.raises(ConsistencyViolation, match=r"SWMR: L1s \['l1.0.0', 'l1.0.1'\] both"):
+        invariants.check_swmr(system)
+
+
+def test_tearing_down_line_left_out_of_cross_cluster_counts():
+    system = _mesi_system()
+    _plant_double_writer(system, 0x9)
+    system.clusters[1].bridge.port.wb[0x9] = object()
+    invariants.check_swmr(system)
+
+
+def test_authoritative_value_priority():
+    system = _mesi_system()
+    system.backing.write(0x5, 1)
+    assert invariants.authoritative_value(system, 0x5) == 1
+    bridge_line = system.clusters[0].bridge.cache.insert(0x5, state="M", data=2)
+    bridge_line.dirty = True
+    assert invariants.authoritative_value(system, 0x5) == 2
+    bridge_line.meta["stale"] = True
+    assert invariants.authoritative_value(system, 0x5) == 1
+    system.clusters[1].l1s[1].cache.insert(0x5, state="S", data=3)
+    system.clusters[1].l1s[0].cache.insert(0x5, state="O", data=4)
+    assert invariants.authoritative_value(system, 0x5) == 4
+
+
+def test_line_held_only_by_rcc_l1_raises_nothing():
+    system = _mesi_system(local_b="RCC")
+    system.backing.write(0x5, 1)
+    system.clusters[1].l1s[0].cache.insert(0x5, state="V", data=99)
+    invariants.check_all(system)
+
+
+def test_monitor_is_read_only():
+    # An RCC cluster's bridge keeps lines with no meta dict, or one
+    # with a ``stale`` flag and no directory record.
+    config = two_cluster_config("RCC", "CXL", "MESI", cores_per_cluster=2, seed=3)
+    system = build_system(config)
+    system.run_threads(WORKLOADS["histogram"].build(config.total_cores, scale=0.2, seed=3))
+
+    def snapshot():
+        return [(line._meta is None, sorted(line._meta or ()))
+                for cluster in system.clusters
+                for cache in [cluster.bridge.cache, *(l1.cache for l1 in cluster.l1s)]
+                for line in cache.lines()]
+
+    before = snapshot()
+    assert (True, []) in before and (False, ["stale"]) in before
+    invariants.check_all(system)
+    assert snapshot() == before
