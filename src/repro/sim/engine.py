@@ -4,31 +4,25 @@ Time is measured in integer **ticks**.  The rest of the package uses one
 tick = 1 ps, giving exact representations of both CPU cycles and
 nanosecond-scale link latencies (see :class:`repro.sim.config.SystemConfig`).
 
-Three interchangeable engine backends implement the same contract --
-events ordered by ``(time, insertion order)``, FIFO among same-tick
-events, lazy cancellation -- and produce bit-identical simulations:
+Events are ordered by ``(time, insertion order)``: FIFO among same-tick
+events, with lazy cancellation.  Two classes implement that contract
+and produce bit-identical simulations:
 
-- :class:`BatchedEngine` (the default, ``REPRO_ENGINE=python``): a
-  slotted calendar queue.  Events live in per-tick buckets (records in
-  flat ``[callback, args]`` / ``(callback, args)`` cells); the heap
-  orders only the *distinct pending ticks* (plain ints, so heap
-  comparisons never touch Python objects), and ``run()`` drains each
-  tick's bucket in one inner loop with the ``until`` check hoisted per
-  batch.  Steady-state scheduling allocates one record cell and nothing
-  else -- no per-event handle object unless the caller asks for one.
-- :class:`CompiledEngine` (``REPRO_ENGINE=compiled``): the same
-  contract implemented by a C extension (``repro.sim._engine_core``)
-  built on demand with the system C compiler; automatically falls back
-  to :class:`BatchedEngine` when no compiler/headers are available.
-  See :mod:`repro.sim._engine_build`.
-- :class:`LegacyEngine` (``REPRO_ENGINE=legacy``): the original
-  object-at-a-time heapq loop, kept as the benchmark baseline and as a
-  parity reference (``tests/test_engine_parity.py``).
-
-``Engine`` is bound to the selected backend at import time; the
-facade contract (``schedule``/``post``/``run``/``pending_live``/
-``stall_digest`` and the :class:`Event` handle semantics) is identical
-across backends -- see ``docs/PERFORMANCE.md``.
+- :class:`BatchedEngine`, bound as ``Engine`` and the one engine every
+  simulation runs on: a slotted calendar queue.  Events live in
+  per-tick buckets (records in flat ``[callback, args]`` /
+  ``(callback, args)`` cells); the heap orders only the *distinct
+  pending ticks* (plain ints, so heap comparisons never touch Python
+  objects), and ``run()`` drains each tick's bucket in one inner loop
+  with the ``until`` check hoisted per batch.  Steady-state scheduling
+  allocates one record cell and nothing else -- no per-event handle
+  object unless the caller asks for one.  The bucket layout is private
+  to this module: callers schedule through ``post``/``post_at``/
+  ``post_many``/``schedule``.
+- :class:`LegacyEngine`: the original object-at-a-time heapq loop.  It
+  is the reference implementation the parity tests
+  (``tests/test_engine_parity.py``) compare against; nothing selects it
+  at run time.
 
 **The facade contract for handles:** ``schedule()`` returns an
 :class:`Event` view over the queued record.  ``event.cancel()`` is
@@ -43,18 +37,13 @@ from __future__ import annotations
 
 import gc as _gc
 import heapq
-import os
 import sys
 import time as _time_mod
-import warnings
 from typing import Any, Callable
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 _UNBOUNDED = sys.maxsize
-
-#: Environment knob selecting the engine backend at import time.
-ENGINE_ENV = "REPRO_ENGINE"
 
 
 def _callback_name(callback: Callable) -> str:
@@ -130,8 +119,6 @@ class BatchedEngine:
     still report callback/args afterwards); records created by
     :meth:`post` are immutable tuples with no handle overhead.
     """
-
-    backend = "python"
 
     def __init__(self) -> None:
         self.now: int = 0
@@ -272,7 +259,7 @@ class BatchedEngine:
         including records appended to it by the callbacks themselves --
         with nothing but record loads, one budget compare and the
         callback call per event.  Single-event ticks skip the inner
-        loop entirely.  See ``benchmarks/test_engine_core.py`` and
+        loop entirely.  See ``benchmarks/test_engine_churn.py`` and
         ``docs/PERFORMANCE.md`` for measured throughput.
         """
         if self.sampler is not None:
@@ -512,13 +499,10 @@ class LegacyEvent:
 class LegacyEngine:
     """The original object-at-a-time heapq engine (pre-batched core).
 
-    Kept verbatim as the performance baseline for
-    ``benchmarks/test_engine_core.py`` and as the behavioral reference
-    for ``tests/test_engine_parity.py``; selectable for real runs with
-    ``REPRO_ENGINE=legacy``.
+    The behavioural reference for ``tests/test_engine_parity.py`` and
+    the baseline of ``benchmarks/test_engine_churn.py``; tests route
+    ``build_system`` onto it by patching ``repro.sim.system.Engine``.
     """
-
-    backend = "legacy"
 
     def __init__(self) -> None:
         self.now: int = 0
@@ -674,51 +658,7 @@ class LegacyEngine:
         return "\n".join(lines)
 
 
-def load_compiled_engine_class(build: bool = True):
-    """The C-core engine class, or None when it cannot be provided.
-
-    Imports (and, when ``build`` is true, compiles) lazily so the
-    default pure-Python path never pays for the toolchain probe.
-    """
-    try:
-        from repro.sim._engine_compiled import compiled_engine_class
-
-        return compiled_engine_class(build=build)
-    except Exception:  # pragma: no cover - defensive: never break import
-        return None
-
-
-def resolve_engine_class(spec: str | None = None) -> tuple[str, type]:
-    """Resolve an engine backend spec to ``(name, class)``.
-
-    ``spec`` defaults to the ``REPRO_ENGINE`` environment knob; empty
-    or ``python``/``batched`` selects :class:`BatchedEngine`,
-    ``legacy`` the pre-batched loop, and ``compiled`` the C core with
-    an automatic fallback to the pure-Python engine (with a warning)
-    when no extension can be built or loaded.
-    """
-    if spec is None:
-        spec = os.environ.get(ENGINE_ENV, "")
-    text = spec.strip().lower()
-    if text in ("", "python", "batched", "default"):
-        return "python", BatchedEngine
-    if text == "legacy":
-        return "legacy", LegacyEngine
-    if text == "compiled":
-        cls = load_compiled_engine_class()
-        if cls is not None:
-            return "compiled", cls
-        warnings.warn(
-            f"{ENGINE_ENV}=compiled requested but the C engine core is "
-            "unavailable (no compiler/headers?); falling back to the "
-            "pure-Python batched engine", RuntimeWarning, stacklevel=2)
-        return "python", BatchedEngine
-    warnings.warn(
-        f"unknown {ENGINE_ENV}={spec!r}; using the pure-Python batched "
-        "engine (valid: python, compiled, legacy)", RuntimeWarning,
-        stacklevel=2)
-    return "python", BatchedEngine
-
-
-#: Backend selected at import time (the ``REPRO_ENGINE`` knob).
-ENGINE_BACKEND, Engine = resolve_engine_class()
+#: The engine every simulation runs on, and its name as recorded in
+#: benchmark environment captures.
+Engine = BatchedEngine
+ENGINE_BACKEND = "python"

@@ -14,17 +14,21 @@ channels.  Three properties matter for protocol fidelity:
 3. **Latency composition** -- arrival time is
    ``now + router + link latency + serialization + jitter`` where
    serialization charges one link cycle per flit.
+
+All three live in one place, :meth:`Network.send`: ``send_many`` is a
+loop over it, fault actions apply inside it, and it reaches the engine
+only through ``post_at``/``post_many``, so the event queue's layout is
+private to :mod:`repro.sim.engine`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from heapq import heappush as _heappush
 from typing import Any
 
 from repro.protocols.messages import Message, VNET_NAMES
-from repro.sim.engine import BatchedEngine, Engine
+from repro.sim.engine import Engine
 
 
 @dataclass(frozen=True)
@@ -41,11 +45,6 @@ class Link:
     flit_cycle: int = 500
     jitter: int = 0
 
-    def serialization(self, size: int) -> int:
-        """Wire occupancy (ticks) for a message of ``size`` bytes."""
-        flits = (size + self.flit_bytes - 1) // self.flit_bytes
-        return flits * self.flit_cycle
-
 
 class Node:
     """Base class for every message-handling component."""
@@ -61,7 +60,7 @@ class Node:
         self.network.send(msg)
 
     def send_many(self, msgs) -> None:
-        """Hand a batch of messages to the interconnect as one itinerary."""
+        """Hand a batch of messages to the interconnect, in order."""
         self.network.send_many(msgs)
 
     def handle_message(self, msg: Message) -> None:
@@ -96,14 +95,10 @@ class Network:
         self.engine = engine
         self.rng = random.Random(seed)
         self.nodes: dict[str, Node] = {}
-        #: ``node_id -> bound handle_message`` -- the bulk lane's
-        #: delivery table (no per-message dict walk + method binding).
+        #: ``node_id -> bound handle_message``: the delivery table, so
+        #: a send binds no method.
         self._handlers: dict[str, Any] = {}
         self.links: dict[tuple[str, str], Link] = {}
-        #: ``wire -> (flit_bytes, flit_cycle, latency, jitter)``,
-        #: built lazily by the bulk lane (links is a public dict, so
-        #: entries are materialized on first use per wire).
-        self._wire_cache: dict[tuple[str, str], tuple] = {}
         self._last_arrival: dict[tuple[str, str, int], int] = {}
         self._link_busy_until: dict[tuple[str, str], int] = {}
         self.stats = NetworkStats()
@@ -123,95 +118,24 @@ class Network:
     def connect(self, src: str, dst: str, link: Link, bidirectional: bool = True) -> None:
         """Install a link between two endpoints."""
         self.links[(src, dst)] = link
-        self._wire_cache.pop((src, dst), None)
         if bidirectional:
             self.links[(dst, src)] = link
-            self._wire_cache.pop((dst, src), None)
-
-    def link_for(self, src: str, dst: str) -> Link:
-        """The link used for src -> dst traffic; KeyError if none."""
-        try:
-            return self.links[(src, dst)]
-        except KeyError:
-            raise KeyError(f"no link {src} -> {dst}") from None
 
     def send(self, msg: Message) -> None:
         """Schedule delivery of ``msg`` respecting per-channel FIFO order
         and per-link bandwidth (serialization occupies the wire).
 
-        This is the second-hottest path after the event loop.  On the
-        stock :class:`~repro.sim.engine.BatchedEngine` with no fault
-        plan the whole delivery is flattened: cached link parameters,
-        the ``randrange`` rejection loop inlined over ``getrandbits``
-        (bit-identical draw stream), counters bumped in place, and the
-        arrival written straight into the engine's calendar bucket --
-        no ``stats.record``/``post_at`` calls, no handler re-binding.
-        Other engines, and any run with faults installed, take the
-        generic path below, which is the pre-PR message path verbatim.
+        The one message path: every send, batched or not, faulted or
+        not, on any engine, computes its arrival here.  A message the
+        fault plan selects leaves through :meth:`_faulted_deliveries`;
+        every other one is counted in place and posted at its arrival.
         """
         src, dst = msg.src, msg.dst
         wire = (src, dst)
+        link = self.links.get(wire)
+        if link is None:
+            raise KeyError(f"no link {src} -> {dst}")
         engine = self.engine
-        if self.faults is None and engine.__class__ is BatchedEngine:
-            cached = self._wire_cache.get(wire)
-            if cached is None:
-                link = self.links.get(wire)
-                if link is None:
-                    raise KeyError(f"no link {src} -> {dst}")
-                cached = self._wire_cache[wire] = (
-                    link.flit_bytes, link.flit_cycle,
-                    link.latency, link.jitter)
-            flit_bytes, flit_cycle, latency, jitter = cached
-            now = engine.now
-            serialization = (
-                (msg.size + flit_bytes - 1) // flit_bytes) * flit_cycle
-            busy_until = self._link_busy_until
-            start = busy_until.get(wire, 0)
-            if start < now:
-                start = now
-            busy_until[wire] = start + serialization
-            arrival = start + serialization + latency
-            if jitter:
-                span = jitter + 1
-                bits = span.bit_length()
-                getrandbits = self.rng.getrandbits
-                r = getrandbits(bits)
-                while r >= span:
-                    r = getrandbits(bits)
-                arrival += r
-            vnet = msg.vnet
-            channel = (src, dst, vnet)
-            last_arrival = self._last_arrival
-            floor = last_arrival.get(channel, -1) + 1
-            if arrival < floor:
-                arrival = floor
-            last_arrival[channel] = arrival
-            stats = self.stats
-            stats.messages += 1
-            stats.bytes += msg.size
-            stats.per_vnet[VNET_NAMES[vnet]] += 1
-            per_kind = stats.per_kind
-            kind = msg.kind
-            per_kind[kind] = per_kind.get(kind, 0) + 1
-            obs = self.obs
-            if obs is not None:
-                obs.on_message(msg, arrival - now)
-            record = (self._handlers[dst], (msg,))
-            buckets = engine._buckets
-            bucket = buckets.get(arrival)
-            if bucket is None:
-                buckets[arrival] = record
-                _heappush(engine._ticks, arrival)
-            elif bucket.__class__ is list:
-                bucket.append(record)
-            else:
-                buckets[arrival] = [bucket, record]
-            engine._posted += 1
-            return
-        try:
-            link = self.links[wire]
-        except KeyError:
-            raise KeyError(f"no link {src} -> {dst}") from None
         now = engine.now
         flit_bytes = link.flit_bytes
         serialization = (
@@ -221,10 +145,18 @@ class Network:
         if start < now:
             start = now
         busy_until[wire] = start + serialization
-        delay = (start - now) + serialization + link.latency
-        if link.jitter:
-            delay += self.rng.randrange(link.jitter + 1)
-        arrival = now + delay
+        arrival = start + serialization + link.latency
+        jitter = link.jitter
+        if jitter:
+            # rng.randrange(jitter + 1) inlined as its exact getrandbits
+            # rejection loop: the same draw stream without the call.
+            span = jitter + 1
+            bits = span.bit_length()
+            getrandbits = self.rng.getrandbits
+            r = getrandbits(bits)
+            while r >= span:
+                r = getrandbits(bits)
+            arrival += r
         faults = self.faults
         if faults is not None:
             action = faults.action_for(msg)
@@ -232,213 +164,40 @@ class Network:
                 engine.post_many(
                     self._faulted_deliveries(msg, action, arrival, now))
                 return
-        channel = (src, dst, msg.vnet)
+        vnet = msg.vnet
+        channel = (src, dst, vnet)
         last_arrival = self._last_arrival
         floor = last_arrival.get(channel, -1) + 1
         if arrival < floor:
             arrival = floor
         last_arrival[channel] = arrival
-        self.stats.record(msg)
+        # stats.record(msg), inlined.
+        stats = self.stats
+        stats.messages += 1
+        stats.bytes += msg.size
+        stats.per_vnet[VNET_NAMES[vnet]] += 1
+        per_kind = stats.per_kind
+        kind = msg.kind
+        per_kind[kind] = per_kind.get(kind, 0) + 1
         obs = self.obs
         if obs is not None:
             obs.on_message(msg, arrival - now)
-        engine.post_at(arrival, self.nodes[dst].handle_message, msg)
+        engine.post_at(arrival, self._handlers[dst], msg)
 
     def send_many(self, msgs) -> None:
-        """Schedule delivery of a batch of messages as one itinerary.
+        """Send a batch of messages: one :meth:`send` per message, in order.
 
-        Semantics are exactly N sequential :meth:`send` calls -- same
-        RNG draw order, same fault actions, same per-channel FIFO
-        floors and busy-wire accounting -- but the whole batch runs
-        with per-batch bound locals and lands in the engine in bulk.
-        This is the fan-out fast lane used by the L1 forward handlers,
-        the bridge invalidation loops and the Dcoh snoop sweep;
-        ``benchmarks/test_sim_bench.py`` gates its per-message cost
-        against the sequential baseline lane.
-
-        On the stock :class:`~repro.sim.engine.BatchedEngine` the
-        arrivals are written straight into the engine's calendar
-        buckets (the same record-cell layout ``post_many`` produces);
-        other backends, and any run with a fault plan installed, take
-        the generic itinerary path through ``Engine.post_many``.
-
-        When ``send`` has been overridden or monkeypatched (the
+        The fan-out spelling used by the L1 forward handlers, the
+        bridge invalidation loops and the Dcoh snoop sweep.  It goes
+        through ``self.send``, so an interposer on ``send`` (the
         :class:`repro.sim.trace.MessageTracer` wrap, the explorer's
-        :class:`~repro.verify.explorer.InterceptNetwork`), the batch
-        degrades to sequential ``send`` calls so every interposer still
-        sees each message.
+        :class:`~repro.verify.explorer.InterceptNetwork`) sees every
+        message, and a missing link raises after the earlier messages
+        of the batch were delivered and counted.
         """
-        if self.__class__.send is not Network.send or "send" in self.__dict__:
-            for msg in msgs:
-                self.send(msg)
-            return
-        if msgs.__class__ in (tuple, list) and len(msgs) == 1:
-            # Singleton itinerary: send()'s own fast path beats paying
-            # the per-batch local binding for one message.
-            self.send(msgs[0])
-            return
-        engine = self.engine
-        if self.faults is not None or engine.__class__ is not BatchedEngine:
-            self._send_many_generic(msgs)
-            return
-        now = engine.now
-        buckets = engine._buckets
-        ticks = engine._ticks
-        heappush = _heappush
-        links = self.links
-        wire_cache = self._wire_cache
-        busy_until = self._link_busy_until
-        last_arrival = self._last_arrival
-        handlers = self._handlers
-        stats = self.stats
-        obs = self.obs
-        getrandbits = self.rng.getrandbits
-        per_vnet = stats.per_vnet
-        per_kind = stats.per_kind
-        vnet_names = VNET_NAMES
-        n_msgs = 0
-        n_bytes = 0
+        send = self.send
         for msg in msgs:
-            src = msg.src
-            dst = msg.dst
-            wire = (src, dst)
-            cached = wire_cache.get(wire)
-            if cached is None:
-                link = links.get(wire)
-                if link is None:
-                    # Sequential sends would have delivered the earlier
-                    # messages before raising; keep that visible state.
-                    stats.messages += n_msgs
-                    stats.bytes += n_bytes
-                    engine._posted += n_msgs
-                    raise KeyError(f"no link {src} -> {dst}")
-                cached = wire_cache[wire] = (
-                    link.flit_bytes, link.flit_cycle,
-                    link.latency, link.jitter)
-            flit_bytes, flit_cycle, latency, jitter = cached
-            serialization = (
-                (msg.size + flit_bytes - 1) // flit_bytes) * flit_cycle
-            start = busy_until.get(wire, 0)
-            if start < now:
-                start = now
-            busy_until[wire] = start + serialization
-            arrival = start + serialization + latency
-            if jitter:
-                # rng.randrange(jitter + 1) inlined: the exact
-                # getrandbits rejection loop, so the draw stream stays
-                # bit-identical with the sequential lane.
-                span = jitter + 1
-                bits = span.bit_length()
-                r = getrandbits(bits)
-                while r >= span:
-                    r = getrandbits(bits)
-                arrival += r
-            vnet = msg.vnet
-            channel = (src, dst, vnet)
-            floor = last_arrival.get(channel, -1) + 1
-            if arrival < floor:
-                arrival = floor
-            last_arrival[channel] = arrival
-            n_msgs += 1
-            n_bytes += msg.size
-            per_vnet[vnet_names[vnet]] += 1
-            kind = msg.kind
-            per_kind[kind] = per_kind.get(kind, 0) + 1
-            if obs is not None:
-                obs.on_message(msg, arrival - now)
-            # post_at, inlined into the calendar-bucket cell layout
-            # (arrival >= now by construction: start >= now and every
-            # delay term is non-negative).
-            record = (handlers[dst], (msg,))
-            bucket = buckets.get(arrival)
-            if bucket is None:
-                buckets[arrival] = record
-                heappush(ticks, arrival)
-            elif bucket.__class__ is list:
-                bucket.append(record)
-            else:
-                buckets[arrival] = [bucket, record]
-        stats.messages += n_msgs
-        stats.bytes += n_bytes
-        engine._posted += n_msgs
-
-    def _send_many_generic(self, msgs) -> None:
-        """The backend-agnostic bulk path: one ``Engine.post_many`` batch.
-
-        Used for non-batched engines (legacy parity, the compiled C
-        core, test doubles) and whenever a fault plan is installed --
-        faulted deliveries must join the same itinerary so engine
-        insertion order matches sequential sends.
-        """
-        engine = self.engine
-        now = engine.now
-        links = self.links
-        busy_until = self._link_busy_until
-        last_arrival = self._last_arrival
-        nodes = self.nodes
-        faults = self.faults
-        stats = self.stats
-        obs = self.obs
-        per_vnet = stats.per_vnet
-        per_kind = stats.per_kind
-        vnet_names = VNET_NAMES
-        n_msgs = 0
-        n_bytes = 0
-        items: list = []
-        append = items.append
-        for msg in msgs:
-            src = msg.src
-            dst = msg.dst
-            wire = (src, dst)
-            try:
-                link = links[wire]
-            except KeyError:
-                # Sequential sends would have delivered the earlier
-                # messages before raising; keep that visible state.
-                stats.messages += n_msgs
-                stats.bytes += n_bytes
-                if items:
-                    engine.post_many(items)
-                raise KeyError(f"no link {src} -> {dst}") from None
-            flit_bytes = link.flit_bytes
-            serialization = (
-                (msg.size + flit_bytes - 1) // flit_bytes) * link.flit_cycle
-            start = busy_until.get(wire, 0)
-            if start < now:
-                start = now
-            busy_until[wire] = start + serialization
-            arrival = start + serialization + link.latency
-            if link.jitter:
-                arrival += self.rng.randrange(link.jitter + 1)
-            if faults is not None:
-                action = faults.action_for(msg)
-                if action is not None:
-                    # Faulted deliveries join the same batch so the
-                    # engine insertion order matches sequential sends.
-                    stats.messages += n_msgs
-                    stats.bytes += n_bytes
-                    n_msgs = n_bytes = 0
-                    for item in self._faulted_deliveries(
-                            msg, action, arrival, now):
-                        append(item)
-                    continue
-            channel = (src, dst, msg.vnet)
-            floor = last_arrival.get(channel, -1) + 1
-            if arrival < floor:
-                arrival = floor
-            last_arrival[channel] = arrival
-            n_msgs += 1
-            n_bytes += msg.size
-            per_vnet[vnet_names[msg.vnet]] += 1
-            kind = msg.kind
-            per_kind[kind] = per_kind.get(kind, 0) + 1
-            if obs is not None:
-                obs.on_message(msg, arrival - now)
-            append((arrival, nodes[dst].handle_message, (msg,)))
-        stats.messages += n_msgs
-        stats.bytes += n_bytes
-        if items:
-            engine.post_many(items)
+            send(msg)
 
     def _faulted_deliveries(self, msg: Message, action, arrival: int,
                             now: int) -> tuple:
@@ -451,8 +210,7 @@ class Network:
         bypass the FIFO floor (the one legal-fabric property faults are
         allowed to break); duplicates deliver a fresh-uid copy one tick
         after the original.  Returns ``(time, handler, args)`` items
-        ready for :meth:`Engine.post_many` so faulted hops slot into
-        the same delivery batch as clean ones.
+        for :meth:`~repro.sim.engine.BatchedEngine.post_many`.
         """
         verb, extra = action
         stats = self.stats
@@ -476,7 +234,7 @@ class Network:
         stats.record(msg)
         if obs is not None:
             obs.on_message(msg, arrival - now)
-        handler = self.nodes[msg.dst].handle_message
+        handler = self._handlers[msg.dst]
         if verb != "duplicate":
             return ((arrival, handler, (msg,)),)
         from repro.scenario.faults import clone_message
@@ -489,7 +247,3 @@ class Network:
             obs.on_message(copy, copy_arrival - now)
         return ((arrival, handler, (msg,)),
                 (copy_arrival, handler, (copy,)))
-
-    def deliver_local(self, msg: Message, delay: int = 0) -> None:
-        """Deliver a message within one component (no link traversal)."""
-        self.engine.post(delay, self._handlers[msg.dst], msg)

@@ -1,14 +1,13 @@
-"""Cross-backend engine parity: python (batched) vs legacy vs compiled.
+"""Engine parity: the batched engine vs the legacy reference loop.
 
-The three ``REPRO_ENGINE`` backends must be *indistinguishable* to the
-simulator: same event order, same results bit for bit, same watchdog
-behavior, same observability rollups.  These tests drive each backend
-through the same scenarios -- randomized schedule/cancel scripts,
-real figure cells (Fig. 9 MCM pairings, Fig. 10 protocol combos), and
-the ``violate_atomicity`` audit path -- and require identical outcomes.
-
-The compiled backend is exercised only when the C core can actually be
-built/loaded on this machine; the pure-Python pair is always compared.
+:class:`~repro.sim.engine.BatchedEngine` (the one engine simulations
+run on) must be *indistinguishable* from
+:class:`~repro.sim.engine.LegacyEngine`: same event order, same results
+bit for bit, same watchdog behavior, same observability rollups.  These
+tests drive both through the same scenarios -- randomized
+schedule/cancel scripts, real figure cells (Fig. 9 MCM pairings,
+Fig. 10 protocol combos), faulted message bursts and runs, and the
+``violate_atomicity`` audit path -- and require identical outcomes.
 """
 
 import pickle
@@ -20,18 +19,16 @@ import repro.sim.system as system_module
 from repro.cpu.isa import ThreadProgram, load, rmw, store
 from repro.sim.config import two_cluster_config
 from repro.sim.engine import (
+    ENGINE_BACKEND,
     BatchedEngine,
+    Engine,
     LegacyEngine,
     SimulationLimitError,
-    load_compiled_engine_class,
-    resolve_engine_class,
 )
+from repro.sim.network import Network
 from repro.sim.system import build_system
 
 BACKENDS = [("python", BatchedEngine), ("legacy", LegacyEngine)]
-_compiled_cls = load_compiled_engine_class()
-if _compiled_cls is not None:
-    BACKENDS.append(("compiled", _compiled_cls))
 
 BACKEND_IDS = [name for name, _cls in BACKENDS]
 BACKEND_CLASSES = [cls for _name, cls in BACKENDS]
@@ -158,13 +155,8 @@ def test_figure_cells_byte_identical_across_backends(monkeypatch, combo, mcms):
 
 
 def test_engine_facade_reports_selected_backend():
-    name, cls = resolve_engine_class("python")
-    assert (name, cls) == ("python", BatchedEngine)
-    name, cls = resolve_engine_class("legacy")
-    assert (name, cls) == ("legacy", LegacyEngine)
-    with pytest.warns(RuntimeWarning):
-        name, _cls = resolve_engine_class("no-such-backend")
-    assert name == "python"
+    assert Engine is BatchedEngine
+    assert ENGINE_BACKEND == "python"
 
 
 # ---------------------------------------------------------------------------
@@ -215,36 +207,17 @@ def test_obs_rollups_identical_across_backends(monkeypatch, violate):
 
 
 # ---------------------------------------------------------------------------
-# Network lanes: the bulk fast lane vs generic post_many vs sequential
-# sends must be invisible -- per engine backend, with and without
-# faults, and under observability.
+# The message path: ``send_many`` on either engine must match the
+# legacy engine driven by the loop that defines its semantics (one
+# ``send`` per message), with and without faults.
 # ---------------------------------------------------------------------------
-
-def _generic_send_many(self, msgs):
-    self._send_many_generic(msgs)
-
 
 def _sequential_send_many(self, msgs):
     for msg in msgs:
         self.send(msg)
 
 
-#: (name, Network.send_many override or None for the stock lane).
-LANES = [("fast", None),
-         ("generic", _generic_send_many),
-         ("sequential", _sequential_send_many)]
-
-LANE_IDS = [name for name, _fn in LANES]
-
-
-def _with_lane(monkeypatch, lane):
-    from repro.sim.network import Network
-
-    if lane is not None:
-        monkeypatch.setattr(Network, "send_many", lane)
-
-
-def _burst_trace(engine_cls, lane, rules):
+def _burst_trace(engine_cls, rules):
     """Delivery trace of jittered fan-out bursts, optionally faulted.
 
     A hub batches messages to three sinks over jittered links while a
@@ -253,7 +226,7 @@ def _burst_trace(engine_cls, lane, rules):
     """
     from repro.protocols.messages import DATA, GETS, INV, Message
     from repro.scenario.faults import FaultPlan
-    from repro.sim.network import Link, Network, Node
+    from repro.sim.network import Link, Node
 
     deliveries = []
 
@@ -312,35 +285,16 @@ def _fault_rule_sets():
 
 
 @pytest.mark.parametrize("fault_mode", list(_fault_rule_sets()))
-def test_burst_deliveries_identical_across_engines_and_lanes(
-        monkeypatch, fault_mode):
+def test_burst_deliveries_identical_across_engines_and_lanes(fault_mode):
     rules = _fault_rule_sets()[fault_mode]
-    reference = _burst_trace(LegacyEngine,
-                             _sequential_send_many, rules)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Network, "send_many", _sequential_send_many)
+        reference = _burst_trace(LegacyEngine, rules)
     assert reference, "burst scenario delivered nothing"
     for backend_name, engine_cls in BACKENDS:
-        for lane_name, lane in LANES:
-            with pytest.MonkeyPatch.context() as mp:
-                _with_lane(mp, lane)
-                trace = _burst_trace(engine_cls, lane, rules)
-            assert trace == reference, (
-                f"{backend_name}/{lane_name} diverged from "
-                f"legacy/sequential under {fault_mode!r} faults")
-
-
-@pytest.mark.parametrize("lane_name,lane", LANES, ids=LANE_IDS)
-@pytest.mark.parametrize("engine_name,engine_cls",
-                         BACKENDS, ids=BACKEND_IDS)
-def test_figure_cell_byte_identical_across_lanes(monkeypatch, engine_name,
-                                                 engine_cls, lane_name, lane):
-    combo, mcms = ("MESI", "CXL", "MESI"), ("WEAK", "WEAK")
-    _with_engine(monkeypatch, LegacyEngine)
-    reference = _fig_cell(combo, mcms)
-    _with_engine(monkeypatch, engine_cls)
-    _with_lane(monkeypatch, lane)
-    assert _fig_cell(combo, mcms) == reference, (
-        f"{engine_name}/{lane_name} produced a different RunResult for "
-        f"{combo}/{mcms}")
+        assert _burst_trace(engine_cls, rules) == reference, (
+            f"{backend_name} diverged from legacy/sequential under "
+            f"{fault_mode!r} faults")
 
 
 def _faulted_system_blob():
@@ -361,29 +315,11 @@ def _faulted_system_blob():
 
 
 def test_faulted_run_byte_identical_across_engines_and_lanes(monkeypatch):
-    _with_engine(monkeypatch, LegacyEngine)
     with pytest.MonkeyPatch.context() as mp:
-        _with_lane(mp, _sequential_send_many)
+        _with_engine(mp, LegacyEngine)
+        mp.setattr(Network, "send_many", _sequential_send_many)
         reference = _faulted_system_blob()
     for backend_name, engine_cls in BACKENDS:
-        for lane_name, lane in LANES:
-            with pytest.MonkeyPatch.context() as mp:
-                _with_engine(mp, engine_cls)
-                _with_lane(mp, lane)
-                blob = _faulted_system_blob()
-            assert blob == reference, (
-                f"{backend_name}/{lane_name} changed the faulted "
-                f"RunResult byte stream")
-
-
-@pytest.mark.parametrize("lane_name,lane", LANES, ids=LANE_IDS)
-def test_obs_rollups_identical_across_lanes(monkeypatch, lane_name, lane):
-    reference = _obs_rollup(False)  # stock stack, spans + metrics on
-    for _backend_name, engine_cls in BACKENDS:
-        with pytest.MonkeyPatch.context() as mp:
-            _with_engine(mp, engine_cls)
-            _with_lane(mp, lane)
-            rollup = _obs_rollup(False)
-        assert rollup == reference, (
-            f"{_backend_name}/{lane_name} produced different span/metric "
-            "rollups")
+        _with_engine(monkeypatch, engine_cls)
+        assert _faulted_system_blob() == reference, (
+            f"{backend_name} changed the faulted RunResult byte stream")

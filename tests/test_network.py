@@ -141,3 +141,21 @@ def test_link_bandwidth_serializes_back_to_back_sends():
     assert times[0] == 190
     for earlier, later in zip(times, times[1:]):
         assert later - earlier >= 90
+
+
+def test_send_many_delivers_prefix_before_missing_link():
+    """A batch is sequential sends: the messages ahead of a missing
+    link are delivered and counted, then the KeyError surfaces."""
+    engine, network, a, b = make_pair()
+    batch = [Message(GETS, 0x10, "a", "b"),
+             Message(DATA, 0x20, "a", "b", data=1),
+             Message(GETS, 0x30, "a", "c"),
+             Message(GETS, 0x40, "a", "b")]
+    with pytest.raises(KeyError, match="no link a -> c"):
+        network.send_many(batch)
+    assert network.stats.messages == 2
+    assert network.stats.bytes == 8 + 72
+    assert network.stats.per_kind == {GETS: 1, DATA: 1}
+    assert engine.pending_live() == 2
+    engine.run()
+    assert [m.addr for _t, m in b.received] == [0x10, 0x20]

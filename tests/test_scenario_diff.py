@@ -3,8 +3,8 @@
 Extends the ``test_engine_parity`` discipline to the scenario layer,
 including *faulted* runs: the same scenario corpus must produce
 byte-identical outcome dicts whether executed serially, through the
-local process pool, through a ``queue:2`` distributed fleet, or on the
-compiled event engine (exercised only where the C core builds).
+local process pool, or through a ``queue:2`` distributed fleet, and
+whether the batched engine or the legacy reference loop drives it.
 """
 
 import glob
@@ -16,11 +16,7 @@ import pytest
 import repro.sim.system as system_module
 from repro.scenario.runner import run_scenario, run_scenarios
 from repro.scenario.schema import Scenario
-from repro.sim.engine import (
-    BatchedEngine,
-    LegacyEngine,
-    load_compiled_engine_class,
-)
+from repro.sim.engine import BatchedEngine, LegacyEngine
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS = sorted(glob.glob(os.path.join(REPO, "scenarios", "*.toml")))
@@ -59,13 +55,10 @@ def test_backends_match_serial_bit_for_bit(backend, jobs):
 
 
 # ---------------------------------------------------------------------------
-# Engine parity: python vs legacy vs compiled, per scenario.
+# Engine parity: batched vs legacy, per scenario.
 # ---------------------------------------------------------------------------
 
 ENGINES = [("python", BatchedEngine), ("legacy", LegacyEngine)]
-_compiled_cls = load_compiled_engine_class()
-if _compiled_cls is not None:
-    ENGINES.append(("compiled", _compiled_cls))
 
 
 @pytest.mark.parametrize("path", DIFF_PATHS, ids=DIFF_IDS)
@@ -80,9 +73,3 @@ def test_engines_match_per_scenario(monkeypatch, path):
         assert outcome == reference, (
             f"engine {name!r} diverged on {scenario.name}")
 
-
-def test_compiled_engine_exercised_or_skipped():
-    """Document whether the compiled backend participated above."""
-    if _compiled_cls is None:
-        pytest.skip("compiled engine core unavailable on this machine")
-    assert any(name == "compiled" for name, _cls in ENGINES)

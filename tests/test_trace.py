@@ -1,5 +1,7 @@
 """Tests for the protocol tracer."""
 
+import pickle
+
 from repro.cpu.isa import ThreadProgram, fence, load, rmw, store
 from repro.protocols import messages as m
 from repro.sim.config import two_cluster_config
@@ -103,3 +105,40 @@ def test_conflict_handshake_visible_in_trace():
             found = True
             break
     assert found, "no conflict handshake captured in 20 seeds"
+
+
+def _histogram_cell(trace: bool):
+    """A MESI-CXL-MESI histogram cell.
+
+    Returns the ``RunResult`` pickle, the tracer (or None), the network
+    and the sizes of the batches handed to ``send_many``.
+    """
+    from repro.workloads import WORKLOADS
+
+    config = two_cluster_config("MESI", "CXL", "MESI", cores_per_cluster=4,
+                                seed=3)
+    system = build_system(config)
+    network = system.network
+    tracer = MessageTracer(network) if trace else None
+    fanned = []
+    send_many = network.send_many
+
+    def counting_send_many(msgs):
+        msgs = list(msgs)
+        fanned.append(len(msgs))
+        send_many(msgs)
+
+    network.send_many = counting_send_many
+    programs = WORKLOADS["histogram"].build(config.total_cores, scale=0.25,
+                                            seed=3)
+    result = system.run_threads(programs)
+    return pickle.dumps(result), tracer, network, fanned
+
+
+def test_tracer_sees_every_message_and_changes_nothing():
+    untraced, _none, _network, _fanned = _histogram_cell(trace=False)
+    traced, tracer, network, fanned = _histogram_cell(trace=True)
+    assert max(fanned) > 1, "cell never fanned out through send_many"
+    assert tracer.dropped == 0
+    assert len(tracer.entries) == network.stats.messages
+    assert traced == untraced
