@@ -1,11 +1,11 @@
-"""Model-checker throughput: legacy DFS vs mc serial vs sharded queue.
+"""Model-checker throughput: mc serial vs sharded queue.
 
 Not a paper figure: this keeps the sharded engine honest.  It explores
-the SB litmus program exhaustively (~1.7k states) three ways -- the
-legacy single-process DFS, the mc engine with one shard, and the mc
-engine partitioned into 4 shards over a 2-worker loopback queue fleet
--- asserts the three searches agree exactly (states, terminals,
-outcomes), and records states/second for each.
+the SB litmus program exhaustively (~1.7k states) two ways -- the mc
+engine with one shard, and the mc engine partitioned into 4 shards over
+a 2-worker loopback queue fleet -- asserts the two searches agree
+exactly (states, terminals, outcomes), and records states/second for
+each.
 
 The speedup gate is adaptive: partition-by-hash only pays when real
 cores run the shards, so the ``sharded >= 1.3x serial`` bound applies
@@ -25,8 +25,6 @@ import pytest
 
 from repro.core.generator import FSM_CACHE_ENV, clear_fsm_cache, warm_fsm_cache
 from repro.harness.dist.broker import QueueBackend
-from repro.verify.explorer import Explorer
-from repro.verify.litmus import LITMUS_BY_NAME, materialize
 from repro.verify.mc.engine import ModelChecker
 from repro.verify.mc.model import litmus_model
 
@@ -37,17 +35,6 @@ LITMUS = "SB"
 SHARDS = 4
 WORKERS = 2
 FSM_PAIRS = (("MESI", "CXL"),)
-
-
-def _legacy_rate():
-    """Exhaustive legacy DFS; returns (result, states/sec)."""
-    test = LITMUS_BY_NAME[LITMUS]
-    explorer = Explorer(COMBO, materialize(test, ["SC", "SC"]),
-                        mcms=("SC", "SC"), max_states=1_000_000,
-                        observed_addrs=test.observed_addrs)
-    start = time.perf_counter()
-    result = explorer.explore()
-    return result, result.states / (time.perf_counter() - start)
 
 
 def _mc_rate(shards: int, backend):
@@ -67,42 +54,33 @@ def test_sharded_exploration_throughput(benchmark, save_result, tmp_path,
     clear_fsm_cache()
 
     def run():
-        legacy, legacy_rate = _legacy_rate()
         serial, serial_rate = _mc_rate(1, "serial")
         fleet = QueueBackend(workers=WORKERS, backoff_base=0.01,
                              initializer=warm_fsm_cache,
                              initargs=(FSM_PAIRS,))
         sharded, sharded_rate = _mc_rate(SHARDS, fleet)
-        return legacy, legacy_rate, serial, serial_rate, sharded, sharded_rate
+        return serial, serial_rate, sharded, sharded_rate
 
     try:
-        (legacy, legacy_rate, serial, serial_rate,
-         sharded, sharded_rate) = benchmark.pedantic(run, rounds=1,
-                                                     iterations=1)
+        serial, serial_rate, sharded, sharded_rate = benchmark.pedantic(
+            run, rounds=1, iterations=1)
     finally:
         clear_fsm_cache()
 
-    # The three searches are the same search.
-    assert not legacy.truncated and not serial.truncated
-    assert not sharded.truncated
-    assert serial.states == legacy.states == sharded.states
-    assert serial.terminals == legacy.terminals == sharded.terminals
-    assert serial.outcomes == legacy.outcomes == sharded.outcomes
+    # The two searches are the same search.
+    assert not serial.truncated and not sharded.truncated
+    assert serial.states == sharded.states
+    assert serial.terminals == sharded.terminals
+    assert serial.outcomes == sharded.outcomes
     assert serial.ok and sharded.ok
 
     cores = os.cpu_count() or 1
     ratio_sharded_serial = sharded_rate / serial_rate
-    ratio_serial_legacy = serial_rate / legacy_rate
     if cores >= 2:
         # With real cores under the fleet, partitioning must pay.
         assert ratio_sharded_serial >= 1.3, (
             f"sharded {sharded_rate:.0f} st/s vs serial {serial_rate:.0f} "
             f"st/s ({ratio_sharded_serial:.2f}x < 1.3x on {cores} cores)")
-    # The mc serial engine must not regress against the legacy DFS: same
-    # replay discipline, so within 30% is the honesty bound.
-    assert ratio_serial_legacy >= 0.7, (
-        f"mc serial {serial_rate:.0f} st/s vs legacy {legacy_rate:.0f} "
-        f"st/s ({ratio_serial_legacy:.2f}x < 0.7x)")
 
     record = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -112,11 +90,9 @@ def test_sharded_exploration_throughput(benchmark, save_result, tmp_path,
         "states": serial.states,
         "shards": SHARDS,
         "workers": WORKERS,
-        "legacy_states_per_s": round(legacy_rate, 1),
         "mc_serial_states_per_s": round(serial_rate, 1),
         "mc_sharded_states_per_s": round(sharded_rate, 1),
         "ratio_sharded_over_serial": round(ratio_sharded_serial, 4),
-        "ratio_serial_over_legacy": round(ratio_serial_legacy, 4),
         "rounds": sharded.rounds,
         "replays_sharded": sharded.replays,
     }
@@ -130,8 +106,8 @@ def test_sharded_exploration_throughput(benchmark, save_result, tmp_path,
     BENCH_JSON.write_text(json.dumps(history, indent=2) + "\n")
     save_result(
         "mc_throughput",
-        f"{LITMUS} on {'-'.join(COMBO)}: {serial.states} states; legacy "
-        f"{legacy_rate:.0f} st/s, mc serial {serial_rate:.0f} st/s, "
+        f"{LITMUS} on {'-'.join(COMBO)}: {serial.states} states; "
+        f"mc serial {serial_rate:.0f} st/s, "
         f"mc {SHARDS}-shard/queue:{WORKERS} {sharded_rate:.0f} st/s "
         f"({ratio_sharded_serial:.2f}x serial, cpu_count={cores})",
     )

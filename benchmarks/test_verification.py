@@ -9,8 +9,8 @@ memory model's axiomatic allowed sets.
 
 from repro.cpu.isa import ThreadProgram, load, store
 from repro.verify.axiomatic import enumerate_outcomes
-from repro.verify.explorer import Explorer
 from repro.verify.litmus import MP, materialize
+from repro.verify.mc import CheckModel, check_model
 
 X, Y = 0x10, 0x11
 
@@ -31,14 +31,11 @@ def test_exhaustive_exploration_sweep(benchmark, save_result):
         total_states = 0
         for combo in COMBOS:
             for name, programs, observed in SCENARIOS:
-                import copy
-
-                explorer = Explorer(combo, copy.deepcopy(programs),
-                                    mcms=("SC", "SC"), observed_addrs=observed,
-                                    max_states=4_000)
-                result = explorer.explore()
-                assert not result.violations, (combo, name, result.violations[:1])
-                assert result.terminals > 0
+                model = CheckModel(combo, tuple(programs),
+                                   observed_addrs=observed)
+                result = check_model(model, max_states=4_000)
+                assert result.ok, (combo, name, [
+                    ce.describe() for ce in result.counterexamples[:1]])
                 total_states += result.states
                 report.append(
                     f"{'-'.join(combo):18s} {name:12s} states={result.states:5d} "
@@ -56,10 +53,10 @@ def test_outcomes_match_axiomatic_model(benchmark, save_result):
     def check():
         mcms = ["SC", "SC"]
         allowed = enumerate_outcomes(materialize(MP, mcms), mcms, MP.observed_addrs)
-        explorer = Explorer(("MESI", "CXL", "MESI"), materialize(MP, mcms),
-                            mcms=("SC", "SC"), max_states=4_000)
-        result = explorer.explore()
-        assert result.outcomes <= allowed
+        model = CheckModel(("MESI", "CXL", "MESI"),
+                           tuple(materialize(MP, mcms)))
+        result = check_model(model, max_states=4_000)
+        assert result.ok and result.outcomes <= allowed
         return len(result.outcomes), len(allowed)
 
     observed, allowed = benchmark.pedantic(check, rounds=1, iterations=1)

@@ -12,8 +12,8 @@ Run:  python examples/model_checking.py
 
 from repro.cpu.isa import ThreadProgram, load, store
 from repro.verify.axiomatic import enumerate_outcomes
-from repro.verify.explorer import Explorer
 from repro.verify.litmus import MP, materialize
+from repro.verify.mc import CheckModel, check_model
 
 X = 0x10
 
@@ -23,40 +23,31 @@ def main() -> None:
     mcms = ["SC", "SC"]
     programs = materialize(MP, mcms)
     allowed = enumerate_outcomes(programs, mcms, MP.observed_addrs)
-    explorer = Explorer(("MESI", "CXL", "MESI"), materialize(MP, mcms),
-                        mcms=("SC", "SC"), max_states=4_000)
-    result = explorer.explore()
+    result = check_model(CheckModel(("MESI", "CXL", "MESI"), tuple(programs)),
+                         max_states=4_000)
     print(f"states explored : {result.states}")
     print(f"max depth       : {result.max_depth} deliveries")
     print(f"terminal states : {result.terminals}")
     print(f"outcomes        : {len(result.outcomes)} "
           f"(all within the {len(allowed)} the compound model allows)")
-    assert not result.violations and result.outcomes <= allowed
+    assert result.ok and result.outcomes <= allowed
     for outcome in sorted(result.outcomes):
         print("   ", ", ".join(f"{k}={v}" for k, v in outcome))
 
     print("\n=== Same search with Rule II (atomicity) disabled ===")
-
-    class BrokenExplorer(Explorer):
-        def _fresh_system(self):
-            system, network = super()._fresh_system()
-            for cluster in system.clusters:
-                cluster.bridge.violate_atomicity = True
-            return system, network
-
-    broken = BrokenExplorer(
+    broken = CheckModel(
         ("MESI", "CXL", "MESI"),
-        [ThreadProgram("r0", [load(X, "w0"), load(X, "a")]),
-         ThreadProgram("w", [load(X, "w1"), store(X, 1), store(X, 2)])],
-        mcms=("SC", "SC"), max_states=3_000,
+        (ThreadProgram("r0", [load(X, "w0"), load(X, "a")]),
+         ThreadProgram("w", [load(X, "w1"), store(X, 1), store(X, 2)])),
+        violate_atomicity=True,
     )
-    try:
-        result = broken.explore()
-        verdict = (f"{len(result.violations)} invariant violations found"
-                   if result.violations else "UNEXPECTED: no violation")
-    except Exception as exc:
-        verdict = f"controller crashed under an illegal interleaving: {exc}"
-    print(f"exhaustive search verdict: {verdict}")
+    result = check_model(broken, max_states=3_000)
+    assert result.counterexamples, "UNEXPECTED: no violation"
+    first = result.counterexamples[0]
+    print(f"exhaustive search verdict: {len(result.counterexamples)} "
+          f"distinct violations in {result.states} states")
+    print(f"first (shrunk to {len(first.path)} deliveries): "
+          f"{first.kind}: {first.message}")
     print("\nRule II is load-bearing: remove it and the model checker")
     print("finds the breakage within seconds.")
 

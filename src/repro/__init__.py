@@ -18,7 +18,7 @@ contains:
   delegation) and Rule II (atomicity), translation tables, and the C3
   bridge runtime.
 - :mod:`repro.verify` -- invariant monitors, an explicit-state
-  (Murphi-like) model-checking explorer, litmus tests with axiomatic
+  (Murphi-like) model checker, litmus tests with axiomatic
   allowed-outcome enumeration and the randomized litmus runner.
 - :mod:`repro.workloads` -- 33 synthetic kernels mirroring the sharing
   behaviour of Splash-4, PARSEC and Phoenix.

@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check",
-        help="exhaustively model-check one combo (sharded explorer)",
+        help="exhaustively model-check one combo (model checker)",
         description="Explore every message delivery order of one litmus "
                     "program on one protocol combo, checking runtime "
                     "invariants, deadlock-freedom and outcome soundness "

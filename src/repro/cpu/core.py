@@ -76,7 +76,8 @@ class Core:
     # ------------------------------------------------------------------
     # Program control.
     # ------------------------------------------------------------------
-    def run_program(self, thread: ThreadProgram, on_done: Callable[[int], None]) -> None:
+    def run_program(self, thread: ThreadProgram,
+                    on_done: Callable[[int], None] | None) -> None:
         """Start executing ``thread``; ``on_done(finish_time)`` fires at completion."""
         thread.validate()
         self.ops = thread.ops

@@ -7,7 +7,7 @@ what each state permits.  The same descriptors feed three consumers:
 - the L1 cache controllers (:mod:`repro.sim.l1`),
 - the C3 compound-FSM generator (:mod:`repro.core.generator`), which
   reasons about permissions to derive the Rule-I delegation decisions,
-- the verification explorer's invariant checks.
+- the model checker's invariant checks.
 
 Permissions form a tiny lattice: ``NONE < READ < WRITE``.  ``dirty``
 marks states whose holder owns data newer than the level below.

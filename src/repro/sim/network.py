@@ -190,7 +190,7 @@ class Network:
         The fan-out spelling used by the L1 forward handlers, the
         bridge invalidation loops and the Dcoh snoop sweep.  It goes
         through ``self.send``, so an interposer on ``send`` (the
-        :class:`repro.sim.trace.MessageTracer` wrap, the explorer's
+        :class:`repro.sim.trace.MessageTracer` wrap, the model checker's
         :class:`~repro.verify.explorer.InterceptNetwork`) sees every
         message, and a missing link raises after the earlier messages
         of the batch were delivered and counted.

@@ -12,14 +12,15 @@
   simulator; observed outcomes are checked against the axiomatic set.
 - :mod:`repro.verify.invariants` -- SWMR / inclusion / compound-state
   monitors over a live system.
-- :mod:`repro.verify.explorer` -- stateless model checking with state
-  hashing over network delivery orders (the Murphi substitute), with
-  counterexample replay.
-- :mod:`repro.verify.mc` -- the model-checking subsystem grown from the
-  explorer: process-stable canonical fingerprints, partition-by-hash
-  sharding over the :mod:`repro.harness.dist` backends, and
-  deduplicated, shrunk, replayable counterexample traces
-  (``python -m repro check``; see ``docs/VERIFY.md``).
+- :mod:`repro.verify.mc` -- the model checker (the Murphi substitute):
+  stateless exhaustive search over network delivery orders with
+  process-stable canonical fingerprints, partition-by-hash sharding
+  over the :mod:`repro.harness.dist` backends, and deduplicated,
+  shrunk, replayable counterexample traces (``python -m repro check``;
+  see ``docs/VERIFY.md``).
+- :mod:`repro.verify.explorer` -- what the checker builds on: the
+  delivery-intercepting network, the wiring of the system under test,
+  and the canonical state walk.
 - :mod:`repro.verify.litmus_format` -- a herd7-inspired textual litmus
   format (parse/serialize), so new tests need no Python.
 """

@@ -1,32 +1,24 @@
-"""Explicit-state model checking over message delivery orders.
+"""Delivery interception and state digests for the model checker.
 
-This is the repository's Murphi substitute, with one important twist:
-instead of checking an abstract re-model of the protocol, it checks the
-*actual implementation*.  The network is intercepted so that every sent
-message lands in an outbox instead of being scheduled; the explorer then
-exhaustively enumerates delivery orders (respecting per-channel FIFO,
-exactly like the real fabric) using depth-first search with state
-hashing.  At every reached state the runtime invariants run; terminal
-states must have all programs complete (deadlock-freedom) and their
-outcomes are collected for comparison against the axiomatic model.
+The model checker (:mod:`repro.verify.mc`) checks the *actual
+implementation*, not a re-model of it.  This module holds the three
+pieces it builds on:
 
-Because controller continuations are closures, states are reproduced by
-*replaying* the delivery-choice path from a fresh system rather than by
-snapshotting -- stateless model checking with a visited-fingerprint set
-to prune the search.
+- :class:`InterceptNetwork` parks every sent message in an outbox
+  instead of scheduling it, so the checker chooses delivery orders
+  explicitly (respecting per-channel FIFO, exactly like the real fabric);
+- :func:`system_config` and :func:`build_intercepted` construct the
+  two-cluster system under test with that network wired in;
+- :func:`state_parts` flattens one (system, outbox) state into the
+  canonical tuple the fingerprints are derived from.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
-
-from repro.errors import ConsistencyViolation
 from repro.protocols.messages import Message
 from repro.sim.config import ClusterConfig, SystemConfig
 from repro.sim.network import Network
 from repro.sim.system import build_system
-from repro.verify import invariants
 
 
 class InterceptNetwork(Network):
@@ -60,175 +52,44 @@ class InterceptNetwork(Network):
         self.nodes[msg.dst].handle_message(msg)
 
 
-@dataclass
-class ExplorationResult:
-    states: int = 0
-    terminals: int = 0
-    outcomes: set = field(default_factory=set)
-    max_depth: int = 0
-    truncated: bool = False
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Clean verdict: no violations, ≥1 terminal, *and* exhaustive.
-
-        A truncated exploration proves nothing about the states it never
-        reached, so it must not report clean -- a capped run that found
-        one terminal used to."""
-        return (not self.violations and self.terminals > 0
-                and not self.truncated)
+def system_config(combo: tuple[str, str, str], mcms: tuple[str, str],
+                  threads: int) -> SystemConfig:
+    """Two clusters of ``ceil(threads / 2)`` cores each, no fabric jitter."""
+    local_a, global_protocol, local_b = combo
+    cores = max(1, (threads + 1) // 2)
+    return SystemConfig(
+        clusters=(
+            ClusterConfig(cores=cores, protocol=local_a, mcm=mcms[0]),
+            ClusterConfig(cores=cores, protocol=local_b, mcm=mcms[1]),
+        ),
+        global_protocol=global_protocol,
+        cross_jitter_ns=0.0,
+    )
 
 
-class Explorer:
-    """DFS over delivery orders with state hashing."""
+def build_intercepted(config: SystemConfig, violate_atomicity: bool):
+    """Build ``config`` with an :class:`InterceptNetwork` swapped in.
 
-    def __init__(
-        self,
-        combo: tuple[str, str, str],
-        programs,
-        placement=None,
-        mcms: tuple[str, str] = ("SC", "SC"),
-        observed_addrs: tuple[int, ...] = (),
-        max_states: int = 5_000,
-        check_invariants: bool = True,
-    ) -> None:
-        self.combo = combo
-        self.programs = programs
-        self.placement = placement
-        self.mcms = mcms
-        self.observed_addrs = observed_addrs
-        self.max_states = max_states
-        self.check_invariants = check_invariants
-
-    # ------------------------------------------------------------------
-    def _fresh_system(self):
-        local_a, global_protocol, local_b = self.combo
-        threads = len(self.programs)
-        cores = max(1, (threads + 1) // 2)
-        config = SystemConfig(
-            clusters=(
-                ClusterConfig(cores=cores, protocol=local_a, mcm=self.mcms[0]),
-                ClusterConfig(cores=cores, protocol=local_b, mcm=self.mcms[1]),
-            ),
-            global_protocol=global_protocol,
-            cross_jitter_ns=0.0,
-        )
-        system = build_system(config)
-        # Swap in the intercepting network: re-register nodes and links.
-        old = system.network
-        network = InterceptNetwork(system.engine, seed=config.seed)
-        network.nodes = old.nodes
-        network.links = old.links
-        for node in old.nodes.values():
-            node.network = network
-        system.network = network
-
-        placement = self.placement or [
-            (tid % 2) * cores + tid // 2 for tid in range(threads)
-        ]
-        self._done = {"count": threads}
-
-        def on_done(_t):
-            self._done["count"] -= 1
-
-        for program, core_index in zip(self.programs, placement):
-            # Fresh program copies: ops are mutable dataclasses.
-            system.cores[core_index].run_program(copy.deepcopy(program), on_done)
-        system.engine.run()
-        return system, network
-
-    def _replay(self, path):
-        system, network = self._fresh_system()
-        for choice in path:
-            network.deliver(choice)
-            system.engine.run()
-        return system, network
-
-    # ------------------------------------------------------------------
-    def explore(self) -> ExplorationResult:
-        """Run the DFS over delivery orders; returns the aggregate result."""
-        result = ExplorationResult()
-        visited = set()
-        stack = [()]
-        while stack:
-            path = stack.pop()
-            system, network = self._replay(path)
-            fingerprint = _fingerprint(system, network)
-            if path and fingerprint in visited:
-                continue
-            visited.add(fingerprint)
-            result.states += 1
-            result.max_depth = max(result.max_depth, len(path))
-            if self.check_invariants:
-                try:
-                    invariants.check_all(system)
-                except ConsistencyViolation as exc:
-                    result.violations.append((path, exc))
-                    continue
-            choices = network.deliverable()
-            if not choices:
-                if self._done["count"] != 0:
-                    result.violations.append(
-                        (path, ConsistencyViolation(
-                            f"deadlock: {self._done['count']} threads stuck"))
-                    )
-                else:
-                    result.terminals += 1
-                    result.outcomes.add(self._outcome(system))
-                continue
-            if result.states >= self.max_states:
-                result.truncated = True
-                break
-            for choice in choices:
-                stack.append(path + (choice,))
-        return result
-
-    def _outcome(self, system):
-        outcome = {}
-        for core in system.cores:
-            outcome.update(core.regs)
-        for addr in self.observed_addrs:
-            outcome[f"[{addr}]"] = _final_value(system, addr)
-        return tuple(sorted(outcome.items()))
-
-    # ------------------------------------------------------------------
-    # Counterexample replay.
-    # ------------------------------------------------------------------
-    def replay_with_trace(self, path):
-        """Re-execute a delivery path (e.g. a violation's) with a
-        message tracer attached, for post-mortem inspection.
-
-        Returns ``(system, tracer)`` at the end of the path; the
-        tracer's :meth:`~repro.sim.trace.MessageTracer.timeline` shows
-        exactly the message sequence that led to the state.
-        """
-        from repro.sim.trace import MessageTracer
-
-        system, network = self._fresh_system()
-        tracer = MessageTracer(network)
-        # MessageTracer wraps network.send; replay the chosen deliveries.
-        for choice in path:
-            network.deliver(choice)
-            system.engine.run()
-        return system, tracer
-
-
-def _final_value(system, addr):
-    value = invariants.authoritative_value(system, addr)
-    return value if value is not None else 0
+    Returns ``(system, network)`` with no program started, so a caller
+    may attach observers (e.g. a message tracer) before the first send.
+    """
+    system = build_system(config, violate_atomicity=violate_atomicity)
+    old = system.network
+    network = InterceptNetwork(system.engine, seed=config.seed)
+    network.nodes = old.nodes
+    network.links = old.links
+    for node in old.nodes.values():
+        node.network = network
+    system.network = network
+    return system, network
 
 
 # ---------------------------------------------------------------------------
-# Fingerprinting.
+# State digests.
 # ---------------------------------------------------------------------------
 
 def _rec_fp(rec):
     return (rec.owner, rec.owner_kind, tuple(sorted(rec.sharers)), rec.f_holder)
-
-
-def _fingerprint(system, network) -> int:
-    return hash(state_parts(system, network))
 
 
 def state_parts(system, network) -> tuple:
@@ -239,9 +100,8 @@ def state_parts(system, network) -> tuple:
     order: cache lines, MSHRs, bridge transactions, port pending sets,
     home directory, core registers/store buffers, and the in-flight
     messages grouped per FIFO channel *preserving order* within the
-    channel.  Both the legacy DFS fingerprint (``hash``) and the model
-    checker's process-stable fingerprint (:mod:`repro.verify.mc`) are
-    derived from these parts.
+    channel.  The model checker's process-stable fingerprint
+    (:mod:`repro.verify.mc.fingerprint`) is derived from these parts.
     """
     parts = []
     for cluster in system.clusters:

@@ -1,7 +1,8 @@
 """Sharded exhaustive model checking with replayable counterexamples.
 
-``repro.verify.mc`` grows the single-process DFS of
-:mod:`repro.verify.explorer` into a model-checking subsystem:
+``repro.verify.mc`` is the repository's one search over network
+delivery orders of the implementation, built on the delivery
+interception and state walk of :mod:`repro.verify.explorer`:
 
 - :mod:`~repro.verify.mc.fingerprint` -- process-stable canonical state
   fingerprints (BLAKE2b over an injective encoding; identical under any

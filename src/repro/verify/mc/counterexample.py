@@ -86,15 +86,17 @@ class Counterexample:
         return self.probe() == self.signature
 
     def replay_with_trace(self):
-        """Replay with a message tracer attached; ``(system, tracer)``."""
+        """Replay with a message tracer attached; ``(system, tracer)``.
+
+        The tracer is attached before the programs start, so its
+        :meth:`~repro.sim.trace.MessageTracer.timeline` holds every
+        message of the path, the root's requests included.
+        """
         from repro.sim.trace import MessageTracer
 
-        engine = self.model._engine()
-        system, network = engine._fresh_system()
+        system, network = self.model.build()
         tracer = MessageTracer(network)
-        for choice in self.path:
-            network.deliver(choice)
-            system.engine.run()
+        self.model.play(system, network, self.path)
         return system, tracer
 
     # -- shrinking -----------------------------------------------------
@@ -196,7 +198,7 @@ def _state_signature(model: CheckModel, system, network) -> tuple | None:
         except ConsistencyViolation:
             return (KIND_INVARIANT,
                     canonical_fingerprint(system, network))
-    if not network.deliverable() and model.stuck_threads() != 0:
+    if not network.deliverable() and model.stuck_threads(system) != 0:
         return (KIND_DEADLOCK, canonical_fingerprint(system, network))
     return None
 

@@ -1,11 +1,11 @@
 """Frontier-sharded exhaustive exploration over the sweep backends.
 
-The legacy :class:`~repro.verify.explorer.Explorer` is a single-process
-DFS; this engine partitions the same search by **state ownership**:
-shard *k* of *n* owns exactly the states whose canonical fingerprint
-satisfies ``fp % n == k``.  Every shard expands only states it owns, so
-visited-set membership needs no cross-worker coordination -- a state is
-deduplicated, invariant-checked and expanded exactly once, at its owner.
+A depth-first search over delivery orders, partitioned by **state
+ownership**: shard *k* of *n* owns exactly the states whose canonical
+fingerprint satisfies ``fp % n == k``.  Every shard expands only states
+it owns, so visited-set membership needs no cross-worker coordination
+-- a state is deduplicated, invariant-checked and expanded exactly
+once, at its owner.
 A successor owned elsewhere is *punted*: the ``(path, fingerprint)``
 pair is handed to the owner, which can reject already-visited states
 without replaying them.
@@ -136,7 +136,7 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
                 continue
         choices = network.deliverable()
         if not choices:
-            stuck = model.stuck_threads()
+            stuck = model.stuck_threads(system)
             if stuck:
                 violations.append(
                     (path, KIND_DEADLOCK,

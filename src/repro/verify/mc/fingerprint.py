@@ -1,13 +1,12 @@
 """Process-stable canonical state fingerprints.
 
-The legacy DFS explorer fingerprints states with ``hash(parts)``, which
-is perfectly fine inside one process but useless across a worker fleet:
-``str.__hash__`` is salted by ``PYTHONHASHSEED``, so two workers would
-disagree about every fingerprint -- and partition-by-hash sharding
-routes states by ``fingerprint % shards``, which must mean the same
-thing on every host.
+Python's ``hash(parts)`` would be fine inside one process but is
+useless across a worker fleet: ``str.__hash__`` is salted by
+``PYTHONHASHSEED``, so two workers would disagree about every
+fingerprint -- and partition-by-hash sharding routes states by
+``fingerprint % shards``, which must mean the same thing on every host.
 
-This module derives a 64-bit fingerprint from the same canonical state
+This module derives a 64-bit fingerprint from the canonical state
 walk (:func:`repro.verify.explorer.state_parts`) via a keyed-nothing
 BLAKE2b over a deterministic byte encoding.  Guarantees:
 

@@ -16,9 +16,11 @@ absence only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.verify.explorer import Explorer
+from repro.sim.config import SystemConfig
+from repro.verify import explorer, invariants
+from repro.verify.runner import thread_placement
 
 
 @dataclass
@@ -33,23 +35,26 @@ class CheckModel:
     check_invariants: bool = True
     violate_atomicity: bool = False
 
-    #: Lazily constructed replay engine (never pickled).
-    _explorer: Explorer | None = field(default=None, repr=False, compare=False)
+    def system_config(self) -> SystemConfig:
+        """The configuration every replay builds."""
+        return explorer.system_config(self.combo, self.mcms,
+                                      len(self.programs))
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_explorer"] = None  # rebuilt lazily on the other side
-        return state
+    def build(self):
+        """A fresh intercepted ``(system, network)``, no program started."""
+        return explorer.build_intercepted(self.system_config(),
+                                          self.violate_atomicity)
 
-    def _engine(self) -> Explorer:
-        if self._explorer is None:
-            self._explorer = Explorer(
-                self.combo, list(self.programs),
-                placement=list(self.placement) if self.placement else None,
-                mcms=self.mcms, observed_addrs=tuple(self.observed_addrs),
-                check_invariants=self.check_invariants,
-            )
-        return self._explorer
+    def play(self, system, network, path):
+        """Start the programs on a :meth:`build` result, then deliver
+        ``path``; returns ``(system, network)``."""
+        for program, core in zip(self.programs, self._thread_cores(system)):
+            system.cores[core].run_program(program, None)
+        system.engine.run()
+        for choice in path:
+            network.deliver(choice)
+            system.engine.run()
+        return system, network
 
     def replay(self, path):
         """Rebuild the state at the end of ``path`` from scratch.
@@ -57,24 +62,29 @@ class CheckModel:
         Returns ``(system, network)``; the intercepted network's outbox
         holds the deliverable messages of the state.
         """
-        engine = self._engine()
-        system, network = engine._fresh_system()
-        if self.violate_atomicity:
-            for cluster in system.clusters:
-                cluster.bridge.violate_atomicity = True
-            system.engine.run()
-        for choice in path:
-            network.deliver(choice)
-            system.engine.run()
-        return system, network
+        return self.play(*self.build(), path)
 
-    def stuck_threads(self) -> int:
-        """Threads not yet complete in the most recent replay."""
-        return self._engine()._done["count"]
+    def _thread_cores(self, system) -> list[int]:
+        """Core index per thread: ``placement``, else alternating clusters."""
+        if self.placement:
+            return list(self.placement)
+        return thread_placement(len(self.programs),
+                                system.config.clusters[0].cores)
+
+    def stuck_threads(self, system) -> int:
+        """Threads whose program has not finished in ``system``."""
+        return sum(system.cores[core].finish_time is None
+                   for core in self._thread_cores(system))
 
     def outcome(self, system) -> tuple:
         """Terminal outcome tuple (registers + observed memory)."""
-        return self._engine()._outcome(system)
+        outcome = {}
+        for core in system.cores:
+            outcome.update(core.regs)
+        for addr in self.observed_addrs:
+            value = invariants.authoritative_value(system, addr)
+            outcome[f"[{addr}]"] = value if value is not None else 0
+        return tuple(sorted(outcome.items()))
 
     # -- serialization for regression fixtures -------------------------
     def to_dict(self) -> dict:
@@ -133,7 +143,7 @@ def litmus_model(name: str, combo, mcms=("SC", "SC")) -> CheckModel:
     """Build the model for one named builtin litmus test.
 
     ``mcms`` is the per-*cluster* pair; threads alternate clusters
-    (T0 -> A, T1 -> B, ...) exactly as the explorer places them, so the
+    (T0 -> A, T1 -> B, ...) exactly as replays place them, so the
     per-thread MCM list handed to :func:`materialize` is expanded the
     same way.
     """

@@ -4,89 +4,65 @@ Tiny L1 and CXL caches force evictions -- including the recall-then-
 writeback eviction of lines still held by host caches -- inside the
 exhaustively explored delivery orders.  Every reachable state must keep
 the invariants; every terminal must be deadlock-free with coherent
-final values.
+final values.  State/terminal counts are pinned.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.cpu.isa import ThreadProgram, load, store
-from repro.sim.config import ClusterConfig, LINE_BYTES, SystemConfig
-from repro.verify.explorer import Explorer
+from repro.sim.config import LINE_BYTES
+from repro.verify.mc import CheckModel, check_model
 
 
-class TinyExplorer(Explorer):
-    """Explorer over clusters with 2-line L1s and 2-line CXL caches."""
+class TinyModel(CheckModel):
+    """Clusters with 2-line, 1-way L1s and CXL caches."""
 
-    def _fresh_system(self):
-        # Rebuild with tiny caches by patching the config the base
-        # class constructs; simplest is to override construction fully.
-        from repro.sim.system import build_system
-        import copy
-
-        local_a, global_protocol, local_b = self.combo
-        threads = len(self.programs)
-        cores = max(1, (threads + 1) // 2)
+    def system_config(self):
+        config = super().system_config()
         tiny = dict(l1_bytes=2 * LINE_BYTES, l1_assoc=1,
                     llc_bytes=2 * LINE_BYTES, llc_assoc=1)
-        config = SystemConfig(
-            clusters=(
-                ClusterConfig(cores=cores, protocol=local_a, mcm=self.mcms[0], **tiny),
-                ClusterConfig(cores=cores, protocol=local_b, mcm=self.mcms[1], **tiny),
-            ),
-            global_protocol=global_protocol,
-            cross_jitter_ns=0.0,
-        )
-        system = build_system(config)
-        from repro.verify.explorer import InterceptNetwork
-
-        old = system.network
-        network = InterceptNetwork(system.engine, seed=config.seed)
-        network.nodes = old.nodes
-        network.links = old.links
-        for node in old.nodes.values():
-            node.network = network
-        system.network = network
-
-        placement = self.placement or [
-            (tid % 2) * cores + tid // 2 for tid in range(threads)
-        ]
-        self._done = {"count": threads}
-
-        def on_done(_t):
-            self._done["count"] -= 1
-
-        for program, core_index in zip(self.programs, placement):
-            system.cores[core_index].run_program(copy.deepcopy(program), on_done)
-        system.engine.run()
-        return system, network
+        return dataclasses.replace(config, clusters=tuple(
+            dataclasses.replace(cluster, **tiny)
+            for cluster in config.clusters))
 
 
-# Two conflicting lines (same set in every 1-way structure) force
+def _check(combo, programs, mcms=("SC", "SC"), observed_addrs=()):
+    model = TinyModel(combo, tuple(programs), mcms=mcms,
+                      observed_addrs=observed_addrs)
+    return check_model(model, max_states=6_000)
+
+
+# Two conflicting lines (same set in every 2-set, 1-way structure) force
 # evictions mid-protocol.
-A, B = 0x10, 0x12  # both even: same set in 2-line (2-set) caches? sets=2 -> 0x10%2=0, 0x12%2=0
+A, B = 0x10, 0x12
+
+#: Exhaustive eviction-pressure state counts per combo (3 terminals and
+#: 2 outcomes each).
+EVICTION_STATES = {
+    ("MESI", "CXL", "MESI"): 217,
+    ("MESI", "CXL", "MOESI"): 217,
+    ("MESI", "MESI", "MESI"): 211,
+}
 
 
-@pytest.mark.parametrize("combo", [
-    ("MESI", "CXL", "MESI"),
-    ("MESI", "CXL", "MOESI"),
-    ("MESI", "MESI", "MESI"),
-], ids=lambda c: "-".join(c))
+@pytest.mark.parametrize("combo", list(EVICTION_STATES),
+                         ids=lambda c: "-".join(c))
 def test_eviction_pressure_exhaustive(combo):
     programs = [
         ThreadProgram("w", [store(A, 1), store(B, 2), load(A, "ra")]),
         ThreadProgram("r", [load(B, "rb")]),
     ]
-    explorer = TinyExplorer(combo, programs, mcms=("SC", "SC"),
-                            observed_addrs=(A, B), max_states=6_000)
-    result = explorer.explore()
-    assert not result.violations, result.violations[:1]
-    assert result.terminals > 0
+    result = _check(combo, programs, observed_addrs=(A, B))
+    assert result.ok, [ce.describe() for ce in result.counterexamples[:1]]
+    assert (result.states, result.terminals, len(result.outcomes)) == (
+        EVICTION_STATES[combo], 3, 2)
     for outcome in result.outcomes:
         values = dict(outcome)
         assert values["ra"] == 1  # own store must read back
         assert values[f"[{A}]"] == 1 and values[f"[{B}]"] == 2
         assert values["rb"] in (0, 2)
-    assert result.states > 50
 
 
 def test_cross_cluster_steal_during_eviction_exhaustive():
@@ -95,11 +71,9 @@ def test_cross_cluster_steal_during_eviction_exhaustive():
         ThreadProgram("w", [store(A, 7), store(B, 8)]),  # B evicts A
         ThreadProgram("r", [load(A, "r0")]),
     ]
-    explorer = TinyExplorer(("MESI", "CXL", "MESI"), programs,
-                            mcms=("SC", "SC"), observed_addrs=(A,),
-                            max_states=6_000)
-    result = explorer.explore()
-    assert not result.violations, result.violations[:1]
+    result = _check(("MESI", "CXL", "MESI"), programs, observed_addrs=(A,))
+    assert result.ok, [ce.describe() for ce in result.counterexamples[:1]]
+    assert (result.states, result.terminals, len(result.outcomes)) == (179, 3, 2)
     for outcome in result.outcomes:
         values = dict(outcome)
         assert values[f"[{A}]"] == 7
@@ -111,10 +85,9 @@ def test_rcc_cluster_exhaustive():
         ThreadProgram("w", [store(A, 3)]),
         ThreadProgram("r", [load(A, "r0")]),
     ]
-    explorer = TinyExplorer(("RCC", "CXL", "MESI"), programs,
-                            mcms=("RCC", "SC"), observed_addrs=(A,),
-                            max_states=6_000)
-    result = explorer.explore()
-    assert not result.violations, result.violations[:1]
+    result = _check(("RCC", "CXL", "MESI"), programs, mcms=("RCC", "SC"),
+                    observed_addrs=(A,))
+    assert result.ok, [ce.describe() for ce in result.counterexamples[:1]]
+    assert (result.states, result.terminals, len(result.outcomes)) == (56, 2, 2)
     for outcome in result.outcomes:
         assert dict(outcome)["r0"] in (0, 3)

@@ -2,11 +2,12 @@
 
 Covers the four pillars of the subsystem: canonical fingerprints are
 process-stable and injective, the sharded engine is exactly equivalent
-to the serial and legacy searches, injected defects are *found* (with
-shrunk, replayable counterexamples), and the shipped pairings verify
+to the serial search, injected defects are *found* (with shrunk,
+replayable counterexamples), and the shipped pairings verify
 exhaustively.
 """
 
+import copy
 import json
 import os
 import subprocess
@@ -14,8 +15,9 @@ import sys
 
 import pytest
 
-from repro.cpu.isa import ThreadProgram, load, store
-from repro.verify.explorer import Explorer, ExplorationResult
+from repro.cpu.isa import ThreadProgram, load, rmw, store
+from repro.errors import ConsistencyViolation
+from repro.verify import invariants
 from repro.verify.litmus import LITMUS_BY_NAME, materialize
 from repro.verify.mc import (
     CheckModel,
@@ -90,19 +92,15 @@ def test_fingerprints_stable_across_hash_seeds():
 
 
 # ---------------------------------------------------------------------------
-# Engine equivalence: legacy DFS == mc serial == mc sharded.
+# Engine equivalence: pinned serial counts == mc sharded.
 # ---------------------------------------------------------------------------
 
-def test_mc_matches_legacy_explorer_on_corr1(corr1_serial):
-    test = LITMUS_BY_NAME["CoRR1"]
-    legacy = Explorer(COMBO, materialize(test, ["SC", "SC"]),
-                      mcms=("SC", "SC"), max_states=100_000,
-                      observed_addrs=test.observed_addrs).explore()
-    assert not legacy.truncated
-    assert corr1_serial.states == legacy.states
-    assert corr1_serial.terminals == legacy.terminals
-    assert corr1_serial.outcomes == legacy.outcomes
-    assert corr1_serial.ok and legacy.ok
+def test_mc_corr1_counts_are_pinned(corr1_serial):
+    assert not corr1_serial.truncated
+    assert corr1_serial.states == 99
+    assert corr1_serial.terminals == 3
+    assert len(corr1_serial.outcomes) == 3
+    assert corr1_serial.ok
 
 
 def test_sharded_search_is_equivalent_to_serial(corr1_serial):
@@ -144,24 +142,19 @@ def test_check_model_survives_pickling():
     import pickle
 
     model = litmus_model("MP", COMBO)
-    model.replay((0,))  # force the lazy engine into existence
+    model.replay((0,))  # replaying leaves no state on the model
     clone = pickle.loads(pickle.dumps(model))
     assert clone.combo == model.combo
     assert clone.outcome(clone.replay(())[0]) is not None
 
 
 # ---------------------------------------------------------------------------
-# Truncation semantics (legacy + mc).
+# Truncation semantics.
 # ---------------------------------------------------------------------------
 
 def test_truncated_exploration_is_not_ok():
     """A capped run proves nothing: ok must be False even with zero
-    violations and some terminals found (regression for the old
-    ExplorationResult.ok)."""
-    capped = ExplorationResult(states=10, terminals=1, truncated=True)
-    assert not capped.ok
-    assert ExplorationResult(states=10, terminals=1, truncated=False).ok
-
+    violations and some terminals found."""
     result = check_litmus("MP", COMBO, max_states=30)
     assert result.truncated and not result.ok and not result.counterexamples
 
@@ -191,6 +184,46 @@ def test_counterexample_json_round_trip_replays_identically(broken_mp):
     assert back.signature == ce.signature
     assert back.reproduces()
     assert back.to_json() == text  # byte-identical re-serialization
+
+
+def test_traced_replay_starts_with_the_root_requests(corr1_serial):
+    """The tracer sees every message of a path: the requests the
+    programs send before the first delivery come first."""
+    model = litmus_model("CoRR1", COMBO)
+    _system, network = model.replay(())
+    root = [(msg.kind, msg.src, msg.dst) for msg in network.outbox]
+    assert root
+    paths = [(), (0, 0, 0), *corr1_serial.outcome_examples.values()]
+    for path in paths:
+        probe = Counterexample(model, path, "outcome", "probe", 0)
+        _system, tracer = probe.replay_with_trace()
+        traced = [(e.msg_kind, e.src, e.dst) for e in tracer.entries]
+        assert traced[:len(root)] == root, path
+
+
+def test_traced_replay_honours_violate_atomicity(broken_mp):
+    """A Rule-II counterexample replayed with a tracer reaches the same
+    broken state, so the invariant fires with the same message."""
+    ce = broken_mp.counterexamples[0]
+    assert ce.kind == "invariant"
+    system, tracer = ce.replay_with_trace()
+    assert tracer.entries
+    with pytest.raises(ConsistencyViolation) as caught:
+        invariants.check_all(system)
+    assert str(caught.value) == ce.message
+
+
+def test_check_leaves_model_programs_untouched():
+    """Replays share the model's programs (no per-replay copy): a full
+    check must leave them exactly as it found them."""
+    model = CheckModel(
+        combo=COMBO,
+        programs=(ThreadProgram("a", [store(X, 1), load(Y, "r0")]),
+                  ThreadProgram("b", [rmw(X, 1, "r1")])),
+        observed_addrs=(X,))
+    before = copy.deepcopy(model.programs)
+    assert check_model(model, max_states=0).ok
+    assert model.programs == before
 
 
 def test_sharded_search_finds_the_same_defects(broken_mp):
@@ -224,11 +257,11 @@ def test_dedup_keeps_shortest_path_per_signature():
 
 
 def test_stuck_threads_tracks_replay_progress():
-    """stuck_threads() reflects the most recent replay: positive while
+    """stuck_threads() reads the replayed system: positive while
     a thread still waits on undelivered messages, zero at a terminal."""
     model = litmus_model("MP", COMBO)
-    _system, network = model.replay(())
-    assert model.stuck_threads() > 0  # nothing delivered yet
+    system, network = model.replay(())
+    assert model.stuck_threads(system) > 0  # nothing delivered yet
     # Drain greedily to completion: always deliver the oldest choice.
     path = ()
     for _ in range(200):
@@ -237,7 +270,7 @@ def test_stuck_threads_tracks_replay_progress():
         if not choices:
             break
         path = path + (choices[0],)
-    assert model.stuck_threads() == 0  # the drained system terminated
+    assert model.stuck_threads(system) == 0  # the drained system terminated
 
 
 # ---------------------------------------------------------------------------
