@@ -126,11 +126,6 @@ class Counterexample:
                 if self.probe(candidate) == self.signature:
                     path = candidate
                     changed = True
-        if tuple(path) == self.path:
-            return Counterexample(self.model, self.path, self.kind,
-                                  self.message, self.fingerprint,
-                                  shrunk=True, meta=dict(self.meta),
-                                  flight=self.flight)
         return Counterexample(self.model, tuple(path), self.kind,
                               self.message, self.fingerprint,
                               shrunk=True, meta=dict(self.meta),

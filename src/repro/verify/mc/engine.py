@@ -71,13 +71,19 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
     (0 = unlimited) and ``max_depth`` the path length (0 = unlimited);
     exceeding either sets ``truncated``.
 
+    Successors are pushed in reverse, so the pop right after an
+    expansion is always the expanded state's first successor.  It is
+    reached by :meth:`CheckModel.advance` on the parent's still-live
+    system, since expansion only reads a state; every other pop is a
+    :meth:`CheckModel.replay` from the root.
+
     Returns a plain picklable dict: ``new_fps`` (discovery order),
     ``emit`` (``{owner: [(path, fp)]}``), ``states``, ``terminals``,
     ``outcomes`` (``[(outcome, path)]`` with the minimal path per
     outcome), ``violations`` (``[(path, kind, message, fp, flight)]``
     where ``flight`` is the shard's flight-recorder dump for crashes
-    and ``()`` otherwise), ``max_depth``, ``replays`` and
-    ``truncated``.
+    and ``()`` otherwise), ``max_depth``, ``replays`` (root rebuilds;
+    live steps are not counted) and ``truncated``.
     """
     seen = set(visited)
     # Reversed so list.pop() explores the first work item's subtree first.
@@ -91,31 +97,36 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
     # Last-N replay events; a crashing interleaving ships what the
     # search was doing just before it, for the postmortem.
     flight = FlightRecorder(64)
+    # The (system, network) of the state expanded last, whose first
+    # successor is on top of the stack.
+    live = None
     while stack:
         path, fp = stack.pop()
+        parent, live = live, None
         if fp is not None and fp in seen:
             continue
         flight.record("replay", depth=len(path), states=states)
         try:
-            system, network = model.replay(path)
+            if parent is None:
+                replays += 1
+                system, network = model.replay(path)
+            else:
+                system, network = model.advance(*parent, path[-1])
         except ConsistencyViolation as exc:
             # A runtime monitor fired mid-delivery: no end state exists
             # to fingerprint, so the exception identity stands in.
-            replays += 1
             violations.append(
                 (path, KIND_INVARIANT, str(exc), crash_fingerprint(exc), ()))
             continue
         except Exception as exc:
             # The controller itself blew up under this interleaving --
             # as much a found defect as a failed invariant.
-            replays += 1
             flight.record("crash", depth=len(path),
                           error=f"{type(exc).__name__}: {exc}"[:200])
             violations.append(
                 (path, KIND_CRASH, f"{type(exc).__name__}: {exc}",
                  crash_fingerprint(exc), tuple(flight.dump())))
             continue
-        replays += 1
         if fp is None:
             fp = canonical_fingerprint(system, network)
         owner = fp % n_shards
@@ -156,6 +167,7 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
             continue
         for choice in reversed(choices):
             stack.append((path + (choice,), None))
+        live = system, network
     return {
         "shard": shard,
         "new_fps": new_fps,
@@ -185,6 +197,7 @@ class CheckResult:
     max_depth: int = 0
     truncated: bool = False
     rounds: int = 0
+    #: States rebuilt from the root; live steps on a parent not counted.
     replays: int = 0
     elapsed: float = 0.0
     counterexamples: list = field(default_factory=list)
@@ -302,11 +315,8 @@ class ModelChecker:
                         pending.setdefault(owner, []).extend(fresh)
             if self.max_states and result.states >= self.max_states:
                 result.truncated = True
-            if progress is not None and not isinstance(progress, bool):
-                try:
-                    progress(result.rounds, result.states)
-                except TypeError:
-                    pass
+            if progress is not None:
+                progress(result.rounds, result.states)
         result.outcomes = set(outcome_paths)
         result.outcome_examples = dict(sorted(outcome_paths.items()))
         result.elapsed = time.monotonic() - started

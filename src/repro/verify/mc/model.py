@@ -8,6 +8,13 @@ boundary; the *model* can, so sharded exploration ships models plus
 delivery paths and every worker reconstructs states by replay --
 stateless model checking, distributed.
 
+Two ways reach a state.  :meth:`CheckModel.replay` rebuilds it from
+the root, and :meth:`CheckModel.advance` takes one delivery step on a
+live system.  The search uses ``advance`` to turn the state it just
+expanded into that state's first successor, which is the next state it
+pops, and replays every other state.  Expanding a state only reads
+it, so both ways give the same state.
+
 ``violate_atomicity`` switches off the bridge's Rule-II enforcement --
 the paper's Fig. 4 failure injection -- so tests can demand that the
 checker *finds* the resulting SWMR violation rather than proving
@@ -52,8 +59,15 @@ class CheckModel:
             system.cores[core].run_program(program, None)
         system.engine.run()
         for choice in path:
-            network.deliver(choice)
-            system.engine.run()
+            self.advance(system, network, choice)
+        return system, network
+
+    def advance(self, system, network, choice):
+        """Deliver outbox message ``choice`` on a live state and run the
+        engine to quiescence; returns ``(system, network)``, now the
+        state at the end of the path extended by ``choice``."""
+        network.deliver(choice)
+        system.engine.run()
         return system, network
 
     def replay(self, path):

@@ -17,17 +17,22 @@ import pytest
 
 from repro.cpu.isa import ThreadProgram, load, rmw, store
 from repro.errors import ConsistencyViolation
+from repro.obs.metrics import MetricsRegistry
 from repro.verify import invariants
 from repro.verify.litmus import LITMUS_BY_NAME, materialize
 from repro.verify.mc import (
+    KIND_CRASH,
     CheckModel,
     Counterexample,
     ModelChecker,
+    canonical_fingerprint,
     check_litmus,
     check_model,
     dedup,
+    explore_shard,
     litmus_model,
 )
+from repro.verify.mc.counterexample import crash_fingerprint
 from repro.verify.mc.fingerprint import canonical_bytes, fingerprint_parts
 
 X, Y = 0x10, 0x11
@@ -101,6 +106,109 @@ def test_mc_corr1_counts_are_pinned(corr1_serial):
     assert corr1_serial.terminals == 3
     assert len(corr1_serial.outcomes) == 3
     assert corr1_serial.ok
+    # Root rebuilds only: each expanded state's first successor is a
+    # live step on the parent, not a replay.
+    assert corr1_serial.replays == 48
+
+
+def test_mc_sb_counts_are_pinned():
+    metrics = MetricsRegistry()
+    result = check_litmus("SB", COMBO, max_states=0, metrics=metrics)
+    assert (result.states, result.terminals, result.replays) == (1659, 3, 2647)
+    assert metrics.counter_values("mc.")["mc.replays"] == 2647
+    assert result.ok
+
+
+def _snapshot(system, network) -> tuple:
+    """What the live step must reproduce of a replayed state."""
+    return (canonical_fingerprint(system, network), system.engine.now,
+            network.stats.messages,
+            tuple(core.finish_time for core in system.cores))
+
+
+def _attempt(step) -> tuple:
+    """``(state, snapshot)`` after ``step()``, or ``(None, identity of
+    the exception it raised)``."""
+    try:
+        state = step()
+    except Exception as exc:
+        return None, ("raised", crash_fingerprint(exc))
+    return state, _snapshot(*state)
+
+
+@pytest.mark.parametrize("name,broken", [("SB", False), ("MP", True)],
+                         ids=["SB", "MP-violate-atomicity"])
+def test_live_step_equals_replay(name, broken):
+    """The search's live step is sound: on every expanded state, after
+    every read an expansion makes, delivering the first choice on the
+    live system gives exactly the state a replay from the root gives.
+    Any expansion read that mutated the parent would show up here."""
+    model = litmus_model(name, COMBO)
+    model.violate_atomicity = broken
+    seen = set()
+    stack = [()]
+    # The replay each comparison makes of a first successor, which is
+    # the next pop; every state expanded below is a fresh replay.
+    replayed = {}
+    expanded = 0
+    while stack:
+        path = stack.pop()
+        state = replayed.pop(path, None) or _attempt(
+            lambda: model.replay(path))[0]
+        if state is None:
+            continue
+        system, network = state
+        fp = canonical_fingerprint(system, network)
+        if fp in seen:
+            continue
+        seen.add(fp)
+        try:
+            invariants.check_all(system)
+        except ConsistencyViolation:
+            continue
+        choices = network.deliverable()
+        model.stuck_threads(system)
+        model.outcome(system)
+        if not choices:
+            continue
+        expanded += 1
+        child = path + (choices[0],)
+        _, live = _attempt(lambda: model.advance(system, network, choices[0]))
+        replayed[child], expected = _attempt(lambda: model.replay(child))
+        assert live == expected, child
+        stack.extend(path + (choice,) for choice in reversed(choices))
+    assert expanded > 500
+
+
+class _CrashOnHomeRead(CheckModel):
+    """A model whose controller 'crashes' on cluster B's first memory read."""
+
+    def advance(self, system, network, choice):
+        msg = network.outbox[choice]
+        if (msg.kind, msg.src, msg.dst) == ("MemRd", "c3.1", "home"):
+            raise RuntimeError("injected crash")
+        return super().advance(system, network, choice)
+
+
+def test_crash_on_live_step_is_classified_like_a_replay():
+    """A live step that raises is a crash counterexample with the same
+    fingerprint and flight tail a replay of its path would give."""
+    base = litmus_model("CoRR1", COMBO)
+    model = _CrashOnHomeRead(base.combo, base.programs,
+                             observed_addrs=base.observed_addrs)
+    out = explore_shard(model, 0, 1, [((), None)], set())
+    crashes = [v for v in out["violations"] if v[1] == KIND_CRASH]
+    assert crashes
+    # deliverable()[0] is always outbox index 0: a path ending in 0 is
+    # an expanded state's first successor, reached by the live step.
+    assert any(path[-1] == 0 for path, *_ in crashes)
+    for path, _kind, message, fp, flight in crashes:
+        assert message == "RuntimeError: injected crash"
+        assert _attempt(lambda: model.replay(path))[1] == ("raised", fp)
+        assert [event["kind"] for event in flight[-2:]] == ["replay", "crash"]
+        assert flight[-2]["depth"] == flight[-1]["depth"] == len(path)
+    ce = check_model(model, max_states=0).counterexamples[0]
+    assert ce.kind == KIND_CRASH and ce.reproduces()
 
 
 def test_sharded_search_is_equivalent_to_serial(corr1_serial):
@@ -146,6 +254,15 @@ def test_check_model_survives_pickling():
     clone = pickle.loads(pickle.dumps(model))
     assert clone.combo == model.combo
     assert clone.outcome(clone.replay(())[0]) is not None
+
+
+def test_progress_callback_errors_propagate():
+    """A bug in the caller's progress callback is not swallowed."""
+    def progress(rounds, states):
+        raise TypeError("progress callback bug")
+
+    with pytest.raises(TypeError, match="progress callback bug"):
+        check_litmus("CoRR1", COMBO, max_states=0, progress=progress)
 
 
 # ---------------------------------------------------------------------------
