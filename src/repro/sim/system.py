@@ -157,19 +157,43 @@ class System:
         """The (local summary, global state) pair for a line in a cluster."""
         return self.clusters[cluster].bridge.compound_state(addr)
 
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Kill this system so reference counting frees it when dropped.
+
+        A wired system is a web of reference cycles (nodes and the
+        network that routes to them, bound-method dispatch tables,
+        pending-work closures), which only the cycle collector could
+        otherwise reclaim.  Clearing the instance dict of every
+        component cuts all of them at once.  The system and its
+        components are unusable afterwards, so read any counters first.
+        """
+        parts = [self, self.engine, self.network, self.home, self.backing]
+        for cluster in self.clusters:
+            bridge = cluster.bridge
+            parts += (cluster, bridge, bridge.port, bridge.cache)
+            for l1 in cluster.l1s:
+                parts += (l1, l1.cache)
+            parts += cluster.cores
+        for part in parts:
+            part.__dict__.clear()
+
 
 def build_system(
     config: SystemConfig,
     policy_factory=None,
     violate_atomicity: bool = False,
+    network_cls: type[Network] = Network,
 ) -> System:
     """Construct a :class:`System` per ``config``.
 
     ``policy_factory(local_variant, global_variant) -> BridgePolicy``
     defaults to the generator-equivalent :class:`PermissionPolicy`.
+    ``network_cls`` is the interconnect every node registers with (the
+    model checker passes its intercepting subclass).
     """
     engine = Engine()
-    network = Network(engine, seed=config.seed)
+    network = network_cls(engine, seed=config.seed)
     backing = BackingStore()
     memory = MemoryModel(config)
     cycle = config.cycle

@@ -8,7 +8,7 @@ pieces it builds on:
   instead of scheduling it, so the checker chooses delivery orders
   explicitly (respecting per-channel FIFO, exactly like the real fabric);
 - :func:`system_config` and :func:`build_intercepted` construct the
-  two-cluster system under test with that network wired in;
+  two-cluster system under test on that network;
 - :func:`state_parts` flattens one (system, outbox) state into the
   canonical tuple the fingerprints are derived from.
 """
@@ -68,20 +68,14 @@ def system_config(combo: tuple[str, str, str], mcms: tuple[str, str],
 
 
 def build_intercepted(config: SystemConfig, violate_atomicity: bool):
-    """Build ``config`` with an :class:`InterceptNetwork` swapped in.
+    """Build ``config`` on an :class:`InterceptNetwork`.
 
     Returns ``(system, network)`` with no program started, so a caller
     may attach observers (e.g. a message tracer) before the first send.
     """
-    system = build_system(config, violate_atomicity=violate_atomicity)
-    old = system.network
-    network = InterceptNetwork(system.engine, seed=config.seed)
-    network.nodes = old.nodes
-    network.links = old.links
-    for node in old.nodes.values():
-        node.network = network
-    system.network = network
-    return system, network
+    system = build_system(config, violate_atomicity=violate_atomicity,
+                          network_cls=InterceptNetwork)
+    return system, system.network
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +83,9 @@ def build_intercepted(config: SystemConfig, violate_atomicity: bool):
 # ---------------------------------------------------------------------------
 
 def _rec_fp(rec):
-    return (rec.owner, rec.owner_kind, tuple(sorted(rec.sharers)), rec.f_holder)
+    sharers = rec.sharers
+    return (rec.owner, rec.owner_kind,
+            tuple(sorted(sharers)) if sharers else (), rec.f_holder)
 
 
 def state_parts(system, network) -> tuple:
@@ -106,93 +102,96 @@ def state_parts(system, network) -> tuple:
     parts = []
     for cluster in system.clusters:
         for l1 in cluster.l1s:
-            lines = tuple(sorted(
-                (line.addr, line.state, line.data, line.dirty)
-                for line in l1.cache.lines()
-            ))
-            mshrs = tuple(sorted(
+            lines = sorted([(line.addr, line.state, line.data, line.dirty)
+                            for line in l1.cache.lines()])
+            mshrs = getattr(l1, "mshrs", None)
+            mshrs = tuple(sorted([
                 (addr, mshr.txn, mshr.have_data, mshr.have_grant,
                  mshr.grant_state, mshr.data, len(mshr.ops))
-                for addr, mshr in getattr(l1, "mshrs", {}).items()
-            ))
-            parts.append((l1.node_id, lines, mshrs))
+                for addr, mshr in mshrs.items()])) if mshrs else ()
+            parts.append((l1.node_id, tuple(lines), mshrs))
         bridge = cluster.bridge
-        lines = tuple(sorted(
+        dir_record = bridge.dir_record
+        lines = sorted([
             (line.addr, line.state, line.data, line.dirty,
-             line.meta.get("stale", False), _rec_fp(bridge.dir_record(line)))
-            for line in bridge.cache.lines()
-        ))
-        busy = tuple(sorted(
+             line.meta.get("stale", False), _rec_fp(dir_record(line)))
+            for line in bridge.cache.lines()])
+        busy = bridge.busy
+        busy = tuple(sorted([
             (addr, txn.kind, txn.requester, txn.phase, txn.acks_needed,
              txn.acks_got, txn.owner_forwarded, txn.was_sharer)
-            for addr, txn in bridge.busy.items()
-        ))
-        recalls = tuple(sorted(
+            for addr, txn in busy.items()])) if busy else ()
+        recalls = bridge.recalls
+        recalls = tuple(sorted([
             (addr, recall.mode, recall.acks_needed, recall.acks_got)
-            for addr, recall in bridge.recalls.items()
-        ))
-        pq = tuple(sorted(
-            (addr, tuple(m.kind for m in queue))
-            for addr, queue in bridge.pq_local.items()
-        ))
+            for addr, recall in recalls.items()])) if recalls else ()
+        pq = bridge.pq_local
+        pq = tuple(sorted([
+            (addr, tuple([m.kind for m in queue]))
+            for addr, queue in pq.items()])) if pq else ()
+        evicting = bridge.evicting
+        evicting = tuple(sorted(evicting)) if evicting else ()
         port = bridge.port
-        pending = tuple(sorted(
+        pending = port.pending
+        pending = tuple(sorted([
             (addr, p.want, p.grant_seen, p.grant_state, p.data,
              p.acks_needed, p.acks_got)
-            for addr, p in port.pending.items()
-        ))
-        wbs = tuple(sorted(
+            for addr, p in pending.items()])) if pending else ()
+        wbs = port.wb
+        wbs = tuple(sorted([
             (addr, w.held_snoop.kind if w.held_snoop else None)
-            for addr, w in port.wb.items()
-        ))
-        snoops = tuple(sorted(
-            (addr, tuple(m.kind for m in queue))
-            for addr, queue in port.snoop_q.items()
-        ))
-        active = tuple(sorted(
-            (addr, msg.kind) for addr, msg in port.active_snoop.items()
-        ))
-        conflict = tuple(sorted(
+            for addr, w in wbs.items()])) if wbs else ()
+        snoops = port.snoop_q
+        snoops = tuple(sorted([
+            (addr, tuple([m.kind for m in queue]))
+            for addr, queue in snoops.items()])) if snoops else ()
+        active = port.active_snoop
+        active = tuple(sorted([
+            (addr, msg.kind) for addr, msg in active.items()])) if active else ()
+        conflict = getattr(port, "conflict_state", None)
+        conflict = tuple(sorted([
             (addr, state["snoop"].kind, state["granted"])
-            for addr, state in getattr(port, "conflict_state", {}).items()
-        ))
-        parts.append((bridge.node_id, lines, busy, recalls, pq,
-                      tuple(sorted(bridge.evicting)), pending, wbs, snoops,
-                      active, conflict))
+            for addr, state in conflict.items()])) if conflict else ()
+        parts.append((bridge.node_id, tuple(lines), busy, recalls, pq,
+                      evicting, pending, wbs, snoops, active, conflict))
     home = system.home
-    home_lines = tuple(sorted(
+    home_lines = tuple(sorted([
         (addr, line.state, line.owner, tuple(sorted(line.sharers)),
          getattr(line, "data_pending", False))
-        for addr, line in home.lines.items()
-    ))
-    home_busy = tuple(sorted(
+        for addr, line in home.lines.items()]))
+    home_busy = getattr(home, "busy", None)
+    home_busy = tuple(sorted([
         (addr, txn.kind, txn.requester, tuple(sorted(txn.targets)))
-        for addr, txn in getattr(home, "busy", {}).items()
-    ))
-    home_queue = tuple(sorted(
-        (addr, tuple(entry[0].kind if isinstance(entry, tuple) else entry.kind
-                     for entry in queue))
-        for addr, queue in home.queues.items()
-    ))
-    parts.append(("home", home_lines, home_busy, home_queue,
-                  tuple(sorted(system.backing.snapshot().items()))))
+        for addr, txn in home_busy.items()])) if home_busy else ()
+    home_queue = home.queues
+    home_queue = tuple(sorted([
+        (addr, tuple([entry[0].kind if isinstance(entry, tuple) else entry.kind
+                      for entry in queue]))
+        for addr, queue in home_queue.items()])) if home_queue else ()
+    backing = system.backing.snapshot()
+    backing = tuple(sorted(backing.items())) if backing else ()
+    parts.append(("home", home_lines, home_busy, home_queue, backing))
     for core in system.cores:
         parts.append((
             core.core_id, tuple(core.status),
-            tuple((e.op_index, e.addr, e.value, e.draining) for e in core.sb),
+            tuple([(e.op_index, e.addr, e.value, e.draining)
+                   for e in core.sb]),
             tuple(sorted(core.regs.items())),
         ))
     # In-flight messages, grouped per FIFO channel *preserving order*
     # within the channel (order across channels is immaterial).
     channels: dict = {}
     for msg in network.outbox:
+        extra = msg.extra
+        entry = (msg.kind, msg.addr, msg.meta, msg.data, msg.acks,
+                 extra.get("req"), extra.get("inv", False),
+                 extra.get("kept"), extra.get("dirty", False))
         key = (msg.src, msg.dst, msg.vnet)
-        channels.setdefault(key, []).append(
-            (msg.kind, msg.addr, msg.meta, msg.data, msg.acks,
-             msg.extra.get("req"), msg.extra.get("inv", False),
-             msg.extra.get("kept"), msg.extra.get("dirty", False))
-        )
-    parts.append(tuple(sorted(
-        (key, tuple(entries)) for key, entries in channels.items()
-    )))
+        queue = channels.get(key)
+        if queue is None:
+            channels[key] = [entry]
+        else:
+            queue.append(entry)
+    parts.append(tuple(sorted([
+        (key, tuple(entries)) for key, entries in channels.items()])))
     return tuple(parts)

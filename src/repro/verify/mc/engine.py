@@ -61,7 +61,7 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
     ``work`` is a list of ``(path, fingerprint-or-None)`` items; an item
     with a fingerprint was punted by another shard (already known to be
     owned here), one without is a locally pushed successor whose
-    fingerprint is discovered on first replay.  ``visited`` holds the
+    fingerprint is found on first visit.  ``visited`` holds the
     fingerprints this shard has already expanded in earlier waves.
 
     Runs a depth-first drain: owned new states are invariant-checked,
@@ -75,7 +75,11 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
     expansion is always the expanded state's first successor.  It is
     reached by :meth:`CheckModel.advance` on the parent's still-live
     system, since expansion only reads a state; every other pop is a
-    :meth:`CheckModel.replay` from the root.
+    :meth:`CheckModel.replay` from the root.  Each replay closes the
+    system it replaces (:meth:`~repro.sim.system.System.close`), once
+    the replay has returned: an observer wrapping ``build_system`` may
+    read the previous system while the next one is built.  The last
+    system stays open for the caller's observers.
 
     Returns a plain picklable dict: ``new_fps`` (discovery order),
     ``emit`` (``{owner: [(path, fp)]}``), ``states``, ``terminals``,
@@ -100,6 +104,8 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
     # The (system, network) of the state expanded last, whose first
     # successor is on top of the stack.
     live = None
+    # The system the last replay built; live steps keep advancing it.
+    current = None
     while stack:
         path, fp = stack.pop()
         parent, live = live, None
@@ -127,6 +133,11 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
                 (path, KIND_CRASH, f"{type(exc).__name__}: {exc}",
                  crash_fingerprint(exc), tuple(flight.dump())))
             continue
+        if system is not current:
+            # A replay built it: the system it replaces is done.
+            if current is not None:
+                current.close()
+            current = system
         if fp is None:
             fp = canonical_fingerprint(system, network)
         owner = fp % n_shards

@@ -79,11 +79,72 @@ def _encode(value, out: list) -> None:
             f"{type(value).__name__}: {value!r}")
 
 
-def canonical_bytes(parts) -> bytes:
-    """Deterministic, injective byte encoding of a part tree."""
+#: Entries kept per leaf-bytes cache; past it, new leaves are encoded
+#: each time they occur.  State parts reuse a small vocabulary (node
+#: ids, state names, addresses, data values), so the caches stay hot.
+LEAF_CACHE_LIMIT = 1 << 16
+
+# Encoded bytes of int and str leaves.  Separate caches, because a
+# shared one would confuse ``True`` with ``1`` (equal, same hash).
+_INT_BYTES: dict[int, bytes] = {}
+_STR_BYTES: dict[str, bytes] = {}
+
+
+def _leaf_bytes(value, cache: dict) -> bytes:
+    """Encode one int or str leaf as :func:`_encode` does, and cache it."""
     out: list = []
-    _encode(parts, out)
-    return b"".join(out)
+    _encode(value, out)
+    data = b"".join(out)
+    if len(cache) < LEAF_CACHE_LIMIT:
+        cache[value] = data
+    return data
+
+
+def canonical_bytes(parts) -> bytes:
+    """Deterministic, injective byte encoding of a part tree.
+
+    Emits exactly the bytes of :func:`_encode`, which is the
+    specification, but walks nested tuples with an explicit stack and
+    takes int and str bytes from caches.  Dispatch is on the exact
+    type: ``tuple``, ``int``, ``str``, ``bool`` and ``None`` take the
+    fast path, and every other value (floats, bytes, lists, sets,
+    dicts, subclasses such as ``IntEnum`` members) is handed to
+    :func:`_encode` whole.
+    """
+    out: list = []
+    append = out.append
+    ints, strs = _INT_BYTES, _STR_BYTES
+    stack: list = []
+    items = iter((parts,))
+    while True:
+        for value in items:
+            cls = type(value)
+            if cls is str:
+                data = strs.get(value)
+                append(data if data is not None else _leaf_bytes(value, strs))
+            elif cls is tuple:
+                if not value:
+                    append(b"()")
+                    continue
+                # Descend: the outer loop resumes on the child's items.
+                append(b"(")
+                stack.append(items)
+                items = iter(value)
+                break
+            elif cls is int:
+                data = ints.get(value)
+                append(data if data is not None else _leaf_bytes(value, ints))
+            elif value is None:
+                append(b"N")
+            elif cls is bool:
+                append(b"T" if value else b"F")
+            else:
+                _encode(value, out)
+        else:
+            if not stack:
+                return b"".join(out)
+            append(b")")
+            items = stack.pop()
 
 
 def fingerprint_parts(parts) -> int:

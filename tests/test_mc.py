@@ -8,8 +8,12 @@ exhaustively.
 """
 
 import copy
+import enum
+import gc
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -74,6 +78,53 @@ def test_canonical_encoding_sorts_unordered_containers():
 def test_fingerprint_rejects_non_primitive_parts():
     with pytest.raises(TypeError):
         fingerprint_parts((object(),))
+
+
+class _Level(enum.IntEnum):
+    HIGH = 7
+
+    # IntEnum's own str() changed in Python 3.11; pin one that is the
+    # same on every version the suite runs on.
+    def __str__(self) -> str:
+        return "level-high"
+
+
+def test_canonical_bytes_are_pinned():
+    """Golden bytes, computed with the recursive reference encoder: one
+    tree with every tag, and values on both sides of the encoder's
+    exact-type fast path (``True`` and ``1`` in the same slot, an
+    ``IntEnum`` member next to the plain int it equals, a list)."""
+    tree = (
+        (True, 1), (1, True), (False, 0, None),
+        -42, 2**70, "h\u00e9llo \u2192 \u4e16", "", (), ((("deep",),), ()),
+        1.5, b"\x00raw", frozenset({3, "a"}), {"k": 1, 2: (None, True)},
+        7, _Level.HIGH, 7, [1, "x"],
+    )
+    assert canonical_bytes(tree).hex() == (
+        "28285469313a31292869313a315429284669313a304e2969333a2d3432693232"
+        "3a313138303539313632303731373431313330333432347331343a68c3a96c6c"
+        "6f20e2869220e4b89673303a282928282873343a646565702929282929663230"
+        "3a3078312e38303030303030303030303030702b3062343a007261777b73313a"
+        "6169313a337d5b73313a6b69313a3169313a32284e54295d69313a376931303a"
+        "6c6576656c2d6869676869313a372869313a3173313a782929")
+
+
+@pytest.mark.parametrize("name,broken,count,digest", [
+    ("SB", False, 1659,
+     "49e76e886437a97587c0e6dac39bc0a1d8d6fa91dc2111839634f17517800dbf"),
+    ("MP", True, 1255,
+     "d96c0101ef0ae24a23e4a980e5f7397eac305c80cdf59e871af5d4e16842fd51"),
+], ids=["SB", "MP-violate-atomicity"])
+def test_search_fingerprints_are_pinned(name, broken, count, digest):
+    """Every fingerprint one serial drain discovers, in discovery order:
+    a change to the state walk, the encoding or the search order shows
+    up here."""
+    model = litmus_model(name, COMBO)
+    model.violate_atomicity = broken
+    fps = explore_shard(model, 0, 1, [((), None)], set())["new_fps"]
+    assert len(fps) == count
+    packed = b"".join(fp.to_bytes(8, "big") for fp in fps)
+    assert hashlib.sha256(packed).hexdigest() == digest
 
 
 def test_fingerprints_stable_across_hash_seeds():
@@ -388,6 +439,82 @@ def test_stuck_threads_tracks_replay_progress():
             break
         path = path + (choices[0],)
     assert model.stuck_threads(system) == 0  # the drained system terminated
+
+
+# ---------------------------------------------------------------------------
+# System.close: dropped checker systems are freed without the collector.
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def gc_off():
+    """Cycle collector off for the test, with the heap collected first."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("broken", [False, True],
+                         ids=["intact", "violate-atomicity"])
+def test_closed_systems_leave_no_cycles(gc_off, broken):
+    """A closed system on a random mid-path state is freed by reference
+    counting alone, on every pairing and with Rule II off."""
+    rng = random.Random(17)
+    models = []
+    for combo in _all_combos():
+        for name in ("SB", "MP", "WRC"):
+            model = litmus_model(name, combo)
+            model.violate_atomicity = broken
+            models.append(model)
+    gc.collect()
+    for model in models:
+        system, network = model.replay(())
+        for _ in range(rng.randrange(16)):
+            choices = network.deliverable()
+            if not choices:
+                break
+            try:
+                model.advance(system, network, rng.choice(choices))
+            except ConsistencyViolation:
+                break
+        system.close()
+        del system, network
+        assert gc.collect() == 0, model.combo
+
+
+def test_check_model_leaves_little_for_the_collector(gc_off):
+    result = check_litmus("SB", COMBO, max_states=0)
+    assert result.ok
+    del result
+    assert gc.collect() < 500
+
+
+def test_close_waits_for_build_observers(monkeypatch):
+    """An observer that wraps ``build_system`` (as the perfbench tracer
+    does) reads the previous system while the next is built, and the
+    last system after the check: the search closes none of them early."""
+    from repro.verify import explorer
+
+    build = explorer.build_system
+    open_systems = []
+    read = []
+
+    def observed_build(*args, **kwargs):
+        system = build(*args, **kwargs)
+        for done in open_systems:
+            read.append((done.engine.events_executed,
+                         done.network.stats.messages))
+        open_systems[:] = [system]
+        return system
+
+    monkeypatch.setattr(explorer, "build_system", observed_build)
+    result = check_litmus("SB", COMBO, max_states=0)
+    (last,) = open_systems
+    read.append((last.engine.events_executed, last.network.stats.messages))
+    assert len(read) == result.replays == 2647
+    assert all(events > 0 and messages > 0 for events, messages in read)
 
 
 # ---------------------------------------------------------------------------
