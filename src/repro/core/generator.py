@@ -124,6 +124,7 @@ class GeneratedPolicy(BridgePolicy):
         self.compound = compound
         self.local_variant = compound.local.variant
         self.global_variant = compound.global_.variant
+        self.forbidden_globals = frozenset(g for _local, g in compound.forbidden)
 
     def global_access_for(self, request: str, global_state: str) -> str | None:
         """Rule I upward: table lookup."""

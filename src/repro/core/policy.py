@@ -11,6 +11,8 @@ domains.  At every decision point it asks a :class:`BridgePolicy`:
   it a conceptual *load* (recall data) or *store* (recall + invalidate)?
 - ``forbidden(compound_state)`` -- Rule II by-product: compound states
   pruned at synthesis (e.g. inclusion violations like (M, I)).
+- ``forbidden_globals`` -- the global states ``forbidden`` rejects under
+  at least one local summary (read by the runtime invariant monitor).
 
 :class:`PermissionPolicy` is the hand-derivable reference implementation
 computed directly from the permission lattice of the two protocol
@@ -33,6 +35,10 @@ class BridgePolicy:
 
     local_variant: ProtocolVariant
     global_variant: ProtocolVariant
+    #: Global stable states that ``forbidden`` rejects under some local
+    #: summary.  A line in any other global state is legal whatever its
+    #: local directory says, so a legality scan can skip it unread.
+    forbidden_globals: frozenset
 
     def global_access_for(self, request: str, global_state: str) -> str | None:
         """Rule I upward: the conceptual global access a local request needs."""
@@ -59,6 +65,9 @@ class PermissionPolicy(BridgePolicy):
     def __init__(self, local_variant: ProtocolVariant, global_variant: ProtocolVariant) -> None:
         self.local_variant = local_variant
         self.global_variant = global_variant
+        self.forbidden_globals = frozenset(
+            g for g in global_variant.state_names()
+            if any(self.forbidden(local, g) for local in ("I", "S", "O", "M")))
 
     def global_access_for(self, request: str, global_state: str) -> str | None:
         perm = self.global_variant.perm(global_state)

@@ -7,7 +7,7 @@ Addresses throughout the simulator are *line* addresses (one integer per
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any
 
 from repro.sim.config import LINE_BYTES
 
@@ -143,11 +143,19 @@ class CacheArray:
             self._occupied.discard(addr % self.num_sets)
         return line
 
-    def lines(self) -> Iterator[CacheLine]:
-        """Iterate over every resident line (set order, LRU within)."""
-        sets = self._sets
-        for index in sorted(self._occupied):
-            yield from sets[index].values()  # type: ignore[union-attr]
+    def lines(self) -> list[CacheLine]:
+        """Every resident line (set order, LRU within)."""
+        sets: list[dict[int, CacheLine]] = self._sets  # type: ignore[assignment]
+        return [line for index in sorted(self._occupied)  # occupied: never None
+                for line in sets[index].values()]
+
+    def line_map(self) -> dict[int, CacheLine]:
+        """Every resident line keyed by address, in :meth:`lines` order."""
+        by_addr: dict[int, CacheLine] = {}
+        sets: list[dict[int, CacheLine]] = self._sets  # type: ignore[assignment]
+        for index in sorted(self._occupied):  # occupied sets are never None
+            by_addr.update(sets[index])
+        return by_addr
 
     def set_addrs(self, set_idx: int) -> list[int]:
         """Resident line addresses of one set, LRU order (oldest first)."""

@@ -593,7 +593,7 @@ class RccL1(Node):
         return True
 
     def _self_invalidate(self) -> None:
-        for line in list(self.cache.lines()):
+        for line in self.cache.lines():
             self.cache.remove(line.addr)
 
     def _record(self, kind, t0, hit) -> None:

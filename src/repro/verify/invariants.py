@@ -23,11 +23,34 @@ the transient SWMR window that ``violate_atomicity`` opens.
 O(resident lines), then runs SWMR, value, inclusion, compound in that
 order and raises the first violation: check order beats address order;
 within a check the lowest address (inclusion, compound: first line) wins.
+
+The walk's data layout:
+
+- ``maps``: one ``{addr: line}`` dict per cluster's bridge, in cluster
+  order, built by ``CacheArray.line_map`` in ``lines()`` order.  A
+  bridge holds at most one line per address, so an address's bridge
+  lines are one ``get`` per map, made only where a check needs them.
+- ``shared``: addresses that two or more non-RCC L1 lines in S/E/M/O/F
+  hold; ``unowned``: addresses whose first such holder (cluster, then
+  L1 order) is not an owner (M/O/E).  No per-line tuple or per-address
+  list is built; a check that needs an address's L1 holders peeks every
+  non-RCC L1 for that address alone.
+
+SWMR suspects are the pairwise key intersections of the bridge maps plus
+``shared``; no other address can break SWMR.  Value coherence reads only
+``shared | unowned``: an address whose only holder is an owner is its
+own authoritative value.  Inclusion and compound legality are decided
+during the walk.  A bridge line can be compound-illegal only if its
+global state is in ``policy.forbidden_globals`` (forbidden under some
+local summary), so no other line has its blocking or directory record
+read, and a bridge's scan stops at its first hit.
+
 The walk is read-only and keeps these behaviours:
 
 - Compound legality skips a line only while its *own* bridge blocks it.
 - "Quiet" (value check) is global: no bridge or port, L1 MSHR,
-  ``home.busy`` entry or home ``data_pending`` touches the line.
+  ``home.busy`` entry or home ``data_pending`` touches the line.  It is
+  tested only after a copy disagrees with the authoritative value.
 - The intra-cluster L1 SWMR check runs wherever the cluster's bridge
   holds the line, tearing down (``evicting`` / ``port.wb``) or not; a
   tearing-down line is left out of the cross-cluster counts.
@@ -35,7 +58,8 @@ The walk is read-only and keeps these behaviours:
   L1 order), else the first dirty non-stale bridge line, else the
   backing store; ``None`` skips the value check.
 - Inclusion reports in cluster -> L1 -> ``CacheArray.lines()`` order.
-- Lines held only by RCC L1s are walked but can break nothing.
+- Lines held only by RCC L1s can break nothing; an RCC L1 in a
+  self-invalidating cluster is not walked at all.
 - No meta dict or ``DirRecord`` is created: a missing record summarizes
   to "I" and a missing ``stale`` flag reads as False.
 """
@@ -82,53 +106,84 @@ def derive_forbidden_pairs(local_variant, global_variant,
 
 
 class _Walk:
-    """One visit of every bridge and L1 line: ``bridges[addr]`` holds
-    ``(cluster, line)``, ``holders[addr]`` non-RCC ``(cluster, l1, line)``
-    holders, both in cluster then L1 order, plus the first inclusion and
-    compound violation in their report order."""
+    """One visit of every bridge and L1 line; see the module docstring."""
 
     def __init__(self, system) -> None:
-        self.bridges: dict[int, list] = {}
-        self.holders: dict[int, list] = {}
-        self.inclusion: str | None = None
-        self.compound: str | None = None
-        for cluster in system.clusters:
+        clusters = self.clusters = system.clusters
+        maps = self.maps = [cluster.bridge.cache.line_map() for cluster in clusters]
+        held: set[int] = set()
+        shared: set[int] = set()
+        unowned: set[int] = set()
+        inclusion: str | None = None
+        compound: str | None = None
+        for cluster, bridge_lines in zip(clusters, maps):
             bridge = cluster.bridge
-            present: set[int] = set()
-            for line in bridge.cache.lines():
-                addr = line.addr
-                present.add(addr)
-                self.bridges.setdefault(addr, []).append((cluster, line))
-                if self.compound is None and not bridge.blocked(addr):
+            policy = bridge.policy
+            risky = policy.forbidden_globals
+            if compound is None and risky:
+                for addr, line in bridge_lines.items():
+                    state = line.state
+                    if state not in risky:
+                        continue  # legal under every local summary
                     record = line.peek_meta("dir")
                     local = "I" if record is None else record.summary()
-                    if bridge.policy.forbidden(local, line.state):
-                        self.compound = (f"compound: {bridge.node_id} line 0x{addr:x} in "
-                                         f"forbidden state ({local}, {line.state})")
+                    if policy.forbidden(local, state) and not bridge.blocked(addr):
+                        compound = (f"compound: {bridge.node_id} line 0x{addr:x} in "
+                                    f"forbidden state ({local}, {state})")
+                        break  # the first hit in lines() order wins
             # RCC relaxes inclusion (paper footnote 5).
             inclusive = not bridge.variant.self_invalidating
             for l1 in cluster.l1s:
                 rcc = isinstance(l1, RccL1)  # stale-until-acquire by design
+                if rcc and not inclusive:
+                    continue  # neither a holder nor an inclusion suspect
                 for line in l1.cache.lines():
-                    if line.state not in _HOLDER_STATES:
+                    state = line.state
+                    if state not in _HOLDER_STATES:
                         continue
                     addr = line.addr
                     if not rcc:
-                        self.holders.setdefault(addr, []).append((cluster, l1, line))
-                    if inclusive and self.inclusion is None and addr not in present:
-                        self.inclusion = (f"inclusion: {l1.node_id} holds 0x{addr:x} "
-                                          f"({line.state}) absent from {bridge.node_id}")
+                        if addr in held:
+                            shared.add(addr)
+                        else:
+                            held.add(addr)
+                            if state not in _OWNER_STATES:
+                                unowned.add(addr)
+                    if inclusive and inclusion is None and addr not in bridge_lines:
+                        inclusion = (f"inclusion: {l1.node_id} holds 0x{addr:x} "
+                                     f"({state}) absent from {bridge.node_id}")
+        self.shared = shared
+        self.unowned = unowned
+        self.inclusion = inclusion
+        self.compound = compound
+
+
+def _holders(clusters, addr) -> list:
+    """``(cluster, l1, line)`` for every non-RCC L1 line holding ``addr``
+    in S/E/M/O/F, in cluster then L1 order."""
+    return [(cluster, l1, line) for cluster in clusters for l1 in cluster.l1s
+            if (line := l1.cache.peek(addr)) is not None
+            and line.state in _HOLDER_STATES and not isinstance(l1, RccL1)]
 
 
 def check_swmr(system, walk=None) -> None:
     """SWMR; only an address with two bridge lines or two L1 holders can break it."""
     walk = walk or _Walk(system)
-    suspects = {addr for addr, lines in walk.bridges.items() if len(lines) > 1}
-    suspects.update(addr for addr, held in walk.holders.items() if len(held) > 1)
+    clusters, maps, shared = walk.clusters, walk.maps, walk.shared
+    suspects = set(shared)
+    for i in range(1, len(maps)):
+        later = maps[i].keys()
+        if later:
+            for earlier in maps[:i]:
+                suspects |= later & earlier.keys()
     for addr in sorted(suspects):
-        held = walk.holders.get(addr, ())
+        # One L1 holder cannot break intra-cluster SWMR.
+        held = _holders(clusters, addr) if addr in shared else ()
         writer_clusters, holder_clusters = [], []
-        for cluster, line in walk.bridges.get(addr, ()):
+        for cluster, bridge_lines in zip(clusters, maps):
+            line = bridge_lines.get(addr)
+            if line is None:
+                continue
             holders = [l1.node_id for c, l1, _ in held if c is cluster]
             writers = [l1.node_id for c, l1, l1_line in held
                        if c is cluster and l1_line.state in _WRITER_STATES]
@@ -171,32 +226,46 @@ def _line_quiet(system, addr) -> bool:
 
 
 def check_value_coherence(system, walk=None) -> None:
-    """Readable copies of every quiet line match its authoritative value."""
+    """Readable copies of every quiet line match its authoritative value.
+
+    An address whose only holder is an owner (M/O/E) is its own
+    authoritative value, so only shared and unowned addresses are read.
+    """
     walk = walk or _Walk(system)
-    for addr in sorted(walk.holders):
-        held = walk.holders[addr]
-        value = _authoritative(system, addr, [line for _, _, line in held],
-                               [line for _, line in walk.bridges.get(addr, ())])
-        mismatch = next((pair for pair in held if pair[2].data != value), None)
-        if value is not None and mismatch and _line_quiet(system, addr):
-            raise ConsistencyViolation(
-                f"value: {mismatch[1].node_id} reads {mismatch[2].data} for "
-                f"0x{addr:x}, authoritative is {value}")
+    suspects = walk.shared | walk.unowned
+    if not suspects:
+        return
+    bridge_peeks = [bridge_lines.get for bridge_lines in walk.maps]
+    for addr in sorted(suspects):
+        held = _holders(walk.clusters, addr)
+        value = _authoritative(system, addr, held, bridge_peeks)
+        if value is None:
+            continue
+        for _cluster, l1, line in held:
+            if line.data != value:
+                if _line_quiet(system, addr):
+                    raise ConsistencyViolation(
+                        f"value: {l1.node_id} reads {line.data} for "
+                        f"0x{addr:x}, authoritative is {value}")
+                break
 
 
 def authoritative_value(system, addr):
     """The value every readable non-RCC copy of ``addr`` must hold now."""
     clusters = system.clusters
-    l1_lines = [l1.cache.peek(addr) for c in clusters for l1 in c.l1s if not isinstance(l1, RccL1)]
-    return _authoritative(system, addr, l1_lines, [c.bridge.cache.peek(addr) for c in clusters])
+    return _authoritative(system, addr, _holders(clusters, addr),
+                          [c.bridge.cache.peek for c in clusters])
 
 
-def _authoritative(system, addr, l1_lines, bridge_lines):
-    # Priority: any L1 owner; then a dirty cluster cache; then memory.
-    for line in l1_lines:
-        if line is not None and line.state in _OWNER_STATES:
+def _authoritative(system, addr, held, bridge_peeks):
+    """The first owner (M/O/E) among the ``(cluster, l1, line)`` holders
+    ``held``; else the first dirty, non-stale cluster-cache line, looked
+    up per cluster by ``bridge_peeks``; else memory."""
+    for _cluster, _l1, line in held:
+        if line.state in _OWNER_STATES:
             return line.data
-    for line in bridge_lines:
+    for peek in bridge_peeks:
+        line = peek(addr)
         if line is not None and line.dirty and not line.peek_meta("stale", False):
             return line.data
     return system.backing.read(addr)

@@ -30,6 +30,8 @@ def test_generated_policy_matches_permission_reference(local, global_):
             for snoop in ("inv", "data"):
                 assert generated.local_access_for(snoop, lstate, stale) == \
                     reference.local_access_for(snoop, lstate, stale), (snoop, lstate, stale)
+    # The monitor's compound skip reads this; the table and the lattice agree.
+    assert generated.forbidden_globals == reference.forbidden_globals
 
 
 def test_inclusion_states_are_pruned():

@@ -3,16 +3,19 @@
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
+from repro.core.policy import PermissionPolicy
 from repro.cpu.isa import ThreadProgram, fence, load, rmw, store
 from repro.errors import ConsistencyViolation
 from repro.scenario.runner import run_scenario
 from repro.scenario.schema import Scenario
-from repro.sim.config import two_cluster_config
+from repro.sim.config import ClusterConfig, SystemConfig, two_cluster_config
 from repro.sim.system import build_system
 from repro.verify import invariants
+from repro.verify.mc import explore_shard, litmus_model
 from repro.workloads import WORKLOADS
 
 FIXTURE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -229,6 +232,56 @@ def test_compound_skips_only_lines_blocked_at_their_own_bridge():
     invariants.check_all(system)
 
 
+def _plant_system(policy_factory, clusters=("MESI", "MESI")):
+    config = SystemConfig(
+        clusters=tuple(ClusterConfig(cores=2, protocol=p, mcm="TSO") for p in clusters),
+        global_protocol="CXL")
+    return build_system(config, policy_factory=policy_factory)
+
+
+_POLICY_FACTORIES = pytest.mark.parametrize(
+    "policy_factory", [None, PermissionPolicy], ids=["generated", "permission"])
+
+
+@_POLICY_FACTORIES
+def test_first_forbidden_line_in_lines_order_wins(policy_factory):
+    system = _plant_system(policy_factory)
+    cache = system.clusters[0].bridge.cache
+    high, low = 0x4 + cache.num_sets, 0x4  # same set: LRU order, oldest first
+    _plant_forbidden_compound(system, high)
+    _plant_forbidden_compound(system, low)
+    assert [line.addr for line in cache.lines()] == [high, low]
+    with pytest.raises(ConsistencyViolation) as exc:
+        invariants.check_compound_states(system)
+    assert str(exc.value) == f"compound: c3.0 line 0x{high:x} in forbidden state (S, I)"
+
+
+@_POLICY_FACTORIES
+def test_forbidden_line_in_cluster_0_beats_cluster_1(policy_factory):
+    system = _plant_system(policy_factory)
+    bridge = system.clusters[1].bridge
+    line = bridge.cache.insert(0x2, state="S", data=0)
+    bridge.dir_record(line).owner = "l1.1.0"  # local write, global read
+    _plant_forbidden_compound(system, 0x8)
+    with pytest.raises(ConsistencyViolation) as exc:
+        invariants.check_all(system)
+    assert str(exc.value) == "compound: c3.0 line 0x8 in forbidden state (S, I)"
+    system.clusters[0].bridge.evicting.add(0x8)
+    with pytest.raises(ConsistencyViolation) as exc:
+        invariants.check_all(system)
+    assert str(exc.value) == "compound: c3.1 line 0x2 in forbidden state (M, S)"
+
+
+def test_double_writer_held_by_first_and_last_of_three_clusters():
+    system = _plant_system(None, clusters=("MESI", "MOESI", "MESIF"))
+    system.clusters[0].bridge.cache.insert(0x9, state="M", data=1)
+    system.clusters[1].bridge.cache.insert(0x5, state="M", data=1)
+    system.clusters[2].bridge.cache.insert(0x9, state="E", data=1)
+    with pytest.raises(ConsistencyViolation) as exc:
+        invariants.check_swmr(system)
+    assert str(exc.value) == "SWMR: clusters [0, 2] both hold global write permission for 0x9"
+
+
 @pytest.mark.parametrize("blocker", ["bridge", "mshr", "home"])
 def test_value_check_quiet_test_is_global(blocker):
     system = _mesi_system()
@@ -299,3 +352,91 @@ def test_monitor_is_read_only():
     assert (True, []) in before and (False, ["stale"]) in before
     invariants.check_all(system)
     assert snapshot() == before
+
+
+# ---------------------------------------------------------------------------
+# Golden pins: the ordered ``check_all`` result ("ok" or the message) of
+# every state real searches and random delivery paths reach.  The expected
+# values were computed with the previous monitor implementation, not with
+# a replica kept here; any change to a message, to which check wins or to
+# which states fail shows here.
+# ---------------------------------------------------------------------------
+
+def _check_result(system) -> str:
+    try:
+        invariants.check_all(system)
+    except ConsistencyViolation as exc:
+        return str(exc)
+    return "ok"
+
+
+def _digest(results) -> str:
+    return hashlib.sha256("\n".join(results).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name,broken,count,digest", [
+    ("SB", False, 1659,
+     "a05e304c96df14b4b2f5ecee7d4e7adcc02603a976716a2dd0af3be1be799f76"),
+    ("MP", True, 1255,
+     "720c73f1bb2ddc00b3dc5d585070a2d9e18eaa936f7ba5e1e0b9921f5dabf79e"),
+], ids=["SB", "MP-violate-atomicity"])
+def test_check_all_over_every_explored_state_pinned(monkeypatch, name, broken,
+                                                    count, digest):
+    results = []
+    check_all = invariants.check_all
+
+    def recording(system):
+        try:
+            check_all(system)
+        except ConsistencyViolation as exc:
+            results.append(str(exc))
+            raise
+        results.append("ok")
+
+    monkeypatch.setattr(invariants, "check_all", recording)
+    model = litmus_model(name, ("MESI", "CXL", "MESI"))
+    model.violate_atomicity = broken
+    explore_shard(model, 0, 1, [((), None)], set())
+    assert len(results) == count
+    assert _digest(results) == digest
+
+
+#: Both clusters differ in every combo, so each local protocol sits in
+#: cluster 0 and cluster 1 once per global protocol.
+_LOCALS = ("MESI", "MESIF", "MOESI", "RCC")
+_RANDOM_COMBOS = [(local, glob, _LOCALS[(i + 1) % len(_LOCALS)])
+                  for glob in ("CXL", "MESI") for i, local in enumerate(_LOCALS)]
+
+
+def _random_path_results(combo, test, broken, seed, paths=8):
+    rng = random.Random(seed)
+    model = litmus_model(test, combo)
+    model.violate_atomicity = broken
+    results = []
+    for _ in range(paths):
+        system, network = model.replay(())
+        while True:
+            results.append(_check_result(system))
+            choices = network.deliverable()
+            if not choices:
+                break
+            try:
+                model.advance(system, network, rng.choice(choices))
+            except ConsistencyViolation as exc:
+                results.append(f"{type(exc).__name__}: {exc}")
+                break
+        system.close()
+    return results
+
+
+@pytest.mark.parametrize("broken,digest", [
+    (False, "3e9e3047189430b0b6b1efc9f3a9f47b7aa1fac522840f607d9b1295b0416f9a"),
+    (True, "6f0dc31ccdf803328e79319ffbb254ef3b6e3ae00ecc837d2cdaf2c6e9ccccfa"),
+], ids=["clean", "violate-atomicity"])
+def test_check_all_over_random_delivery_paths_pinned(broken, digest):
+    results = []
+    for index, combo in enumerate(_RANDOM_COMBOS):
+        for test in ("SB", "MP", "WRC"):
+            results.append(f"{'-'.join(combo)} {test}")
+            results += _random_path_results(combo, test, broken, seed=index)
+    assert _digest(results) == digest
