@@ -32,16 +32,27 @@ class FlightRecorder:
         return len(self._events)
 
     def record(self, kind: str, **detail) -> None:
-        """Append one event; ``detail`` values must be JSON-serializable."""
+        """Append one event; ``detail`` values must be JSON-serializable.
+
+        Stored as a ``(seq, time, kind, detail)`` tuple; :meth:`dump`
+        builds the event dicts.
+        """
         self._seq += 1
-        event = {"seq": self._seq, "t": round(time.time(), 3), "kind": kind}
-        if detail:
-            event.update(detail)
-        self._events.append(event)
+        self._events.append((self._seq, time.time(), kind, detail))
 
     def dump(self) -> list[dict]:
-        """Copy of the buffered events, oldest first."""
-        return [dict(event) for event in self._events]
+        """The buffered events, oldest first, as fresh dicts.
+
+        Each is ``{"seq", "t", "kind"}`` (``t`` rounded to the
+        millisecond) updated with the event's ``detail``.
+        """
+        events = []
+        for seq, stamp, kind, detail in self._events:
+            event = {"seq": seq, "t": round(stamp, 3), "kind": kind}
+            if detail:
+                event.update(detail)
+            events.append(event)
+        return events
 
     def clear(self) -> None:
         """Drop all buffered events (the sequence counter keeps going)."""

@@ -68,24 +68,16 @@ class CacheArray:
             raise ValueError("cache size must be a multiple of assoc * line size")
         self.assoc = assoc
         self.num_sets = size_bytes // (assoc * LINE_BYTES)
-        # Each set is an LRU-ordered dict (oldest first), materialized
-        # lazily: realistic configs have thousands of sets while a
-        # litmus-scale run touches a handful of lines, so allocating
-        # every set dict up front (and walking them all in lines())
-        # dominated model-checking replays.
-        self._sets: list[dict[int, CacheLine] | None] = [None] * self.num_sets
-        self._occupied: set[int] = set()  # indices of non-empty sets
-
-    def _set_for(self, addr: int) -> dict[int, CacheLine]:
-        index = addr % self.num_sets
-        cache_set = self._sets[index]
-        if cache_set is None:
-            cache_set = self._sets[index] = {}
-        return cache_set
+        # Only non-empty sets exist, each an LRU-ordered dict (oldest
+        # first): a set is created by its first insert and dropped by
+        # its last remove.  Realistic configs have thousands of sets
+        # while a litmus-scale run touches a handful of lines, so
+        # building an array allocates nothing per set.
+        self._sets: dict[int, dict[int, CacheLine]] = {}
 
     def lookup(self, addr: int, touch: bool = True) -> CacheLine | None:
         """Return the line if present; optionally refresh its LRU position."""
-        cache_set = self._sets[addr % self.num_sets]
+        cache_set = self._sets.get(addr % self.num_sets)
         if cache_set is None:
             return None
         line = cache_set.get(addr)
@@ -96,12 +88,12 @@ class CacheArray:
 
     def peek(self, addr: int) -> CacheLine | None:
         """Lookup without LRU side effects."""
-        cache_set = self._sets[addr % self.num_sets]
+        cache_set = self._sets.get(addr % self.num_sets)
         return None if cache_set is None else cache_set.get(addr)
 
     def has_room(self, addr: int) -> bool:
         """Whether ``addr``'s set has a free way."""
-        cache_set = self._sets[addr % self.num_sets]
+        cache_set = self._sets.get(addr % self.num_sets)
         return cache_set is None or len(cache_set) < self.assoc
 
     def victim_for(self, addr: int, pinned: set[str] | None = None) -> CacheLine | None:
@@ -111,7 +103,7 @@ class CacheArray:
         (transient states).  Returns ``None`` if the set is full of
         pinned lines.
         """
-        cache_set = self._sets[addr % self.num_sets]
+        cache_set = self._sets.get(addr % self.num_sets)
         if cache_set is None or len(cache_set) < self.assoc:
             return None
         pinned = pinned or set()
@@ -122,46 +114,47 @@ class CacheArray:
 
     def insert(self, addr: int, state: str = "I", data: int | None = None) -> CacheLine:
         """Allocate a line; the caller must have made room first."""
-        cache_set = self._set_for(addr)
-        if addr in cache_set:
+        index = addr % self.num_sets
+        cache_set = self._sets.get(index)
+        if cache_set is None:
+            cache_set = self._sets[index] = {}
+        elif addr in cache_set:
             raise ValueError(f"line 0x{addr:x} already present")
-        if len(cache_set) >= self.assoc:
+        elif len(cache_set) >= self.assoc:
             raise ValueError(f"set for 0x{addr:x} is full; evict first")
-        line = CacheLine(addr=addr, state=state, data=data)
+        line = CacheLine(addr, state, data)
         cache_set[addr] = line
-        self._occupied.add(addr % self.num_sets)
         return line
 
     def remove(self, addr: int) -> CacheLine:
         """Remove and return the line; KeyError if absent."""
-        cache_set = self._sets[addr % self.num_sets]
-        try:
-            line = cache_set.pop(addr)  # type: ignore[union-attr]
-        except (KeyError, AttributeError):
-            raise KeyError(f"line 0x{addr:x} not present") from None
+        index = addr % self.num_sets
+        cache_set = self._sets.get(index)
+        line = None if cache_set is None else cache_set.pop(addr, None)
+        if line is None:
+            raise KeyError(f"line 0x{addr:x} not present")
         if not cache_set:
-            self._occupied.discard(addr % self.num_sets)
+            del self._sets[index]
         return line
 
     def lines(self) -> list[CacheLine]:
         """Every resident line (set order, LRU within)."""
-        sets: list[dict[int, CacheLine]] = self._sets  # type: ignore[assignment]
-        return [line for index in sorted(self._occupied)  # occupied: never None
-                for line in sets[index].values()]
+        sets = self._sets
+        return [line for index in sorted(sets) for line in sets[index].values()]
 
     def line_map(self) -> dict[int, CacheLine]:
         """Every resident line keyed by address, in :meth:`lines` order."""
         by_addr: dict[int, CacheLine] = {}
-        sets: list[dict[int, CacheLine]] = self._sets  # type: ignore[assignment]
-        for index in sorted(self._occupied):  # occupied sets are never None
+        sets = self._sets
+        for index in sorted(sets):
             by_addr.update(sets[index])
         return by_addr
 
     def set_addrs(self, set_idx: int) -> list[int]:
         """Resident line addresses of one set, LRU order (oldest first)."""
-        cache_set = self._sets[set_idx]
+        cache_set = self._sets.get(set_idx)
         return [] if cache_set is None else list(cache_set)
 
     def occupancy(self) -> int:
         """Total resident lines across all sets."""
-        return sum(len(self._sets[i]) for i in self._occupied)  # type: ignore[index]
+        return sum(map(len, self._sets.values()))

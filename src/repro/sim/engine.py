@@ -262,6 +262,10 @@ class BatchedEngine:
         loop entirely.  See ``benchmarks/test_engine_churn.py`` and
         ``docs/PERFORMANCE.md`` for measured throughput.
         """
+        if not self._ticks:
+            # Nothing queued: what the loop below would return, minus
+            # the gc toggle.  About half the model checker's runs.
+            return self.now
         if self.sampler is not None:
             return self._run_sampled(until, max_events)
         self._running = True

@@ -93,7 +93,10 @@ class Network:
 
     def __init__(self, engine: Engine, seed: int = 1) -> None:
         self.engine = engine
-        self.rng = random.Random(seed)
+        #: Jitter draw stream, seeded with ``seed`` when the first link
+        #: with jitter is connected: a jitter-free fabric never draws.
+        self.rng: random.Random | None = None
+        self._seed = seed
         self.nodes: dict[str, Node] = {}
         #: ``node_id -> bound handle_message``: the delivery table, so
         #: a send binds no method.
@@ -117,6 +120,8 @@ class Network:
 
     def connect(self, src: str, dst: str, link: Link, bidirectional: bool = True) -> None:
         """Install a link between two endpoints."""
+        if link.jitter and self.rng is None:
+            self.rng = random.Random(self._seed)
         self.links[(src, dst)] = link
         if bidirectional:
             self.links[(dst, src)] = link
@@ -152,7 +157,7 @@ class Network:
             # rejection loop: the same draw stream without the call.
             span = jitter + 1
             bits = span.bit_length()
-            getrandbits = self.rng.getrandbits
+            getrandbits = self.rng.getrandbits  # type: ignore[union-attr]
             r = getrandbits(bits)
             while r >= span:
                 r = getrandbits(bits)

@@ -82,7 +82,13 @@ def build_intercepted(config: SystemConfig, violate_atomicity: bool):
 # State digests.
 # ---------------------------------------------------------------------------
 
+#: The digest of a line with no directory record: that of an empty one.
+_EMPTY_REC = (None, "", (), None)
+
+
 def _rec_fp(rec):
+    if rec is None:
+        return _EMPTY_REC
     sharers = rec.sharers
     return (rec.owner, rec.owner_kind,
             tuple(sorted(sharers)) if sharers else (), rec.f_holder)
@@ -96,8 +102,9 @@ def state_parts(system, network) -> tuple:
     order: cache lines, MSHRs, bridge transactions, port pending sets,
     home directory, core registers/store buffers, and the in-flight
     messages grouped per FIFO channel *preserving order* within the
-    channel.  The model checker's process-stable fingerprint
-    (:mod:`repro.verify.mc.fingerprint`) is derived from these parts.
+    channel, as the last part.  The model checker's process-stable
+    fingerprint (:mod:`repro.verify.mc.fingerprint`) is derived from
+    these parts.  The walk only reads: it changes no line's meta.
     """
     parts = []
     for cluster in system.clusters:
@@ -111,10 +118,11 @@ def state_parts(system, network) -> tuple:
                 for addr, mshr in mshrs.items()])) if mshrs else ()
             parts.append((l1.node_id, tuple(lines), mshrs))
         bridge = cluster.bridge
-        dir_record = bridge.dir_record
+        # Read-only: ``peek_meta`` creates neither a meta dict nor a
+        # directory record on the lines it reads.
         lines = sorted([
             (line.addr, line.state, line.data, line.dirty,
-             line.meta.get("stale", False), _rec_fp(dir_record(line)))
+             line.peek_meta("stale", False), _rec_fp(line.peek_meta("dir")))
             for line in bridge.cache.lines()])
         busy = bridge.busy
         busy = tuple(sorted([

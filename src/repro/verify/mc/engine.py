@@ -79,7 +79,10 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
     system it replaces (:meth:`~repro.sim.system.System.close`), once
     the replay has returned: an observer wrapping ``build_system`` may
     read the previous system while the next one is built.  The last
-    system stays open for the caller's observers.
+    system stays open for the caller's observers.  Every fingerprint
+    of the drain goes through one part memo
+    (:func:`~repro.verify.mc.fingerprint.state_bytes`), dropped on
+    return.
 
     Returns a plain picklable dict: ``new_fps`` (discovery order),
     ``emit`` (``{owner: [(path, fp)]}``), ``states``, ``terminals``,
@@ -106,6 +109,7 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
     live = None
     # The system the last replay built; live steps keep advancing it.
     current = None
+    memo: dict[bytes, bytes] = {}
     while stack:
         path, fp = stack.pop()
         parent, live = live, None
@@ -139,7 +143,7 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
                 current.close()
             current = system
         if fp is None:
-            fp = canonical_fingerprint(system, network)
+            fp = canonical_fingerprint(system, network, memo)
         owner = fp % n_shards
         if owner != shard:
             emit.setdefault(owner, []).append((path, fp))

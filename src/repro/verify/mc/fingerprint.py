@@ -16,11 +16,17 @@ BLAKE2b over a deterministic byte encoding.  Guarantees:
   emits (ints, strings, bools, None, floats, nested tuples), so two
   different part trees cannot collide by construction -- only by the
   64-bit birthday bound, negligible at reachable state counts.
+
+:func:`canonical_bytes` and :func:`fingerprint_parts` are the
+specification.  A search fingerprints through
+:func:`canonical_fingerprint` with a per-search memo of encoded parts
+(:func:`state_bytes`), which gives the same fingerprint bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
+import marshal
 
 from repro.verify.explorer import state_parts
 
@@ -147,13 +153,70 @@ def canonical_bytes(parts) -> bytes:
             items = stack.pop()
 
 
+def _digest(data: bytes) -> int:
+    """The 64-bit fingerprint of a canonical byte string."""
+    return int.from_bytes(
+        hashlib.blake2b(data, digest_size=DIGEST_BYTES).digest(), "big")
+
+
 def fingerprint_parts(parts) -> int:
     """64-bit process-stable fingerprint of a part tree."""
-    digest = hashlib.blake2b(canonical_bytes(parts),
-                             digest_size=DIGEST_BYTES).digest()
-    return int.from_bytes(digest, "big")
+    return _digest(canonical_bytes(parts))
 
 
-def canonical_fingerprint(system, network) -> int:
-    """Fingerprint one live (system, intercepted network) state."""
-    return fingerprint_parts(state_parts(system, network))
+#: Entries kept per search memo; past it, new parts are encoded each
+#: time they occur.  A litmus search sees hundreds of distinct parts
+#: (609 over the 4,187 states of WRC on MESI-CXL-MESI).
+MEMO_LIMIT = 1 << 14
+
+
+def state_bytes(parts, memo: dict) -> bytes:
+    """:func:`canonical_bytes` of a :func:`state_parts` tree, by parts.
+
+    A state's component parts (one per L1, bridge, home and core) and
+    the entries of its last part, the in-flight channels, take few
+    distinct values over a search.  Their encoded bytes are kept in
+    ``memo``, keyed by the part's version-2 ``marshal`` bytes.  That key
+    is type-faithful (``True``, ``1`` and ``1.0`` differ) and holds no
+    back-references, so it depends on the value, not on object
+    identity.  It exists only in this process and never enters a
+    fingerprint.  A part ``marshal`` rejects, such as one holding an
+    ``IntEnum`` member, is encoded without the memo.  (``marshal``
+    writes a ``bytearray`` as ``bytes``; the state walk emits neither.)
+    """
+    *components, flight = parts
+    out = [b"("]
+    _encode_parts(components, memo, out)
+    out.append(b"(")
+    _encode_parts(flight, memo, out)
+    out.append(b"))")
+    return b"".join(out)
+
+
+def _encode_parts(parts, memo: dict, out: list) -> None:
+    """Append each part's canonical bytes to ``out``, through ``memo``."""
+    append = out.append
+    dumps = marshal.dumps
+    for part in parts:
+        try:
+            key = dumps(part, 2)
+        except ValueError:
+            append(canonical_bytes(part))
+            continue
+        data = memo.get(key)
+        if data is None:
+            data = canonical_bytes(part)
+            if len(memo) < MEMO_LIMIT:
+                memo[key] = data
+        append(data)
+
+
+def canonical_fingerprint(system, network, memo: dict | None = None) -> int:
+    """Fingerprint one live (system, intercepted network) state.
+
+    Equal to ``fingerprint_parts(state_parts(system, network))``, bit
+    for bit.  A search passes one ``memo`` dict for its whole drain
+    (see :func:`state_bytes`); without one, a fresh dict is used.
+    """
+    return _digest(state_bytes(state_parts(system, network),
+                               {} if memo is None else memo))

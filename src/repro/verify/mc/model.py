@@ -24,6 +24,7 @@ absence only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.sim.config import SystemConfig
 from repro.verify import explorer, invariants
@@ -43,19 +44,31 @@ class CheckModel:
     violate_atomicity: bool = False
 
     def system_config(self) -> SystemConfig:
-        """The configuration every replay builds."""
+        """The configuration every replay builds (a subclass may override)."""
         return explorer.system_config(self.combo, self.mcms,
                                       len(self.programs))
 
+    @cached_property
+    def _config(self) -> SystemConfig:
+        """:meth:`system_config`, computed once, on first use."""
+        return self.system_config()
+
+    @cached_property
+    def _thread_cores(self) -> tuple[int, ...]:
+        """Core index per thread: ``placement``, else alternating clusters."""
+        if self.placement:
+            return tuple(self.placement)
+        return tuple(thread_placement(len(self.programs),
+                                      self._config.clusters[0].cores))
+
     def build(self):
         """A fresh intercepted ``(system, network)``, no program started."""
-        return explorer.build_intercepted(self.system_config(),
-                                          self.violate_atomicity)
+        return explorer.build_intercepted(self._config, self.violate_atomicity)
 
     def play(self, system, network, path):
         """Start the programs on a :meth:`build` result, then deliver
         ``path``; returns ``(system, network)``."""
-        for program, core in zip(self.programs, self._thread_cores(system)):
+        for program, core in zip(self.programs, self._thread_cores):
             system.cores[core].run_program(program, None)
         system.engine.run()
         for choice in path:
@@ -78,17 +91,10 @@ class CheckModel:
         """
         return self.play(*self.build(), path)
 
-    def _thread_cores(self, system) -> list[int]:
-        """Core index per thread: ``placement``, else alternating clusters."""
-        if self.placement:
-            return list(self.placement)
-        return thread_placement(len(self.programs),
-                                system.config.clusters[0].cores)
-
     def stuck_threads(self, system) -> int:
         """Threads whose program has not finished in ``system``."""
         return sum(system.cores[core].finish_time is None
-                   for core in self._thread_cores(system))
+                   for core in self._thread_cores)
 
     def outcome(self, system) -> tuple:
         """Terminal outcome tuple (registers + observed memory)."""

@@ -96,3 +96,54 @@ def test_peek_does_not_touch_lru():
     cache.peek(0)
     victim = cache.victim_for(2)
     assert victim is not None and victim.addr == 0
+
+
+def test_line_order_survives_remove_and_reinsert():
+    """lines() and line_map() walk sets in index order, LRU order within
+    a set, through a set emptying and being created again."""
+    cache = small_cache(sets=4, assoc=4)
+    for addr in (0x8, 0x4, 0x1, 0x0):  # sets 0, 0, 1, 0
+        cache.insert(addr)
+
+    def order():
+        addrs = [line.addr for line in cache.lines()]
+        assert list(cache.line_map()) == addrs
+        assert all(line.addr == addr
+                   for addr, line in cache.line_map().items())
+        return addrs
+
+    assert order() == [0x8, 0x4, 0x0, 0x1]
+    cache.remove(0x4)
+    assert order() == [0x8, 0x0, 0x1]
+    cache.remove(0x8)
+    cache.remove(0x0)  # set 0 is empty now
+    assert order() == [0x1]
+    cache.insert(0x3)  # set 3, created before set 0 is created again
+    cache.insert(0x4)
+    cache.insert(0x0)
+    assert order() == [0x4, 0x0, 0x1, 0x3]
+    cache.lookup(0x4)  # LRU refresh moves 0x4 behind 0x0
+    assert order() == [0x0, 0x4, 0x1, 0x3]
+    assert cache.set_addrs(0) == [0x0, 0x4] and cache.set_addrs(2) == []
+    assert cache.occupancy() == 4
+
+
+def test_large_array_allocates_no_sets_before_first_insert():
+    """A 4 MiB, 8-way array (8,192 sets) holds no per-set storage until
+    a line arrives, and drops a set again with its last line."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        cache = CacheArray(size_bytes=4 * 1024 * 1024, assoc=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cache.num_sets == 8192
+    assert peak < 4096
+    assert cache._sets == {} and cache.lines() == []
+    assert cache.lookup(0x1234) is None and cache.has_room(0x1234)
+    cache.insert(0x1234)
+    assert list(cache._sets) == [0x1234 % 8192]
+    cache.remove(0x1234)
+    assert cache._sets == {} and cache.occupancy() == 0

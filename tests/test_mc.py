@@ -16,13 +16,17 @@ import os
 import random
 import subprocess
 import sys
+import types
 
 import pytest
 
 from repro.cpu.isa import ThreadProgram, load, rmw, store
 from repro.errors import ConsistencyViolation
 from repro.obs.metrics import MetricsRegistry
+from repro.sim.config import two_cluster_config
+from repro.sim.system import build_system
 from repro.verify import invariants
+from repro.verify.explorer import state_parts
 from repro.verify.litmus import LITMUS_BY_NAME, materialize
 from repro.verify.mc import (
     KIND_CRASH,
@@ -36,8 +40,11 @@ from repro.verify.mc import (
     explore_shard,
     litmus_model,
 )
+from repro.verify.mc import engine as mc_engine
+from repro.verify.mc import fingerprint as fingerprint_module
 from repro.verify.mc.counterexample import crash_fingerprint
 from repro.verify.mc.fingerprint import canonical_bytes, fingerprint_parts
+from repro.workloads import WORKLOADS
 
 X, Y = 0x10, 0x11
 COMBO = ("MESI", "CXL", "MESI")
@@ -78,6 +85,8 @@ def test_canonical_encoding_sorts_unordered_containers():
 def test_fingerprint_rejects_non_primitive_parts():
     with pytest.raises(TypeError):
         fingerprint_parts((object(),))
+    with pytest.raises(TypeError):  # marshal rejects it too: no memo
+        fingerprint_module.state_bytes(((object(),), ()), {})
 
 
 class _Level(enum.IntEnum):
@@ -145,6 +154,119 @@ def test_fingerprints_stable_across_hash_seeds():
                              capture_output=True, text=True, check=True)
         values.append(int(out.stdout.strip()))
     assert len(set(values)) == 1, values
+
+
+# ---------------------------------------------------------------------------
+# The per-search part memo: never changes a fingerprint.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,broken,count", [
+    ("SB", False, 1659), ("MP", True, 1255),
+], ids=["SB", "MP-violate-atomicity"])
+def test_memoized_fingerprints_match_the_specification(monkeypatch, name,
+                                                       broken, count):
+    """Every state a drain fingerprints, through the drain's one memo,
+    fingerprints as ``fingerprint_parts(state_parts(...))`` says."""
+    model = litmus_model(name, COMBO)
+    model.violate_atomicity = broken
+    memos = []
+
+    def checked(system, network, memo):
+        fp = fingerprint_module.canonical_fingerprint(system, network, memo)
+        assert fp == fingerprint_parts(state_parts(system, network))
+        memos.append(memo)
+        return fp
+
+    monkeypatch.setattr(mc_engine, "canonical_fingerprint", checked)
+    fps = explore_shard(model, 0, 1, [((), None)], set())["new_fps"]
+    assert len(fps) == count  # the pinned discovery count
+    assert len(memos) >= count
+    assert all(memo is memos[0] for memo in memos)
+    assert 0 < len(memos[0]) <= fingerprint_module.MEMO_LIMIT
+
+
+# Trees shaped like ``state_parts`` output (component parts, then the
+# in-flight channels), equal under ``==`` but with ``True``/``1``,
+# ``False``/``0`` and ``1``/``1.0`` swapped in components and in a
+# channel entry.  Fingerprints computed with ``fingerprint_parts``
+# before the memo existed.
+_ENTRY = (("c3.0", "home", 1), (("GetM", 16, 0, None, 0, None, False),))
+_TYPED_TREES = [
+    ((("l1.0", ((16, "M", 1, True),), ()), ("home", 0, 1.0), (_ENTRY,)),
+     0x686fa284259187f0),
+    ((("l1.0", ((16, "M", True, 1),), ()), ("home", False, 1), (_ENTRY,)),
+     0x174d6e2ce045a2f0),
+    ((("l1.0", ((16, "M", 1.0, True),), ()), ("home", 0, 1.0),
+      ((("c3.0", "home", True), (("GetM", 16, False, None, 0, None, 0),)),)),
+     0xcf67387610e6f650),
+]
+
+
+def _memo_fingerprint(tree, memo) -> int:
+    return fingerprint_module._digest(
+        fingerprint_module.state_bytes(tree, memo))
+
+
+def test_memo_keys_tell_equal_parts_of_different_types_apart():
+    memo: dict = {}
+    for _ in range(2):  # the second round hits the memo
+        for tree, pinned in _TYPED_TREES:
+            assert tree == _TYPED_TREES[0][0]
+            assert _memo_fingerprint(tree, memo) == pinned
+            assert fingerprint_parts(tree) == pinned
+    assert len({pinned for _, pinned in _TYPED_TREES}) == 3
+
+
+def test_memo_encodes_unmarshallable_parts_as_canonical_bytes():
+    """An ``IntEnum`` member is no plain int: a part holding one skips
+    the memo, even when the equal plain-int part is memoized."""
+    plain = ((7, "x"), ())
+    member = ((_Level.HIGH, "x"), ())
+    memo: dict = {}
+    assert (fingerprint_module.state_bytes(plain, memo)
+            == canonical_bytes(plain))
+    assert (fingerprint_module.state_bytes(member, memo)
+            == canonical_bytes(member) != canonical_bytes(plain))
+    assert len(memo) == 1
+    assert _memo_fingerprint(member, memo) == fingerprint_parts(member)
+
+
+def test_memo_bound_changes_no_fingerprint(monkeypatch):
+    """A memo that keeps a single entry finds what an unbounded one does."""
+    model = litmus_model("MP", COMBO)
+    drains = []
+    for limit in (1, 1 << 30):
+        monkeypatch.setattr(fingerprint_module, "MEMO_LIMIT", limit)
+        drains.append(explore_shard(model, 0, 1, [((), None)], set()))
+    assert drains[0]["new_fps"] == drains[1]["new_fps"]
+    assert drains[0]["states"] == drains[1]["states"] > 0
+
+
+def test_fingerprinting_is_read_only():
+    """Like the invariant monitor, the fingerprint changes no line's
+    meta: an RCC cluster's bridge lines without a meta dict or without
+    a directory record keep it that way, and so do a MESI cluster's."""
+    config = two_cluster_config("RCC", "CXL", "MESI", cores_per_cluster=2,
+                                seed=3)
+    system = build_system(config)
+    system.run_threads(
+        WORKLOADS["histogram"].build(config.total_cores, scale=0.2, seed=3))
+    network = types.SimpleNamespace(outbox=[])  # nothing in flight
+
+    def snapshot():
+        return [(line._meta is None, sorted(line._meta or ()))
+                for cluster in system.clusters
+                for cache in [cluster.bridge.cache,
+                              *(l1.cache for l1 in cluster.l1s)]
+                for line in cache.lines()]
+
+    before = snapshot()
+    assert (True, []) in before and (False, ["stale"]) in before
+    assert (False, ["dir", "stale"]) in before
+    fp = canonical_fingerprint(system, network)
+    assert snapshot() == before
+    assert fp == fingerprint_parts(state_parts(system, network))
+    assert snapshot() == before
 
 
 # ---------------------------------------------------------------------------

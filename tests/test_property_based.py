@@ -47,8 +47,9 @@ def test_cache_capacity_invariants(ops, assoc):
             cache.remove(addr)
             present.discard(addr)
         # Invariants: per-set occupancy bound, global consistency.
-        for s in cache._sets:
-            assert s is None or len(s) <= assoc  # sets materialize lazily
+        for index, s in cache._sets.items():  # only non-empty sets exist
+            assert 0 < len(s) <= assoc
+            assert all(addr % cache.num_sets == index for addr in s)
         assert cache.occupancy() == len(present)
         assert sorted(line.addr for line in cache.lines()) == sorted(present)
 

@@ -25,6 +25,7 @@ import pathlib
 import signal
 import threading
 import time
+import types
 import urllib.request
 
 import pytest
@@ -171,6 +172,33 @@ def test_flight_recorder_is_a_bounded_ring():
     assert len(flight) == 3
     flight.clear()
     assert flight.dump() == [] and len(flight) == 0
+
+
+def test_flight_recorder_dump_shape(monkeypatch):
+    """dump() builds ``{"seq", "t", "kind", **detail}`` dicts, in that
+    key order, with ``t`` rounded to the millisecond and ``detail``
+    overriding the fixed keys; each dump is a fresh copy."""
+    import repro.obs.flight as flight_module
+
+    stamps = iter([1700000000.12345, 1700000001.9996, 1700000002.5])
+    monkeypatch.setattr(flight_module, "time",
+                        types.SimpleNamespace(time=lambda: next(stamps)))
+    flight = FlightRecorder(capacity=4)
+    flight.record("replay", depth=2, states=7)
+    flight.record("bare")
+    flight.record("odd", seq="mine", t=-1)
+    dump = flight.dump()
+    assert dump == [
+        {"seq": 1, "t": 1700000000.123, "kind": "replay", "depth": 2,
+         "states": 7},
+        {"seq": 2, "t": 1700000002.0, "kind": "bare"},
+        {"seq": "mine", "t": -1, "kind": "odd"},
+    ]
+    assert [list(event) for event in dump] == [
+        ["seq", "t", "kind", "depth", "states"], ["seq", "t", "kind"],
+        ["seq", "t", "kind"]]
+    dump[0]["depth"] = 99
+    assert flight.dump()[0]["depth"] == 2
 
 
 def test_flight_recorder_process_singleton():
