@@ -150,24 +150,6 @@ class C3Bridge(Node):
         self.recalls_done = 0
         self.local_txns = 0
 
-        # Local-message dispatch table, built once instead of per message.
-        on_request = self._on_local_request
-        on_response = self._on_local_response
-        self._local_dispatch = {
-            m.GETS: on_request,
-            m.GETM: on_request,
-            m.RCC_READ: on_request,
-            m.RCC_WRITE: on_request,
-            m.PUTS: on_request,
-            m.PUTE: on_request,
-            m.PUTM: on_request,
-            m.PUTO: on_request,
-            m.UNBLOCK: self._on_unblock,
-            m.INV_ACK: on_response,
-            m.WB_DATA: on_response,
-            m.OWNER_ACK: on_response,
-        }
-
     # ------------------------------------------------------------------
     # Line helpers.
     # ------------------------------------------------------------------
@@ -210,7 +192,7 @@ class C3Bridge(Node):
         handler = self._local_dispatch.get(msg.kind)
         if handler is None:
             raise ProtocolError(f"{self.node_id}: unexpected local {msg}")
-        handler(msg)
+        handler(self, msg)
 
     def _on_local_request(self, msg: m.Message) -> None:
         if self.blocked(msg.addr):
@@ -482,6 +464,24 @@ class C3Bridge(Node):
         if txn.phase == "acks" and txn.acks_got >= txn.acks_needed:
             self.engine.post(self.latency, self._grant_getm, txn, addr)
             txn.phase = "granting"
+
+    #: Local message kind -> handler function, called as
+    #: ``handler(self, msg)``.  Class-level, so no bridge holds bound
+    #: methods of itself.
+    _local_dispatch = {
+        m.GETS: _on_local_request,
+        m.GETM: _on_local_request,
+        m.RCC_READ: _on_local_request,
+        m.RCC_WRITE: _on_local_request,
+        m.PUTS: _on_local_request,
+        m.PUTE: _on_local_request,
+        m.PUTM: _on_local_request,
+        m.PUTO: _on_local_request,
+        m.UNBLOCK: _on_unblock,
+        m.INV_ACK: _on_local_response,
+        m.WB_DATA: _on_local_response,
+        m.OWNER_ACK: _on_local_response,
+    }
 
     def _apply_wb(self, line: CacheLine, rec: DirRecord, msg: m.Message) -> None:
         if self.policy.global_variant.perm(line.state) >= WRITE:

@@ -21,6 +21,7 @@ busy line.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -55,7 +56,8 @@ class GlobalPort:
     """Shared bookkeeping for both global protocol clients."""
 
     def __init__(self, bridge, home_id: str) -> None:
-        self.bridge = bridge
+        # Weak: the bridge owns its port (``bridge.port``).
+        self.bridge = weakref.proxy(bridge)
         self.home_id = home_id
         self.engine = bridge.engine
         self.pending: dict[int, PendingReq] = {}
@@ -146,16 +148,6 @@ class CxlPort(GlobalPort):
         #: addr -> {"snoop": Message, "granted": bool} while a BIConflict
         #: handshake is outstanding.
         self.conflict_state: dict[int, dict] = {}
-        # Message dispatch table, built once instead of per message.
-        self._dispatch = {
-            m.CMP_M: self._on_grant,
-            m.CMP_E: self._on_grant,
-            m.CMP_S: self._on_grant,
-            m.CMP: self._on_wb_done,
-            m.BI_SNP_INV: self._on_snoop,
-            m.BI_SNP_DATA: self._on_snoop,
-            m.BI_CONFLICT_ACK: self._on_conflict_ack,
-        }
 
     # -- requests ----------------------------------------------------------
     def request(self, addr, want, on_grant) -> None:
@@ -177,7 +169,7 @@ class CxlPort(GlobalPort):
         handler = self._dispatch.get(msg.kind)
         if handler is None:
             raise ProtocolError(f"{self.bridge.node_id}: unexpected global {msg}")
-        handler(msg)
+        handler(self, msg)
 
     def _on_grant(self, msg: m.Message) -> None:
         addr = msg.addr
@@ -261,6 +253,18 @@ class CxlPort(GlobalPort):
             msg.addr, "inv", lambda: self._conflict_invalidated(msg.addr)
         )
 
+    #: Message kind -> handler function, called as ``handler(self, msg)``.
+    #: Class-level, so no port holds bound methods of itself.
+    _dispatch = {
+        m.CMP_M: _on_grant,
+        m.CMP_E: _on_grant,
+        m.CMP_S: _on_grant,
+        m.CMP: _on_wb_done,
+        m.BI_SNP_INV: _on_snoop,
+        m.BI_SNP_DATA: _on_snoop,
+        m.BI_CONFLICT_ACK: _on_conflict_ack,
+    }
+
     def _conflict_invalidated(self, addr: int) -> None:
         line = self._line(addr)
         if line is not None:
@@ -318,19 +322,6 @@ class CxlPort(GlobalPort):
 class MesiPort(GlobalPort):
     """Hierarchical global-MESI client (baseline MESI-MESI-MESI systems)."""
 
-    def __init__(self, bridge, home_id: str) -> None:
-        super().__init__(bridge, home_id)
-        # Message dispatch table, built once instead of per message.
-        self._dispatch = {
-            m.DATA: self._on_dir_grant,
-            m.DATA_OWNER: self._on_owner_data,
-            m.INV_ACK: self._on_inv_ack,
-            m.INV: self._on_inv,
-            m.FWD_GETS: self._on_fwd,
-            m.FWD_GETM: self._on_fwd,
-            m.PUT_ACK: self._on_put_ack,
-        }
-
     # -- requests ----------------------------------------------------------
     def request(self, addr, want, on_grant) -> None:
         self.pending[addr] = PendingReq(want=want, on_grant=on_grant)
@@ -361,7 +352,7 @@ class MesiPort(GlobalPort):
         handler = self._dispatch.get(msg.kind)
         if handler is None:
             raise ProtocolError(f"{self.bridge.node_id}: unexpected global {msg}")
-        handler(msg)
+        handler(self, msg)
 
     def _on_dir_grant(self, msg: m.Message) -> None:
         pending = self.pending.get(msg.addr)
@@ -514,3 +505,14 @@ class MesiPort(GlobalPort):
         if record.span is not None:
             self.bridge.obs.close(record.span)
         record.on_done()
+
+    #: Message kind -> handler function, as on :class:`CxlPort`.
+    _dispatch = {
+        m.DATA: _on_dir_grant,
+        m.DATA_OWNER: _on_owner_data,
+        m.INV_ACK: _on_inv_ack,
+        m.INV: _on_inv,
+        m.FWD_GETS: _on_fwd,
+        m.FWD_GETM: _on_fwd,
+        m.PUT_ACK: _on_put_ack,
+    }

@@ -78,8 +78,9 @@ class MCMEngine:
     # The scans below start at the core's monotone base pointers: every
     # op before ``done_base()`` is DONE, and every op before
     # ``retired_base()`` already satisfies "reads DONE, writes at least
-    # buffered" (only stores can sit in RETIRED).  The timing core
-    # provides the pointers; abstract adapters may return 0.
+    # buffered" (only stores can sit in RETIRED).  Every core passed to
+    # an engine provides both pointers: the timing core keeps them
+    # monotone, the axiomatic adapter returns 0 (scan from the start).
 
     @staticmethod
     def _deps_done(op: Op, core) -> bool:
@@ -91,7 +92,7 @@ class MCMEngine:
 
     @staticmethod
     def _all_prior_done(i: int, core) -> bool:
-        start = core.done_base() if hasattr(core, "done_base") else 0
+        start = core.done_base()
         status = core.status
         for j in range(start, i):
             if status[j] != DONE:
@@ -101,7 +102,7 @@ class MCMEngine:
     @staticmethod
     def _prior_reads_done_writes_retired(i: int, core) -> bool:
         """TSO retire condition: loads performed, stores at least buffered."""
-        start = core.retired_base() if hasattr(core, "retired_base") else 0
+        start = core.retired_base()
         ops = core.ops
         status = core.status
         for j in range(start, i):
@@ -174,7 +175,7 @@ class WeakEngine(MCMEngine):
                 return False
         # Ops before retired_base: fences/acquires/RMWs/reads are DONE
         # and writes >= RETIRED -- every constraint below is satisfied.
-        start = core.retired_base() if hasattr(core, "retired_base") else 0
+        start = core.retired_base()
         op_addr = op.addr
         op_is_write = op.is_write
         for j in range(start, i):
@@ -212,7 +213,7 @@ class WeakEngine(MCMEngine):
         op = core.ops[i]
         if op.fence_kind == FENCE_FULL:
             return self._all_prior_done(i, core)
-        start = core.done_base() if hasattr(core, "done_base") else 0
+        start = core.done_base()
         if op.fence_kind == FENCE_ST:
             return all(
                 core.status[j] == DONE

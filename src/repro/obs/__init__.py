@@ -106,6 +106,25 @@ class Observability:
             engine.sampler = self.sampler
         return self
 
+    def detach(self) -> None:
+        """Unhook from the system :meth:`attach` wired into.
+
+        What was recorded stays readable here.  The system no longer
+        refers to the recorder, whose recall spans refer back to the
+        bridges, so a finished system is freed by reference counting
+        as soon as its last holder drops it.
+        """
+        system = self.system
+        if system is None:
+            return
+        system.engine.span_recorder = None
+        system.engine.sampler = None
+        system.network.obs = None
+        for l1 in system.l1s:
+            l1.obs = None
+        for cluster in system.clusters:
+            cluster.bridge.obs = None
+
     def finalize(self) -> dict:
         """Collect everything into a JSON-ready dump (idempotent)."""
         if self._dump is not None:

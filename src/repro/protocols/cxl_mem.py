@@ -77,14 +77,6 @@ class Dcoh(Node):
         self.conflicts_acked = 0
         self.queued_total = 0
         self.queue_wait_ticks = 0
-        # Message dispatch table, built once instead of per message.
-        self._dispatch = {
-            m.BI_CONFLICT: self._on_bi_conflict,
-            m.MEM_RD: self._on_mem_rd,
-            m.MEM_WR: self._on_mem_wr,
-            m.BI_RSP_I: self._on_snoop_rsp,
-            m.BI_RSP_S: self._on_snoop_rsp,
-        }
 
     def line(self, addr: int) -> HomeLine:
         """The directory entry for ``addr`` (created on first touch)."""
@@ -96,11 +88,11 @@ class Dcoh(Node):
 
     # ------------------------------------------------------------------
     def handle_message(self, msg: m.Message) -> None:
-        """Process one incoming CXL.mem request/response (precomputed table)."""
+        """Process one incoming CXL.mem request/response (class-level table)."""
         handler = self._dispatch.get(msg.kind)
         if handler is None:
             raise ProtocolError(f"{self.node_id}: unexpected {msg}")
-        handler(msg)
+        handler(self, msg)
 
     def _on_bi_conflict(self, msg: m.Message) -> None:
         # Answered immediately, never queued: the handshake must cut
@@ -238,6 +230,16 @@ class Dcoh(Node):
             self.send,
             m.Message(m.CMP, addr, self.node_id, msg.src),
         )
+
+    #: Message kind -> handler function, called as ``handler(self, msg)``.
+    #: Class-level, so the home holds no bound methods of itself.
+    _dispatch = {
+        m.BI_CONFLICT: _on_bi_conflict,
+        m.MEM_RD: _on_mem_rd,
+        m.MEM_WR: _on_mem_wr,
+        m.BI_RSP_I: _on_snoop_rsp,
+        m.BI_RSP_S: _on_snoop_rsp,
+    }
 
     # ------------------------------------------------------------------
     def quiescent(self) -> bool:

@@ -53,15 +53,6 @@ class GlobalMesiDir(Node):
         self.transactions = 0
         self.forwards_sent = 0
         self.invs_sent = 0
-        # Message dispatch table, built once instead of per message.
-        self._dispatch = {
-            m.GETS: self._on_get,
-            m.GETM: self._on_get,
-            m.WB_DATA: self._on_wb_data,
-            m.PUTS: self._on_put,
-            m.PUTE: self._on_put,
-            m.PUTM: self._on_put,
-        }
 
     def line(self, addr: int) -> GLine:
         """The directory entry for ``addr`` (created on first touch)."""
@@ -73,11 +64,11 @@ class GlobalMesiDir(Node):
 
     # ------------------------------------------------------------------
     def handle_message(self, msg: m.Message) -> None:
-        """Process one incoming request/writeback (precomputed table)."""
+        """Process one incoming request/writeback (class-level table)."""
         handler = self._dispatch.get(msg.kind)
         if handler is None:
             raise ProtocolError(f"{self.node_id}: unexpected {msg}")
-        handler(msg)
+        handler(self, msg)
 
     def _on_get(self, msg: m.Message) -> None:
         line = self.line(msg.addr)
@@ -175,6 +166,17 @@ class GlobalMesiDir(Node):
             self.handle_message(queue.popleft())
         if queue is not None and not queue:
             del self.queues[addr]
+
+    #: Message kind -> handler function, called as ``handler(self, msg)``.
+    #: Class-level, so the home holds no bound methods of itself.
+    _dispatch = {
+        m.GETS: _on_get,
+        m.GETM: _on_get,
+        m.WB_DATA: _on_wb_data,
+        m.PUTS: _on_put,
+        m.PUTE: _on_put,
+        m.PUTM: _on_put,
+    }
 
     def quiescent(self) -> bool:
         """No data-pending window or queued request outstanding."""

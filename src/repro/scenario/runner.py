@@ -121,6 +121,9 @@ def run_scenario(scenario: Scenario) -> dict:
         "rule2_violations": rule2,
         "coverage": _coverage(system, recorder, plan, failure),
     }
+    # The span layer is the one cycle a finished scenario system is
+    # part of; unhooked, the system frees itself when dropped.
+    obs.detach()
     return outcome
 
 

@@ -96,15 +96,6 @@ class L1Controller(Node):
         self._room_waiters: dict[int, deque] = {}
         self.hits = 0
         self.misses = 0
-        # Message dispatch table, built once instead of per message.
-        self._dispatch = {
-            m.DATA: self._on_grant,
-            m.DATA_OWNER: self._on_peer_data,
-            m.FWD_GETS: self._on_fwd_gets,
-            m.FWD_GETM: self._on_fwd_getm,
-            m.INV: self._on_inv,
-            m.PUT_ACK: self._on_put_ack,
-        }
 
     # ------------------------------------------------------------------
     # Core-facing interface.
@@ -254,11 +245,11 @@ class L1Controller(Node):
     # Network-facing handlers.
     # ------------------------------------------------------------------
     def handle_message(self, msg: m.Message) -> None:
-        """Dispatch one incoming coherence message (precomputed table)."""
+        """Dispatch one incoming coherence message (class-level table)."""
         handler = self._dispatch.get(msg.kind)
         if handler is None:
             raise ProtocolError(f"{self.node_id}: unexpected {msg}")
-        handler(msg)
+        handler(self, msg)
 
     def _on_grant(self, msg: m.Message) -> None:
         """Grant from the directory (completes GetM; or dir-sourced GetS data)."""
@@ -499,6 +490,17 @@ class L1Controller(Node):
         self.cache.remove(msg.addr)
         self._room_available(msg.addr % self.cache.num_sets)
 
+    #: Message kind -> handler function, called as ``handler(self, msg)``.
+    #: Class-level, so no instance holds bound methods of itself.
+    _dispatch = {
+        m.DATA: _on_grant,
+        m.DATA_OWNER: _on_peer_data,
+        m.FWD_GETS: _on_fwd_gets,
+        m.FWD_GETM: _on_fwd_getm,
+        m.INV: _on_inv,
+        m.PUT_ACK: _on_put_ack,
+    }
+
     # ------------------------------------------------------------------
     # Introspection helpers used by the verification layer.
     # ------------------------------------------------------------------
@@ -543,11 +545,6 @@ class RccL1(Node):
         self._write_cbs: dict[int, deque] = {}  # addr -> write-ack callbacks
         self.hits = 0
         self.misses = 0
-        self._dispatch = {
-            m.RCC_DATA: self._on_rcc_data,
-            m.RCC_WRITE_ACK: self._on_rcc_write_ack,
-            m.INV: self._on_inv,
-        }
 
     def core_request(self, kind, addr, value, callback) -> None:
         """Core-facing entry for the RCC cache; answers via ``callback``."""
@@ -604,7 +601,7 @@ class RccL1(Node):
         handler = self._dispatch.get(msg.kind)
         if handler is None:
             raise ProtocolError(f"{self.node_id}: unexpected {msg}")
-        handler(msg)
+        handler(self, msg)
 
     def _on_rcc_data(self, msg: m.Message) -> None:
         queue = self._pending.pop(msg.addr, deque())
@@ -631,6 +628,13 @@ class RccL1(Node):
     def _on_inv(self, msg: m.Message) -> None:
         # RCC L1s are not tracked; a defensive ack keeps interop simple.
         self.send(m.Message(m.INV_ACK, msg.addr, self.node_id, self.dir_id))
+
+    #: Message kind -> handler function, as on :class:`L1Controller`.
+    _dispatch = {
+        m.RCC_DATA: _on_rcc_data,
+        m.RCC_WRITE_ACK: _on_rcc_write_ack,
+        m.INV: _on_inv,
+    }
 
     def line_state(self, addr: int) -> str:
         """Validity state of ``addr`` (V or I)."""

@@ -19,11 +19,25 @@ All three live in one place, :meth:`Network.send`: ``send_many`` is a
 loop over it, fault actions apply inside it, and it reaches the engine
 only through ``post_at``/``post_many``, so the event queue's layout is
 private to :mod:`repro.sim.engine`.
+
+Per direction of a link, everything a send reads or writes sits in one
+:class:`_Wire` record: the link's timing, the time the wire is busy
+until, one FIFO floor per virtual network and the receiving node's
+``handle_message``.  A send makes one lookup, ``wires[src][dst]``.
+Wires are made on the first send over a pair, so a network whose
+messages never pass through :meth:`Network.send` (the model checker's
+interceptor) builds none.
+
+A :class:`Node` holds its network through a weak proxy: the network
+owns the nodes (and their handlers, through the wires), so a finished
+system has no reference cycle through the fabric and is freed by
+reference counting as soon as it is dropped.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from typing import Any
 
@@ -46,12 +60,41 @@ class Link:
     jitter: int = 0
 
 
+class _Wire:
+    """One direction of one link, as :meth:`Network.send` uses it.
+
+    ``latency``/``flit_bytes``/``flit_cycle``/``jitter`` copy the
+    :class:`Link` (a later :meth:`Network.connect` of the pair rewrites
+    them); ``busy_until`` is the tick the wire finishes serializing its
+    last message; ``last_arrival[vnet]`` is the last arrival scheduled
+    on that virtual network, the per-channel FIFO floor; ``handler`` is
+    the receiver's ``handle_message``.
+    """
+
+    __slots__ = ("latency", "flit_bytes", "flit_cycle", "jitter",
+                 "busy_until", "last_arrival", "handler")
+
+    def __init__(self, link: Link, handler) -> None:
+        self.retime(link)
+        self.busy_until = 0
+        self.last_arrival = [-1] * len(VNET_NAMES)
+        self.handler = handler
+
+    def retime(self, link: Link) -> None:
+        """Take the timing of ``link``; occupancy and FIFO floors stay."""
+        self.latency = link.latency
+        self.flit_bytes = link.flit_bytes
+        self.flit_cycle = link.flit_cycle
+        self.jitter = link.jitter
+
+
 class Node:
     """Base class for every message-handling component."""
 
     def __init__(self, engine: Engine, network: "Network", node_id: str) -> None:
         self.engine = engine
-        self.network = network
+        # Weak: the network owns its nodes (see the module docstring).
+        self.network = weakref.proxy(network)
         self.node_id = node_id
         network.register(self)
 
@@ -98,12 +141,11 @@ class Network:
         self.rng: random.Random | None = None
         self._seed = seed
         self.nodes: dict[str, Node] = {}
-        #: ``node_id -> bound handle_message``: the delivery table, so
-        #: a send binds no method.
+        #: ``node_id -> bound handle_message``, copied into each wire.
         self._handlers: dict[str, Any] = {}
         self.links: dict[tuple[str, str], Link] = {}
-        self._last_arrival: dict[tuple[str, str, int], int] = {}
-        self._link_busy_until: dict[tuple[str, str], int] = {}
+        #: ``src -> {dst: _Wire}``, filled by the first send on a pair.
+        self._wires: dict[str, dict[str, _Wire]] = {}
         self.stats = NetworkStats()
         # Span recorder (repro.obs) or None; send() pays one test.
         self.obs = None
@@ -119,12 +161,30 @@ class Network:
         self._handlers[node.node_id] = node.handle_message
 
     def connect(self, src: str, dst: str, link: Link, bidirectional: bool = True) -> None:
-        """Install a link between two endpoints."""
+        """Install a link between two endpoints.
+
+        Re-connecting a pair that has carried messages changes the
+        timing of later sends only: the wire stays busy as long as it
+        was, and no channel's FIFO floor moves.
+        """
         if link.jitter and self.rng is None:
             self.rng = random.Random(self._seed)
-        self.links[(src, dst)] = link
-        if bidirectional:
-            self.links[(dst, src)] = link
+        pairs = ((src, dst), (dst, src)) if bidirectional else ((src, dst),)
+        for a, b in pairs:
+            self.links[(a, b)] = link
+            wire = self._wires.get(a, {}).get(b)
+            if wire is not None:
+                wire.retime(link)
+
+    def _wire(self, src: str, dst: str) -> _Wire:
+        """The wire ``src -> dst``, made on first use."""
+        link = self.links.get((src, dst))
+        if link is None:
+            # Called from send's lookup miss: no chained KeyError.
+            raise KeyError(f"no link {src} -> {dst}") from None
+        wire = _Wire(link, self._handlers[dst])
+        self._wires.setdefault(src, {})[dst] = wire
+        return wire
 
     def send(self, msg: Message) -> None:
         """Schedule delivery of ``msg`` respecting per-channel FIFO order
@@ -135,23 +195,22 @@ class Network:
         fault plan selects leaves through :meth:`_faulted_deliveries`;
         every other one is counted in place and posted at its arrival.
         """
-        src, dst = msg.src, msg.dst
-        wire = (src, dst)
-        link = self.links.get(wire)
-        if link is None:
-            raise KeyError(f"no link {src} -> {dst}")
+        try:
+            wire = self._wires[msg.src][msg.dst]
+        except KeyError:
+            wire = self._wire(msg.src, msg.dst)
         engine = self.engine
         now = engine.now
-        flit_bytes = link.flit_bytes
+        flit_bytes = wire.flit_bytes
         serialization = (
-            (msg.size + flit_bytes - 1) // flit_bytes) * link.flit_cycle
-        busy_until = self._link_busy_until
-        start = busy_until.get(wire, 0)
+            (msg.size + flit_bytes - 1) // flit_bytes) * wire.flit_cycle
+        start = wire.busy_until
         if start < now:
             start = now
-        busy_until[wire] = start + serialization
-        arrival = start + serialization + link.latency
-        jitter = link.jitter
+        start += serialization
+        wire.busy_until = start
+        arrival = start + wire.latency
+        jitter = wire.jitter
         if jitter:
             # rng.randrange(jitter + 1) inlined as its exact getrandbits
             # rejection loop: the same draw stream without the call.
@@ -166,16 +225,14 @@ class Network:
         if faults is not None:
             action = faults.action_for(msg)
             if action is not None:
-                engine.post_many(
-                    self._faulted_deliveries(msg, action, arrival, now))
+                engine.post_many(self._faulted_deliveries(
+                    msg, wire, action, arrival, now))
                 return
         vnet = msg.vnet
-        channel = (src, dst, vnet)
-        last_arrival = self._last_arrival
-        floor = last_arrival.get(channel, -1) + 1
-        if arrival < floor:
-            arrival = floor
-        last_arrival[channel] = arrival
+        last_arrival = wire.last_arrival
+        if arrival <= last_arrival[vnet]:
+            arrival = last_arrival[vnet] + 1
+        last_arrival[vnet] = arrival
         # stats.record(msg), inlined.
         stats = self.stats
         stats.messages += 1
@@ -187,7 +244,7 @@ class Network:
         obs = self.obs
         if obs is not None:
             obs.on_message(msg, arrival - now)
-        engine.post_at(arrival, self._handlers[dst], msg)
+        engine.post_at(arrival, wire.handler, msg)
 
     def send_many(self, msgs) -> None:
         """Send a batch of messages: one :meth:`send` per message, in order.
@@ -204,8 +261,8 @@ class Network:
         for msg in msgs:
             send(msg)
 
-    def _faulted_deliveries(self, msg: Message, action, arrival: int,
-                            now: int) -> tuple:
+    def _faulted_deliveries(self, msg: Message, wire: _Wire, action,
+                            arrival: int, now: int) -> tuple:
         """Deliveries for a message selected by the fault plan.
 
         ``action`` is ``(verb, extra_ticks)`` from
@@ -225,28 +282,27 @@ class Network:
             if obs is not None:
                 obs.on_message(msg, 0)
             return ()
-        channel = (msg.src, msg.dst, msg.vnet)
-        last_arrival = self._last_arrival
+        vnet = msg.vnet
+        last_arrival = wire.last_arrival
         if verb == "reorder":
             arrival += extra
         else:
             if verb == "delay":
                 arrival += extra
-            floor = last_arrival.get(channel, -1) + 1
-            if arrival < floor:
-                arrival = floor
-            last_arrival[channel] = arrival
+            if arrival <= last_arrival[vnet]:
+                arrival = last_arrival[vnet] + 1
+            last_arrival[vnet] = arrival
         stats.record(msg)
         if obs is not None:
             obs.on_message(msg, arrival - now)
-        handler = self._handlers[msg.dst]
+        handler = wire.handler
         if verb != "duplicate":
             return ((arrival, handler, (msg,)),)
         from repro.scenario.faults import clone_message
 
         copy = clone_message(msg)
         copy_arrival = arrival + 1
-        last_arrival[channel] = copy_arrival
+        last_arrival[vnet] = copy_arrival
         stats.record(copy)
         if obs is not None:
             obs.on_message(copy, copy_arrival - now)

@@ -161,12 +161,15 @@ class System:
     def close(self) -> None:
         """Kill this system so reference counting frees it when dropped.
 
-        A wired system is a web of reference cycles (nodes and the
-        network that routes to them, bound-method dispatch tables,
-        pending-work closures), which only the cycle collector could
-        otherwise reclaim.  Clearing the instance dict of every
-        component cuts all of them at once.  The system and its
-        components are unusable afterwards, so read any counters first.
+        A system that ran to completion needs no close: every back-edge
+        of its graph is weak, so dropping it frees it.  A system stopped
+        mid-run (a checker state, a failed run) still holds reference
+        cycles through its pending work -- closures parked in MSHRs,
+        transactions and the event queue -- which only the cycle
+        collector could otherwise reclaim.  Clearing the instance dict
+        of every component cuts all of them at once.  The system and
+        its components are unusable afterwards, so read any counters
+        first.
         """
         parts = [self, self.engine, self.network, self.home, self.backing]
         for cluster in self.clusters:

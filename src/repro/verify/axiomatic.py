@@ -32,6 +32,14 @@ class _Adapter:
         self.ops = ops
         self.status = status
 
+    def retired_base(self) -> int:
+        """No monotone pointer here: the engines scan from op 0."""
+        return 0
+
+    def done_base(self) -> int:
+        """No monotone pointer here: the engines scan from op 0."""
+        return 0
+
 
 def enumerate_outcomes(
     programs: list[ThreadProgram],

@@ -299,17 +299,31 @@ def attach_monitor(system, period_ticks: int = 5_000) -> list:
     """Sample every invariant each ``period_ticks`` while events remain.
 
     Returns a list that accumulates violations (as exceptions) instead
-    of raising, so a run can be inspected post-mortem.
+    of raising, so a run can be inspected post-mortem.  Only the pending
+    sample event refers to the monitor, so a run that drains its events
+    leaves no reference cycle behind.
     """
-    violations: list[ConsistencyViolation] = []
+    monitor = _Monitor(system, period_ticks)
+    system.engine.post(period_ticks, monitor.sample)
+    return monitor.violations
 
-    def sample():
+
+class _Monitor:
+    """The periodic sampler :func:`attach_monitor` posts."""
+
+    __slots__ = ("system", "period_ticks", "violations")
+
+    def __init__(self, system, period_ticks: int) -> None:
+        self.system = system
+        self.period_ticks = period_ticks
+        self.violations: list[ConsistencyViolation] = []
+
+    def sample(self) -> None:
+        """Check every invariant; re-post while other events remain."""
         try:
-            check_all(system)
+            check_all(self.system)
         except ConsistencyViolation as exc:
-            violations.append(exc)
-        if system.engine.pending():
-            system.engine.post(period_ticks, sample)
-
-    system.engine.post(period_ticks, sample)
-    return violations
+            self.violations.append(exc)
+        engine = self.system.engine
+        if engine.pending():
+            engine.post(self.period_ticks, self.sample)

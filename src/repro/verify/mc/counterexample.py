@@ -71,6 +71,12 @@ class Counterexample:
         invalidate a delivery index produce a *different* crash
         fingerprint than the original failure and are thus rejected by
         the signature comparison, no special-casing needed.
+
+        The replayed system is closed
+        (:meth:`~repro.sim.system.System.close`) once classified: a
+        shrink makes hundreds of probes, and a replayed state may hold
+        pending work whose closures only the cycle collector could
+        otherwise free.
         """
         candidate = self.path if path is None else tuple(path)
         try:
@@ -79,7 +85,10 @@ class Counterexample:
             return (KIND_INVARIANT, crash_fingerprint(exc))
         except Exception as exc:
             return (KIND_CRASH, crash_fingerprint(exc))
-        return _state_signature(self.model, system, network)
+        try:
+            return _state_signature(self.model, system, network)
+        finally:
+            system.close()
 
     def reproduces(self) -> bool:
         """Does replaying the stored path still fail identically?"""

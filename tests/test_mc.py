@@ -606,6 +606,18 @@ def test_closed_systems_leave_no_cycles(gc_off, broken):
         assert gc.collect() == 0, model.combo
 
 
+def test_shrinking_leaves_little_for_the_collector(broken_mp, gc_off):
+    """Every probe of a shrink closes its replayed system, and the
+    shrunk path and signature are the ones the search produced."""
+    found = broken_mp.counterexamples[0]
+    raw = Counterexample(found.model, found.path, found.kind, found.message,
+                         found.fingerprint)
+    shrunk = raw.shrink()
+    assert gc.collect() < 500
+    assert shrunk.path == found.path == (0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0)
+    assert shrunk.signature == found.signature
+
+
 def test_check_model_leaves_little_for_the_collector(gc_off):
     result = check_litmus("SB", COMBO, max_states=0)
     assert result.ok

@@ -103,8 +103,40 @@ def test_unknown_link_raises():
     network = Network(engine)
     Sink(engine, network, "a")
     Sink(engine, network, "b")
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="no link a -> b"):
         network.send(Message(GETS, 0, "a", "b"))
+    assert network._wires == {}  # a failed send leaves no wire behind
+    assert network.stats.messages == 0
+
+
+def test_wires_are_made_by_the_first_send():
+    """connect() makes no wire: a network whose messages never pass
+    through send (the model checker's interceptor) builds none."""
+    engine, network, a, b = make_pair()
+    assert network._wires == {}
+    network.send(Message(GETS, 0, "a", "b"))
+    assert list(network._wires) == ["a"] and list(network._wires["a"]) == ["b"]
+
+
+def test_reconnect_retimes_a_used_wire_but_keeps_its_state():
+    """Re-connecting a pair that has carried messages changes the timing
+    of later sends; the wire's busy-until and per-vnet FIFO floors stay."""
+    engine, network, a, b = make_pair()
+    network.connect("a", "b", Link(latency=100, flit_bytes=8, flit_cycle=10))
+    network.send(Message(DATA, 0x10, "a", "b", data=1))  # 9 flits: 90 + 100
+    wire = network._wires["a"]["b"]
+    assert (wire.busy_until, wire.last_arrival[VNET_RESP]) == (90, 190)
+    network.connect("a", "b", Link(latency=10, flit_bytes=72, flit_cycle=10))
+    assert network._wires["a"]["b"] is wire
+    assert (wire.busy_until, wire.last_arrival[VNET_RESP]) == (90, 190)
+    # New timing, old occupancy: starts at 90, one 10-tick flit, 10 latency.
+    network.send(Message(GETS, 0x20, "a", "b"))
+    # The response channel's floor holds: 100 + 10 + 10 = 120 -> 191.
+    network.send(Message(DATA, 0x30, "a", "b", data=2))
+    engine.run()
+    assert [(t, m.addr) for t, m in b.received] == [
+        (110, 0x20), (190, 0x10), (191, 0x30)]
+    assert a.received == []
 
 
 def test_duplicate_node_id_rejected():

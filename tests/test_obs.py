@@ -117,6 +117,21 @@ def test_obs_off_leaves_components_untouched():
     assert "obs" not in result.extra
 
 
+def test_detach_unhooks_the_system_and_keeps_the_record():
+    system = contended_system()
+    obs = Observability(sample_engine=True).attach(system)
+    system.run_threads(contended_programs(rounds=2), placement=[0, 1, 2, 3])
+    recorded = len(obs.recorder.spans)
+    obs.detach()
+    assert system.engine.span_recorder is None
+    assert system.engine.sampler is None
+    assert system.network.obs is None
+    assert all(l1.obs is None for l1 in system.l1s)
+    assert all(c.bridge.obs is None for c in system.clusters)
+    assert recorded > 0 and len(obs.recorder.spans) == recorded
+    assert obs.finalize()["spans"]["total"] == recorded
+
+
 # ---------------------------------------------------------------------------
 # Runtime Rule-II audit.
 # ---------------------------------------------------------------------------

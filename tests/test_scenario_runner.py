@@ -8,6 +8,7 @@ injected ``violate_atomicity`` defect and shrinks it to a 1-minimal
 replayable scenario, and the CLI exit-code contract.
 """
 
+import gc
 import glob
 import json
 import os
@@ -73,6 +74,25 @@ def test_outcome_shape_and_determinism():
 def test_outcome_is_json_pure():
     outcome = run_scenario(Scenario.from_dict(_quick_doc()))
     assert json.loads(json.dumps(outcome)) == outcome
+
+
+@pytest.mark.parametrize("faults", [[], [{"kind": "delay", "vnet": "resp",
+                                        "delay_ns": 40, "count": 4}]],
+                         ids=["clean", "delayed"])
+def test_finished_scenario_leaves_nothing_for_the_collector(faults):
+    """A passing scenario detaches its span layer and its monitor stops
+    re-posting, so reference counting frees the whole run: the span
+    recorder, the fault plan and the system."""
+    scenario = Scenario.from_dict(_quick_doc(faults=faults))
+    expected = run_scenario(scenario)  # also fills one-off caches
+    gc.collect()
+    gc.disable()
+    try:
+        outcome = run_scenario(scenario)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert outcome == expected and outcome["status"] == "ok"
 
 
 def test_run_scenario_cell_round_trips_the_dict():

@@ -1,10 +1,14 @@
 """End-to-end integration smoke tests across protocol combinations."""
 
+import gc
+
 import pytest
 
 from repro.cpu.isa import ThreadProgram, fence, load, rmw, store
 from repro.sim.config import two_cluster_config
 from repro.sim.system import build_system
+from repro.verify import invariants
+from repro.workloads import WORKLOADS
 
 COMBOS = [
     ("MESI", "MESI", "MESI"),
@@ -131,3 +135,31 @@ def test_same_line_war_between_clusters():
     # {st_a,st_b,+10,+100}=112, {st_a,+10,st_b,+100}=102,
     # {st_b,st_a,...}=111, {st_b,+100,st_a,+10}=11.
     assert result.per_core_regs[0]["final"] in (112, 102, 111, 11)
+
+
+PAIRINGS = [(local, glob) for glob in ("CXL", "MESI")
+            for local in ("MESI", "MESIF", "MOESI", "RCC")]
+
+
+@pytest.mark.parametrize("kernel", ["barnes", "raytrace"])
+@pytest.mark.parametrize("pairing", PAIRINGS, ids="-".join)
+def test_finished_system_leaves_no_cycles(pairing, kernel):
+    """A system that ran to completion holds no reference cycle: with
+    the cycle collector off, dropping it frees every object it made."""
+    local, glob = pairing
+    mcm = "RCC" if local == "RCC" else "WEAK"
+    config = two_cluster_config(local, glob, local, mcm_a=mcm, mcm_b=mcm,
+                                cores_per_cluster=2, seed=5)
+    programs = WORKLOADS[kernel].build(config.total_cores, scale=0.2, seed=5)
+    build_system(config)  # first build of a pairing: one-off caches
+    gc.collect()
+    gc.disable()
+    try:
+        system = build_system(config)
+        result = system.run_threads(programs)
+        invariants.check_all(system)
+        del system
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert result.messages > 0
