@@ -1,19 +1,17 @@
-"""Model-checker throughput: mc serial vs sharded queue.
+"""Model-checker throughput: mc serial vs sharded over the process pool.
 
 Not a paper figure: this keeps the sharded engine honest.  It explores
 the SB litmus program exhaustively (~1.7k states) two ways -- the mc
 engine with one shard, and the mc engine partitioned into 4 shards over
-a 2-worker loopback queue fleet -- asserts the two searches agree
+a 2-worker local process pool -- asserts the two searches agree
 exactly (states, terminals, outcomes), and records states/second for
 each.
 
 The speedup gate is adaptive: partition-by-hash only pays when real
 cores run the shards, so the ``sharded >= 1.3x serial`` bound applies
-on multi-core hosts only.  On a single-core box (the 1-core reference
-environment, same policy as the queue-vs-pool dist bench) the sharded
-run still must complete and agree; its ratio is recorded honestly so
-the history in ``BENCH_explore.json`` shows the trajectory across
-environments.
+on multi-core hosts only.  On a single-core box the sharded run still
+must complete and agree; its ratio is recorded honestly so the history
+in ``BENCH_explore.json`` shows the trajectory across environments.
 """
 
 import json
@@ -24,7 +22,7 @@ import time
 import pytest
 
 from repro.core.generator import FSM_CACHE_ENV, clear_fsm_cache, warm_fsm_cache
-from repro.harness.dist.broker import QueueBackend
+from repro.harness.dist import resolve_backend
 from repro.verify.mc.engine import ModelChecker
 from repro.verify.mc.model import litmus_model
 
@@ -55,10 +53,10 @@ def test_sharded_exploration_throughput(benchmark, save_result, tmp_path,
 
     def run():
         serial, serial_rate = _mc_rate(1, "serial")
-        fleet = QueueBackend(workers=WORKERS, backoff_base=0.01,
-                             initializer=warm_fsm_cache,
-                             initargs=(FSM_PAIRS,))
-        sharded, sharded_rate = _mc_rate(SHARDS, fleet)
+        pool = resolve_backend("local", jobs=WORKERS,
+                               initializer=warm_fsm_cache,
+                               initargs=(FSM_PAIRS,))
+        sharded, sharded_rate = _mc_rate(SHARDS, pool)
         return serial, serial_rate, sharded, sharded_rate
 
     try:
@@ -77,7 +75,7 @@ def test_sharded_exploration_throughput(benchmark, save_result, tmp_path,
     cores = os.cpu_count() or 1
     ratio_sharded_serial = sharded_rate / serial_rate
     if cores >= 2:
-        # With real cores under the fleet, partitioning must pay.
+        # With real cores under the pool, partitioning must pay.
         assert ratio_sharded_serial >= 1.3, (
             f"sharded {sharded_rate:.0f} st/s vs serial {serial_rate:.0f} "
             f"st/s ({ratio_sharded_serial:.2f}x < 1.3x on {cores} cores)")
@@ -108,6 +106,6 @@ def test_sharded_exploration_throughput(benchmark, save_result, tmp_path,
         "mc_throughput",
         f"{LITMUS} on {'-'.join(COMBO)}: {serial.states} states; "
         f"mc serial {serial_rate:.0f} st/s, "
-        f"mc {SHARDS}-shard/queue:{WORKERS} {sharded_rate:.0f} st/s "
+        f"mc {SHARDS}-shard/local:{WORKERS} {sharded_rate:.0f} st/s "
         f"({ratio_sharded_serial:.2f}x serial, cpu_count={cores})",
     )

@@ -14,11 +14,6 @@ instrumentation hooks.  Two measurements on the small fft simulation:
   reported as a ratio over the obs-off run of the same workload.  Spans
   allocate per memory op, so this is bounded loosely (4x) and recorded
   for trend tracking rather than gated tightly.
-- **telemetry channel overhead** -- the same small loopback ``queue:2``
-  sweep with the fleet telemetry channel on vs off.  Frames piggyback
-  on traffic the worker already sends, so the ratio should be noise;
-  it is bounded loosely (3x, worker spawn dominates both sides) and
-  recorded for trend tracking.
 
 All measurements are appended to ``BENCH_obs.json`` at the repo root,
 same scheme as ``BENCH_sweep.json``.  See ``docs/OBSERVABILITY.md``.
@@ -60,28 +55,6 @@ def _sweep_baseline_s() -> float | None:
                if entry.get("grid_cells") == GRID_CELLS
                and isinstance(entry.get("serial_s"), (int, float))]
     return statistics.median(samples) if samples else None
-
-
-def _telemetry_sweep_s(telemetry: bool) -> float:
-    """Wall time of a 4-cell loopback queue:2 sweep, telemetry on/off."""
-    from repro.harness.dist.broker import QueueBackend
-    from repro.harness.sweep import SweepCell
-
-    cells = [SweepCell(key=f"fft{seed}", fn=run_workload,
-                       kwargs=dict(name="fft", scale=0.3, seed=seed,
-                                   obs=True))
-             for seed in (1, 2, 3, 4)]
-    backend = QueueBackend(workers=2, backoff_base=0.01,
-                           telemetry=telemetry)
-    start = time.perf_counter()
-    out = backend.submit(cells)
-    elapsed = time.perf_counter() - start
-    assert len(out) == 4
-    if telemetry:
-        assert backend.fleet.workers()  # frames actually flowed
-    else:
-        assert backend.fleet.workers() == []  # channel fully off
-    return elapsed
 
 
 def _append_record(record: dict) -> None:
@@ -126,12 +99,6 @@ def test_obs_off_and_on_overhead(benchmark, save_result):
     regression = obs_off_s / baseline_s if baseline_s else None
     overhead = fft_on_s / fft_off_s if fft_off_s > 0 else float("inf")
 
-    # Telemetry channel on/off over a real loopback fleet.
-    telemetry_off_s = _telemetry_sweep_s(telemetry=False)
-    telemetry_on_s = _telemetry_sweep_s(telemetry=True)
-    telemetry_overhead = (telemetry_on_s / telemetry_off_s
-                          if telemetry_off_s > 0 else float("inf"))
-
     record = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "cpu_count": os.cpu_count(),
@@ -143,9 +110,6 @@ def test_obs_off_and_on_overhead(benchmark, save_result):
         "fft_obs_on_s": round(fft_on_s, 4),
         "obs_on_overhead": round(overhead, 4),
         "spans_recorded": traced.extra["obs"]["spans"]["total"],
-        "telemetry_off_s": round(telemetry_off_s, 4),
-        "telemetry_on_s": round(telemetry_on_s, 4),
-        "telemetry_overhead": round(telemetry_overhead, 4),
     }
     _append_record(record)
     save_result(
@@ -154,9 +118,7 @@ def test_obs_off_and_on_overhead(benchmark, save_result):
         f"{baseline_s if baseline_s else 'n/a'} "
         f"(ratio {regression if regression else 'n/a'})\n"
         f"fft obs-on {fft_on_s:.3f}s vs obs-off {fft_off_s:.3f}s "
-        f"({overhead:.2f}x, {record['spans_recorded']} spans)\n"
-        f"telemetry queue:2 sweep on {telemetry_on_s:.3f}s vs off "
-        f"{telemetry_off_s:.3f}s ({telemetry_overhead:.2f}x)")
+        f"({overhead:.2f}x, {record['spans_recorded']} spans)")
 
     # Acceptance gate: <= 5% obs-off regression against the recorded
     # pre-instrumentation baseline (only when a baseline exists).
@@ -168,9 +130,3 @@ def test_obs_off_and_on_overhead(benchmark, save_result):
     assert overhead <= 4.0, (
         f"obs-on fft took {fft_on_s:.3f}s vs {fft_off_s:.3f}s obs-off "
         f"({overhead:.2f}x > 4x bound)")
-    # Telemetry frames piggyback on existing traffic: the loopback
-    # sweep must not blow up when the channel is on (loose bound --
-    # worker spawn noise dominates both measurements).
-    assert telemetry_overhead <= 3.0, (
-        f"telemetry-on queue:2 sweep took {telemetry_on_s:.3f}s vs "
-        f"{telemetry_off_s:.3f}s off ({telemetry_overhead:.2f}x > 3x bound)")

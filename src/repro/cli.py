@@ -13,11 +13,7 @@ exposes the library's main entry points without writing any code:
   metrics dump (``--metrics``); exits 1 if the runtime Rule-II audit
   observed a nesting violation.
 - ``fig9/fig10/fig11``  regenerate a figure (``--obs`` for per-cell
-  rollups, ``--progress`` for live sweep progress on stderr; with a
-  queue/ssh backend, ``--chrome-trace`` / ``--prom-out`` /
-  ``--telemetry-json`` export the stitched fleet telemetry).
-- ``metrics-server``  serve a telemetry snapshot file as Prometheus
-  text exposition on ``/metrics`` (plus ``/healthz``), stdlib only.
+  rollups, ``--progress`` for live sweep progress on stderr).
 - ``bench report``    print latest-vs-previous deltas across every
   ``BENCH_*.json`` trajectory; exit 1 when a directional field
   regressed beyond the threshold.
@@ -33,7 +29,8 @@ exposes the library's main entry points without writing any code:
 - ``check``       exhaustively model-check one litmus program on one
   combo (``repro.verify.mc``): every delivery order explored, invariants
   and deadlock-freedom checked, outcomes compared against the axiomatic
-  model; ``--shards N --backend queue:K`` distributes the search.
+  model; ``--shards N --backend local`` fans the search out over a
+  process pool.
   Exit 0 verified / 1 counterexamples or truncated / 2 bad usage.
 - ``list``        list available workloads and litmus tests.
 
@@ -77,10 +74,9 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
 
 def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--backend", default=None, metavar="SPEC",
-        help="execution backend: serial, local, queue, queue:N, "
-             "queue:HOST:PORT or ssh:HOSTS.toml (default: REPRO_BACKEND, "
-             "then the local process pool); see docs/DISTRIBUTED.md")
+        "--backend", default=None, choices=("serial", "local"),
+        help="execution backend: serial or local (default: REPRO_BACKEND, "
+             "then the local process pool)")
 
 
 def _add_progress_flag(parser: argparse.ArgumentParser) -> None:
@@ -95,113 +91,10 @@ def _add_obs_flag(parser: argparse.ArgumentParser) -> None:
         help="collect observability data (spans + metrics) during the run")
 
 
-def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
-    """Fleet-telemetry export flags shared by sweeps and ``check``."""
-    parser.add_argument(
-        "--chrome-trace", metavar="OUT.json", default=None,
-        help="write the stitched fleet Chrome trace (one track group per "
-             "worker; needs a queue/ssh backend)")
-    parser.add_argument(
-        "--prom-out", metavar="OUT.txt", default=None,
-        help="write the fleet metrics as Prometheus text exposition "
-             "(fleet totals plus a per-worker split)")
-    parser.add_argument(
-        "--telemetry-json", metavar="OUT.json", default=None,
-        help="write the raw fleet telemetry (merged registry snapshot + "
-             "per-worker breakdown) as JSON")
-
-
 def _progress_printer(done: int, total: int, key, wall: float) -> None:
     """Default ``--progress`` sink: one stderr line per finished cell."""
     print(f"[sweep] cell {done}/{total} done ({key}, {wall:.2f}s)",
           file=sys.stderr)
-
-
-def _dist_event_printer(kind: str, detail: dict) -> None:
-    """``--progress`` sink for queue-backend failure-path events."""
-    info = ", ".join(f"{k}={v}" for k, v in detail.items())
-    print(f"[dist] {kind}" + (f" ({info})" if info else ""), file=sys.stderr)
-
-
-def _wants_telemetry(args) -> bool:
-    """Did the command line ask for any fleet telemetry artifact?"""
-    return any(getattr(args, name, None)
-               for name in ("chrome_trace", "prom_out", "telemetry_json"))
-
-
-def _resolve_cli_backend(args):
-    """Build the backend for a sweep subcommand.
-
-    Returns the ``--backend`` spec unchanged (or None for the default
-    local pool) -- except when ``--progress`` asks for failure-path
-    reporting on a queue/ssh backend, or a telemetry export flag needs
-    the broker's fleet aggregate after the sweep, in which case the
-    instance is constructed here.
-    """
-    spec = args.backend
-    wants_events = getattr(args, "progress", False)
-    if spec is None or not (wants_events or _wants_telemetry(args)):
-        return spec
-    if not isinstance(spec, str) or \
-            spec.split(":", 1)[0].lower() not in ("queue", "ssh"):
-        return spec
-    from repro.harness.dist import resolve_backend
-
-    backend = resolve_backend(spec, jobs=args.jobs)
-    if wants_events:
-        backend.events = _dist_event_printer
-    return backend
-
-
-def _write_telemetry_outputs(args, backend) -> int:
-    """Write the fleet telemetry artifacts requested on the command line.
-
-    Returns 0 when nothing was requested (or everything was written),
-    2 when a requested artifact cannot be produced: no fleet telemetry
-    on this backend (telemetry needs ``--backend queue:...``/``ssh:...``)
-    or the stitched trace failed schema validation.
-    """
-    import json
-
-    if not _wants_telemetry(args):
-        return 0
-    fleet = getattr(backend, "fleet", None)
-    if fleet is None:
-        print("error: no fleet telemetry collected -- telemetry exports "
-              "need a queue/ssh backend (e.g. --backend queue:2)",
-              file=sys.stderr)
-        return 2
-    if not fleet.workers():
-        print("error: no worker reported telemetry -- the run never "
-              "fanned out to the fleet (model checks need --shards > 1; "
-              "sweeps need at least one cell)", file=sys.stderr)
-        return 2
-    if getattr(args, "telemetry_json", None):
-        with open(args.telemetry_json, "w", encoding="utf-8") as handle:
-            json.dump(fleet.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote fleet telemetry JSON to {args.telemetry_json}")
-    if getattr(args, "prom_out", None):
-        from repro.obs.prom import fleet_to_prometheus
-
-        text = fleet_to_prometheus(fleet.registry().snapshot(),
-                                   fleet.per_worker())
-        with open(args.prom_out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote Prometheus exposition to {args.prom_out}")
-    if getattr(args, "chrome_trace", None):
-        from repro.obs import TraceValidationError, write_trace_file
-
-        try:
-            count = write_trace_file(args.chrome_trace, fleet.chrome_trace())
-        except TraceValidationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            for problem in exc.problems[:10]:
-                print(f"  - {problem}", file=sys.stderr)
-            return 2
-        print(f"wrote {count} stitched trace events from "
-              f"{len(fleet.workers())} worker(s) to {args.chrome_trace}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,14 +174,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_flag(p)
     _add_progress_flag(p)
     _add_obs_flag(p)
-    _add_telemetry_flags(p)
     p = sub.add_parser("fig10", help="regenerate Figure 10")
     p.add_argument("--workloads", nargs="*", default=None)
     _add_jobs_flag(p)
     _add_backend_flag(p)
     _add_progress_flag(p)
     _add_obs_flag(p)
-    _add_telemetry_flags(p)
     p = sub.add_parser("fig11", help="regenerate Figure 11")
     p.add_argument("--workloads", nargs="*", default=None,
                    help="limit to these workloads (default: the paper's "
@@ -297,21 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_flag(p)
     _add_progress_flag(p)
     _add_obs_flag(p)
-    _add_telemetry_flags(p)
-
-    p = sub.add_parser(
-        "worker",
-        help="serve sweep cells for a distributed queue broker",
-        description="Connect to a sweep broker (a `--backend queue:...` "
-                    "run) and execute cells until it shuts the fleet "
-                    "down.  Exit codes: 0 normal shutdown, 1 cannot "
-                    "connect, 2 rejected at handshake (source "
-                    "fingerprint mismatch), 3 broker connection lost.")
-    p.add_argument("--connect", required=True, metavar="HOST:PORT",
-                   help="broker address to join")
-    p.add_argument("--heartbeat", type=float, default=0.5, metavar="SECONDS",
-                   help="keepalive interval before the broker names one "
-                        "(default 0.5)")
 
     p = sub.add_parser(
         "lint",
@@ -372,24 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_flag(p)
     _add_backend_flag(p)
     _add_progress_flag(p)
-    _add_telemetry_flags(p)
-
-    p = sub.add_parser(
-        "metrics-server",
-        help="serve a telemetry snapshot as Prometheus /metrics",
-        description="Serve /metrics (Prometheus text exposition, re-read "
-                    "from the snapshot file on every scrape) and /healthz "
-                    "over plain HTTP using only the standard library.  "
-                    "Accepts a --telemetry-json fleet dump, a trace "
-                    "--metrics dump, or a bare registry snapshot.  Exit "
-                    "codes: 0 clean shutdown (Ctrl-C), 2 bad snapshot or "
-                    "bind failure.")
-    p.add_argument("--snapshot", required=True, metavar="FILE",
-                   help="telemetry JSON file to expose")
-    p.add_argument("--host", default="127.0.0.1",
-                   help="bind address (default 127.0.0.1)")
-    p.add_argument("--port", type=int, default=9108,
-                   help="bind port (default 9108; 0 = ephemeral)")
 
     p = sub.add_parser(
         "bench",
@@ -516,22 +374,12 @@ def _cmd_check(args) -> int:
         print(f"[mc] wave {rounds}: {states} states", file=sys.stderr)
 
     metrics = MetricsRegistry()
-    backend = _resolve_cli_backend(args)
-    checker_kwargs = {}
-    if _wants_telemetry(args) and hasattr(backend, "fleet"):
-        # Telemetry exports need frames from real workers, but small
-        # models keep every wave under the INLINE_WAVE fast path and
-        # the fleet never spins up.  Force multi-shard waves through
-        # the backend: a complete fleet view is worth the wall time
-        # the inline shortcut would have saved.
-        checker_kwargs["inline_wave"] = 1
     try:
         checker = ModelChecker(
             model, shards=args.shards,
-            backend=backend or "serial",
+            backend=args.backend or "serial",
             max_states=args.max_states, max_depth=args.depth,
-            metrics=metrics, shrink=not args.no_shrink,
-            **checker_kwargs)
+            metrics=metrics, shrink=not args.no_shrink)
         result = checker.run(progress=report_wave if args.progress else None)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -566,8 +414,7 @@ def _cmd_check(args) -> int:
         payload["verified"] = verified
         payload["metrics"] = metrics.counter_values("mc.")
         print(json.dumps(payload, indent=2, sort_keys=True))
-        telemetry_rc = _write_telemetry_outputs(args, backend)
-        return telemetry_rc or (0 if verified else 1)
+        return 0 if verified else 1
 
     mark = ("verified" if verified
             else "INCONCLUSIVE" if result.truncated
@@ -599,8 +446,7 @@ def _cmd_check(args) -> int:
     if hidden > 0:
         print(f"  ... and {hidden} more counterexample(s)"
               + (f"; fixtures in {args.ce_out}" if args.ce_out else ""))
-    telemetry_rc = _write_telemetry_outputs(args, backend)
-    return telemetry_rc or (0 if verified else 1)
+    return 0 if verified else 1
 
 
 def _print_cell_rollups(result) -> None:
@@ -673,34 +519,6 @@ def _cmd_trace(args) -> int:
     return 1 if result.extra["obs"]["rule2"]["violations"] else 0
 
 
-def _cmd_metrics_server(args) -> int:
-    """``repro metrics-server``: serve a snapshot file (exit 0/2)."""
-    from repro.obs.prom import (fleet_to_prometheus, load_snapshot_file,
-                                make_metrics_server)
-
-    def exposition() -> str:
-        """Re-read the snapshot file and render it (fresh per scrape)."""
-        snapshot, per_worker = load_snapshot_file(args.snapshot)
-        return fleet_to_prometheus(snapshot, per_worker)
-
-    try:
-        exposition()  # fail fast on an unreadable/ill-shaped snapshot
-        server = make_metrics_server(args.host, args.port, exposition)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    host, port = server.server_address[:2]
-    print(f"serving /metrics and /healthz on http://{host}:{port}/ "
-          f"from {args.snapshot} (Ctrl-C to stop)", file=sys.stderr)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-    return 0
-
-
 def main(argv=None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -716,21 +534,11 @@ def main(argv=None) -> int:
         print(table3())
         return 0
 
-    if command == "worker":
-        from repro.harness.dist.worker import parse_address, run_worker
-
-        try:
-            address = parse_address(args.connect)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return run_worker(address, heartbeat_interval=args.heartbeat)
-
     if command == "table4":
         from repro.harness.experiments import table4
 
         result = table4(runs=args.runs, jobs=args.jobs,
-                        backend=_resolve_cli_backend(args),
+                        backend=args.backend,
                         progress=_progress_printer if args.progress else None)
         print(result.format())
         return 0 if result.all_passed() else 1
@@ -819,45 +627,39 @@ def main(argv=None) -> int:
     if command == "fig9":
         from repro.harness.experiments import figure9
 
-        backend = _resolve_cli_backend(args)
         result = figure9(
             workloads_per_suite=args.per_suite, jobs=args.jobs, obs=args.obs,
-            backend=backend,
+            backend=args.backend,
             progress=_progress_printer if args.progress else None)
         print(result.format())
         _print_cell_rollups(result)
-        return _write_telemetry_outputs(args, backend)
+        return 0
 
     if command == "fig10":
         from repro.harness.experiments import figure10
 
-        backend = _resolve_cli_backend(args)
         result = figure10(
             workloads=args.workloads or None, jobs=args.jobs, obs=args.obs,
-            backend=backend,
+            backend=args.backend,
             progress=_progress_printer if args.progress else None)
         print(result.format())
         _print_cell_rollups(result)
-        return _write_telemetry_outputs(args, backend)
+        return 0
 
     if command == "fig11":
         from repro.harness.experiments import figure11
 
         from repro.harness.experiments import FIG11_WORKLOADS
 
-        backend = _resolve_cli_backend(args)
         result = figure11(
             workloads=tuple(args.workloads) if args.workloads
             else FIG11_WORKLOADS,
             jobs=args.jobs, obs=args.obs,
-            backend=backend,
+            backend=args.backend,
             progress=_progress_printer if args.progress else None)
         print(result.format())
         _print_cell_rollups(result)
-        return _write_telemetry_outputs(args, backend)
-
-    if command == "metrics-server":
-        return _cmd_metrics_server(args)
+        return 0
 
     if command == "bench":
         from repro.harness.bench_report import bench_report

@@ -29,7 +29,6 @@ import os
 
 #: The benchmark trajectory files the report covers.
 BENCH_FILES = (
-    "BENCH_dist.json",
     "BENCH_engine.json",
     "BENCH_explore.json",
     "BENCH_fuzz.json",

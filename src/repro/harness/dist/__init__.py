@@ -1,32 +1,17 @@
-"""Pluggable execution backends for the sweep harness.
+"""Execution backends for the sweep harness.
 
 A *backend* is anything that can run a batch of independent
 :class:`~repro.harness.sweep.SweepCell` units and return their results
-keyed by cell -- the contract :class:`Backend` spells out.  Four
-implementations ship:
+keyed by cell -- the contract :class:`Backend` spells out.  Both
+implementations run on one machine:
 
 - :class:`~repro.harness.dist.local.SerialBackend` -- the plain
-  in-process loop (always available, the degradation target of every
-  other backend).
-- :class:`~repro.harness.dist.local.ProcessPoolBackend` -- the
-  ``multiprocessing`` pool that PR 1 introduced, refactored behind the
-  interface.
-- :class:`~repro.harness.dist.broker.QueueBackend` -- a fault-tolerant
-  work queue: a broker thread in the sweep process hands cells to N
-  worker processes over TCP (JSON-line framed), with per-cell timeout,
-  bounded retry with exponential backoff, heartbeat-based dead-worker
-  detection, orphan re-queueing and graceful degradation to the serial
-  path when no workers remain.  Workers are either spawned locally
-  (``QueueBackend(workers=2)``) or started by hand anywhere that can
-  reach the broker: ``python -m repro worker --connect host:port``.
-- :class:`~repro.harness.dist.ssh.SSHBackend` -- bootstraps
-  ``repro worker`` fleets on remote hosts from a ``hosts.toml`` and
-  shares the on-disk compound-FSM cache (``REPRO_FSM_CACHE``) so
-  synthesis happens once per fleet.
+  in-process loop (always available, the fallback of the pool).
+- :class:`~repro.harness.dist.local.ProcessPoolBackend` -- a
+  ``multiprocessing`` pool of ``jobs`` worker processes.
 
 ``SweepRunner(backend=...)`` (or ``--backend`` / ``REPRO_BACKEND``)
-selects one; :func:`resolve_backend` parses the string spellings.  See
-``docs/DISTRIBUTED.md`` for the backend matrix and failure semantics.
+selects one; :func:`resolve_backend` parses the string spellings.
 """
 
 from __future__ import annotations
@@ -41,7 +26,7 @@ class Backend(Protocol):
     """The execution-backend contract the sweep runner programs against.
 
     ``submit`` runs every cell and returns ``{cell.key: result}``; a
-    cell that ultimately failed maps to a
+    cell that raised maps to a
     :class:`~repro.harness.sweep.CellFailure` (the *runner* decides
     whether captured failures are returned or raised).  ``name`` is the
     mode string recorded in ``SweepRunner.last_mode``.
@@ -59,13 +44,8 @@ def resolve_backend(spec, *, jobs=None, initializer=None, initargs=()):
 
     Accepted spellings (the ``--backend`` flag / ``REPRO_BACKEND``):
 
-    - ``"serial"``            -- in-process loop, one cell at a time.
-    - ``"local"``             -- process pool with ``jobs`` workers.
-    - ``"queue"``             -- broker + ``jobs`` spawned loopback workers.
-    - ``"queue:N"``           -- broker + N spawned loopback workers.
-    - ``"queue:HOST:PORT"``   -- broker listening on HOST:PORT for
-      externally started ``repro worker --connect`` processes.
-    - ``"ssh:HOSTS.toml"``    -- broker + SSH-bootstrapped remote fleet.
+    - ``"serial"`` -- in-process loop, one cell at a time.
+    - ``"local"``  -- process pool with ``jobs`` workers.
 
     A :class:`Backend` instance passes through unchanged.
     """
@@ -76,48 +56,16 @@ def resolve_backend(spec, *, jobs=None, initializer=None, initargs=()):
             return spec
         raise TypeError(f"backend must be a str or Backend, got {spec!r}")
 
-    from repro.harness.dist.broker import QueueBackend
     from repro.harness.dist.local import ProcessPoolBackend, SerialBackend
-    from repro.harness.dist.ssh import SSHBackend
 
-    text = spec.strip()
-    head, _, rest = text.partition(":")
-    head = head.lower()
-    if head == "serial" and not rest:
+    text = spec.strip().lower()
+    if text == "serial":
         return SerialBackend(initializer=initializer, initargs=initargs)
-    if head == "local" and not rest:
+    if text == "local":
         return ProcessPoolBackend(jobs=jobs, initializer=initializer,
                                   initargs=initargs)
-    if head == "queue":
-        if not rest:
-            return QueueBackend(workers=jobs, initializer=initializer,
-                                initargs=initargs)
-        parts = rest.split(":")
-        if len(parts) == 1:
-            try:
-                workers = int(parts[0])
-            except ValueError:
-                raise ValueError(
-                    f"bad queue backend spec {text!r}; expected queue, "
-                    f"queue:N or queue:HOST:PORT") from None
-            return QueueBackend(workers=workers, initializer=initializer,
-                                initargs=initargs)
-        if len(parts) == 2:
-            host, port_text = parts
-            try:
-                port = int(port_text)
-            except ValueError:
-                raise ValueError(
-                    f"bad queue backend port in {text!r}") from None
-            return QueueBackend(workers=None, host=host or "127.0.0.1",
-                                port=port, spawn=False,
-                                initializer=initializer, initargs=initargs)
-        raise ValueError(f"bad queue backend spec {text!r}")
-    if head == "ssh" and rest:
-        return SSHBackend(rest, initializer=initializer, initargs=initargs)
     raise ValueError(
-        f"unknown backend {text!r}; expected serial, local, queue[:N], "
-        f"queue:HOST:PORT or ssh:HOSTS.toml")
+        f"unknown backend {spec.strip()!r}; expected serial or local")
 
 
 __all__ = [

@@ -1,13 +1,13 @@
-"""In-process execution backends (serial loop and process pool).
+"""The two execution backends: serial loop and process pool.
 
-These are the PR 1 sweep paths refactored behind the
-:class:`~repro.harness.dist.Backend` interface.  Both capture a cell
-exception as a :class:`~repro.harness.sweep.CellFailure` *result*
-instead of letting it unwind the whole sweep -- in the pool path an
-uncaught worker exception used to abort ``imap_unordered`` mid-batch,
-discarding every other cell's finished work; now each cell resolves
-independently and the runner decides at the end whether captured
-failures raise or return (``capture_errors``).
+Both implement the :class:`~repro.harness.dist.Backend` interface and
+both capture a cell exception as a
+:class:`~repro.harness.sweep.CellFailure` *result* instead of letting
+it unwind the whole sweep -- in the pool path an uncaught worker
+exception would abort ``imap_unordered`` mid-batch, discarding every
+other cell's finished work; instead each cell resolves independently
+and the runner decides at the end whether captured failures raise or
+return (``capture_errors``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def _run_cell(payload):
 
 
 class SerialBackend:
-    """Plain in-process loop; the degradation target of every backend."""
+    """Plain in-process loop; the fallback of the process pool."""
 
     name = "serial"
 
@@ -87,6 +87,8 @@ class ProcessPoolBackend:
         import multiprocessing
 
         cells = list(cells)
+        if not cells:
+            return {}
         payloads = [(i, cell.fn, dict(cell.kwargs))
                     for i, cell in enumerate(cells)]
         context = multiprocessing.get_context(self.start_method)

@@ -27,7 +27,6 @@ from repro.harness.sweep import CellOutput, SweepCell, SweepRunner, split_metric
 from repro.sim.config import two_cluster_config
 from repro.sim.system import build_system
 from repro.stats.collectors import LATENCY_BINS, RunResult
-from repro.obs.telemetry import telemetry
 from repro.stats.export import merge_obs
 from repro.verify.litmus import TABLE4_TESTS
 from repro.verify.runner import run_litmus
@@ -112,10 +111,6 @@ def run_workload(
     result = system.run_threads(programs)
     if observability is not None:
         merge_obs(result, observability)
-        # Fleet telemetry: inside a dist worker, fold this run's metric
-        # snapshot and spans into the process-global collector so they
-        # ship home.  No-op (one flag test) outside a telemetry worker.
-        telemetry().absorb_run(observability)
     result.extra["workload"] = name
     result.extra["combo"] = combo_name(combo)
     result.extra["conflicts"] = sum(c.bridge.port.conflicts

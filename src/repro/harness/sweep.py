@@ -8,14 +8,10 @@ a seed.  :class:`SweepRunner` fans those cells out over an execution
 sweep is bit-identical to the serial one regardless of completion
 order.
 
-Backends (see :mod:`repro.harness.dist` and ``docs/DISTRIBUTED.md``):
+Backends (see :mod:`repro.harness.dist`), both on this machine:
 
-- the default local process pool (``jobs`` workers, this machine),
-- ``backend="serial"`` -- the plain in-process loop,
-- ``backend="queue[:N]"`` -- a fault-tolerant TCP work queue with N
-  spawned loopback workers (or externally launched
-  ``python -m repro worker --connect host:port`` processes),
-- ``backend="ssh:hosts.toml"`` -- an SSH-bootstrapped remote fleet.
+- the default local process pool (``jobs`` workers),
+- ``backend="serial"`` -- the plain in-process loop.
 
 Design constraints (and how they are met):
 
@@ -26,7 +22,7 @@ Design constraints (and how they are met):
 - **Determinism.**  Results are stored by cell key (never by completion
   order) and every cell carries its own seed, so
   ``SweepRunner(jobs=N).map(cells) == SweepRunner(jobs=1).map(cells)``
-  for any ``N`` -- and equally for the queue backend.
+  for any ``N``.
 - **Per-cell failure isolation.**  A cell exception is captured as a
   :class:`CellFailure` instead of aborting the batch mid-flight; after
   every cell resolved, the runner raises :class:`SweepCellError`
@@ -98,15 +94,10 @@ class CellFailure:
     """The captured outcome of a cell that could not produce a result.
 
     Exceptions are flattened to strings (type name, message, formatted
-    traceback) so a failure crosses process and host boundaries exactly
-    like a result would.  ``kind`` distinguishes the failure path:
-    ``"error"`` (the cell raised), ``"timeout"`` (queue backend gave up
-    waiting) or ``"worker died"`` (orphaned past the retry budget).
-    ``attempts`` counts how many times the cell was tried in total.
-    ``flight`` is the victim worker's flight-recorder dump (a tuple of
-    plain event dicts, see :mod:`repro.obs.flight`) when the queue
-    backend had one -- the postmortem for cells whose worker raised,
-    timed out or was killed outright.
+    traceback) so a failure crosses the process boundary exactly like a
+    result would.  ``kind`` names the failure path (``"error"``: the
+    cell raised) and ``attempts`` counts how many times the cell was
+    tried in total.
     """
 
     exc_type: str
@@ -114,7 +105,6 @@ class CellFailure:
     traceback: str = ""
     kind: str = "error"
     attempts: int = 1
-    flight: tuple = ()
 
     @classmethod
     def from_exception(cls, exc: BaseException, kind: str = "error",
@@ -128,11 +118,6 @@ class CellFailure:
             kind=kind,
             attempts=attempts,
         )
-
-    def retried(self, attempts: int) -> "CellFailure":
-        """Copy of this failure with the final attempt count stamped."""
-        return CellFailure(self.exc_type, self.message, self.traceback,
-                           self.kind, attempts, self.flight)
 
     def __str__(self) -> str:
         return f"[{self.kind}] {self.exc_type}: {self.message}"
@@ -196,8 +181,8 @@ class SweepRunner:
 
     Results come back as ``{cell.key: fn(**kwargs)}`` in the order the
     cells were given, independent of which worker finished first -- the
-    property that keeps parallel (and distributed) figure regeneration
-    bit-identical to the serial path.
+    property that keeps parallel figure regeneration bit-identical to
+    the serial path.
     """
 
     def __init__(
@@ -222,8 +207,8 @@ class SweepRunner:
         #: fired as each cell completes (in completion order).
         self.progress = progress
         #: Execution backend: None for the built-in local pool, a spec
-        #: string (``"serial"``, ``"queue:2"``, ``"ssh:hosts.toml"``,
-        #: see :func:`repro.harness.dist.resolve_backend`) or a Backend
+        #: string (``"serial"`` or ``"local"``, see
+        #: :func:`repro.harness.dist.resolve_backend`) or a Backend
         #: instance.  Defaults to the ``REPRO_BACKEND`` env knob.
         if backend is None:
             from repro.harness.dist import BACKEND_ENV
@@ -233,8 +218,8 @@ class SweepRunner:
         #: Return :class:`CellFailure` objects in the result dict
         #: instead of raising :class:`SweepCellError` at the end.
         self.capture_errors = capture_errors
-        #: Backend name after the last map() call ("serial", "parallel",
-        #: "queue", "ssh").
+        #: Backend name after the last map() call ("serial" or
+        #: "parallel").
         self.last_mode: str | None = None
         #: The exception that forced a fallback to serial, if any.
         self.last_fallback: BaseException | None = None
@@ -279,16 +264,9 @@ class SweepRunner:
                 return None
         from repro.harness.dist import resolve_backend
 
-        backend = resolve_backend(spec, jobs=self.jobs,
-                                  initializer=self.initializer,
-                                  initargs=self.initargs)
-        if self.initializer is not None \
-                and getattr(backend, "initializer", True) is None:
-            # A pre-built instance (e.g. the CLI wiring an event sink)
-            # still inherits the runner's cache-warming initializer.
-            backend.initializer = self.initializer
-            backend.initargs = self.initargs
-        return backend
+        return resolve_backend(spec, jobs=self.jobs,
+                               initializer=self.initializer,
+                               initargs=self.initargs)
 
     def _map_local(self, cells) -> dict:
         """The built-in path: process pool with serial fallbacks."""

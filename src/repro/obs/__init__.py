@@ -24,7 +24,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_trace_file,
 )
-from repro.obs.flight import FlightRecorder, flight_recorder
+from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import (
     Counter,
     Distribution,
@@ -34,12 +34,6 @@ from repro.obs.metrics import (
     collect_system_metrics,
 )
 from repro.obs.spans import CROSSING_CATS, NestingViolation, Span, SpanRecorder
-from repro.obs.telemetry import (
-    FleetTelemetry,
-    Telemetry,
-    stitch_chrome_trace,
-    telemetry,
-)
 
 __all__ = [
     "Observability",
@@ -62,11 +56,6 @@ __all__ = [
     "summarize_obs",
     "compact_obs",
     "FlightRecorder",
-    "flight_recorder",
-    "Telemetry",
-    "FleetTelemetry",
-    "telemetry",
-    "stitch_chrome_trace",
 ]
 
 

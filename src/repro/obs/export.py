@@ -107,9 +107,9 @@ class TraceValidationError(RuntimeError):
 def write_trace_file(path, trace: dict, validate: bool = True) -> int:
     """Write an already-built trace dict to ``path``; return event count.
 
-    Every writer (single-process export and the fleet stitcher alike)
-    funnels through here so that, by default, no invalid trace ever
-    reaches disk: schema problems raise :class:`TraceValidationError`.
+    Every writer funnels through here so that, by default, no invalid
+    trace ever reaches disk: schema problems raise
+    :class:`TraceValidationError`.
     """
     if validate:
         problems = validate_chrome_trace(trace)

@@ -1,17 +1,15 @@
 """Flight recorder: a bounded ring buffer of recent runtime events.
 
-Black-box-style postmortems for fleet work: each worker process (and
-each model-checker shard replay loop) keeps the last-N interesting
-events -- cell starts, protocol frames, obs absorptions, replay steps --
-in a :class:`FlightRecorder`.  When a cell raises, the dump rides the
-error frame; when a worker is SIGKILL'd, the broker still holds the
-flight dump the worker shipped at cell start, so the resulting
-:class:`repro.harness.sweep.CellFailure` carries the victim's last
-moments instead of a bare "worker died".
+Black-box-style postmortems for the model checker: each shard's drain
+(:func:`repro.verify.mc.engine.explore_shard`) keeps its last-N replay
+steps in a :class:`FlightRecorder`.  When a replay crashes a
+controller, the dump rides the violation home, so the resulting crash
+:class:`~repro.verify.mc.counterexample.Counterexample` carries what the
+search was doing just before it.
 
-Everything recorded must be plain JSON types: dumps cross process
-boundaries inside telemetry frames and end up inside counterexample
-fixtures and failure records.
+Everything recorded must be plain JSON types: dumps cross the process
+boundary inside a pool worker's shard result and end up inside
+counterexample fixtures.
 """
 
 from __future__ import annotations
@@ -57,12 +55,3 @@ class FlightRecorder:
     def clear(self) -> None:
         """Drop all buffered events (the sequence counter keeps going)."""
         self._events.clear()
-
-
-#: Per-process recorder used by the dist worker loop.
-_PROCESS_RECORDER = FlightRecorder()
-
-
-def flight_recorder() -> FlightRecorder:
-    """The process-global :class:`FlightRecorder` (one per worker)."""
-    return _PROCESS_RECORDER

@@ -38,10 +38,6 @@ class Counter:
         """JSON-ready representation."""
         return {"type": "counter", "unit": self.unit, "value": self.value}
 
-    def merge_dict(self, data: dict) -> None:
-        """Fold a serialized counter into this one (values sum)."""
-        self.value += data.get("value", 0)
-
 
 class Distribution:
     """Streaming min/max/mean/sum over observed samples."""
@@ -76,21 +72,6 @@ class Distribution:
                 "count": self.count, "total": self.total,
                 "min": self.min, "max": self.max, "mean": self.mean}
 
-    def merge_dict(self, data: dict) -> None:
-        """Fold a serialized distribution into this one.
-
-        Counts and totals sum; min/max fold pointwise (``None`` marks
-        an empty side and never wins).
-        """
-        self.count += data.get("count", 0)
-        self.total += data.get("total", 0)
-        other_min = data.get("min")
-        if other_min is not None and (self.min is None or other_min < self.min):
-            self.min = other_min
-        other_max = data.get("max")
-        if other_max is not None and (self.max is None or other_max > self.max):
-            self.max = other_max
-
 
 class Histogram:
     """Samples bucketed against fixed ascending bin edges.
@@ -119,18 +100,6 @@ class Histogram:
         """JSON-ready representation."""
         return {"type": "histogram", "unit": self.unit,
                 "edges": list(self.edges), "buckets": list(self.buckets)}
-
-    def merge_dict(self, data: dict) -> None:
-        """Fold a serialized histogram into this one (buckets sum).
-
-        Both sides must have identical edges -- merging differently
-        binned histograms is meaningless and raises :class:`ValueError`.
-        """
-        if tuple(data.get("edges", ())) != self.edges:
-            raise ValueError(f"histogram {self.path!r}: edge mismatch "
-                             f"({list(self.edges)} vs {data.get('edges')})")
-        for i, count in enumerate(data.get("buckets", ())):
-            self.buckets[i] += count
 
 
 class MetricsRegistry:
@@ -183,52 +152,12 @@ class MetricsRegistry:
         return {path: self._metrics[path].to_dict()
                 for path in sorted(self._metrics)}
 
-    def snapshot(self) -> dict:
-        """Serializable, merge-compatible state of every metric.
-
-        The returned dict is plain JSON types only, so it can ride a
-        wire frame or a file and later be folded into any registry with
-        :meth:`merge`.  Snapshots are *cumulative*: a worker re-sending
-        its snapshot replaces (not doubles) its prior contribution as
-        long as the receiver keeps one slot per sender.
-        """
-        return self.to_dict()
-
-    def merge(self, other) -> "MetricsRegistry":
-        """Fold another registry or snapshot dict into this one.
-
-        Counters sum, distributions combine count/total/min/max, and
-        histograms (with identical edges) sum bucket-wise.  The merge
-        is associative and commutative over snapshot contents, so fleet
-        aggregation order does not matter.  Returns ``self``.
-        """
-        snapshot = other.snapshot() if isinstance(other, MetricsRegistry) else other
-        for path, data in snapshot.items():
-            kind = data.get("type")
-            if kind == "counter":
-                metric = self.counter(path, data.get("unit", "count"))
-            elif kind == "distribution":
-                metric = self.distribution(path, data.get("unit", "ticks"))
-            elif kind == "histogram":
-                metric = self.histogram(path, data.get("edges", ()),
-                                        data.get("unit", "ticks"))
-            else:
-                raise ValueError(f"cannot merge metric {path!r}: "
-                                 f"unknown type {kind!r}")
-            metric.merge_dict(data)
-        return self
-
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "MetricsRegistry":
-        """Rebuild a registry from a :meth:`snapshot` dict."""
-        return cls().merge(snapshot)
-
     def counter_values(self, prefix: str = "") -> dict:
         """Flat ``{path: value}`` of the counters under ``prefix``.
 
-        The convenience view the distributed-sweep tests and the
-        ``--progress`` reporting read (``registry.counter_values("dist.")``);
-        non-counter metrics are skipped.
+        The convenience view ``repro check --json`` and the tests read
+        (``registry.counter_values("mc.")``); non-counter metrics are
+        skipped.
         """
         return {path: metric.value
                 for path, metric in sorted(self._metrics.items())

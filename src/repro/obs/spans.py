@@ -85,23 +85,6 @@ class Span:
         state = f" t={self.start}..{self.end}" if self.closed else f" open since t={self.start}"
         return f"{self.cat}:{self.name} 0x{self.addr:x} @{self.node}{state}"
 
-    def to_dict(self) -> dict:
-        """Plain JSON-ready form (sim-tick timestamps) for wire export.
-
-        Only closed spans carry an ``end``; the fleet-telemetry layer
-        ships these dicts home so the broker can stitch one trace from
-        many worker processes.
-        """
-        data = {"sid": self.sid, "name": self.name, "cat": self.cat,
-                "node": self.node, "addr": self.addr,
-                "start": self.start, "end": self.end}
-        if self.parent is not None:
-            data["parent"] = self.parent.sid
-        if self.cat == "op":
-            data["bridged_ticks"] = self.bridged_ticks
-            data["network_ticks"] = self.network_ticks
-        return data
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Span {self.describe()}>"
 

@@ -41,7 +41,7 @@ def add_scenario_parser(sub) -> None:
         "run", help="run scenarios and check their [expect] tables")
     r.add_argument("files", nargs="+", metavar="FILE")
     r.add_argument("--backend", default=None, metavar="SPEC",
-                   help="execution backend (serial, queue:N, ...; default "
+                   help="execution backend: serial or local (default "
                         "serial)")
     r.add_argument("--jobs", type=int, default=None, metavar="N",
                    help="worker processes for the local pool backend")

@@ -6,7 +6,7 @@ interception and state walk of :mod:`repro.verify.explorer`:
 
 - :mod:`~repro.verify.mc.fingerprint` -- process-stable canonical state
   fingerprints (BLAKE2b over an injective encoding; identical under any
-  ``PYTHONHASHSEED`` on any host).
+  ``PYTHONHASHSEED``).
 - :mod:`~repro.verify.mc.model` -- :class:`CheckModel`, the picklable
   description from which any worker reconstructs states by replaying
   delivery paths (stateless model checking).

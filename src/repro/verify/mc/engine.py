@@ -11,19 +11,18 @@ pair is handed to the owner, which can reject already-visited states
 without replaying them.
 
 The search proceeds in waves over the stateless
-:mod:`repro.harness.dist` backends (serial / pool / queue / ssh): each
-wave fans one :class:`~repro.harness.sweep.SweepCell` per shard-with-work
-out through ``Backend.submit`` and the coordinator routes the punted
-frontier to the next wave.  Because a queue fleet costs real start-up
+:mod:`repro.harness.dist` backends (serial / local pool): each wave fans
+one :class:`~repro.harness.sweep.SweepCell` per shard-with-work out
+through ``Backend.submit`` and the coordinator routes the punted
+frontier to the next wave.  Because starting a process pool costs real
 time, small waves are drained inline in the coordinator
 (:data:`INLINE_WAVE`) -- the backend only sees waves big enough to repay
 the fan-out.
 
 Worker failures degrade deterministically: a cell that comes back as a
-:class:`~repro.harness.sweep.CellFailure` (after the queue backend's own
-retries) is re-run inline, and every merge below is order-independent,
-so states / outcomes / counterexamples are bit-identical across shard
-counts and backends.
+:class:`~repro.harness.sweep.CellFailure` is re-run inline, and every
+merge below is order-independent, so states / outcomes /
+counterexamples are bit-identical across shard counts and backends.
 """
 
 from __future__ import annotations
@@ -49,8 +48,8 @@ from repro.verify.mc.fingerprint import canonical_fingerprint
 from repro.verify.mc.model import CheckModel
 
 #: Waves with fewer work items than this are drained inline in the
-#: coordinator: spawning a worker fleet costs ~0.5 s per round, which a
-#: handful of replays never repays.
+#: coordinator: each fanned-out wave starts a fresh process pool, whose
+#: spawn cost a handful of replays never repays.
 INLINE_WAVE = 24
 
 
@@ -268,8 +267,7 @@ class ModelChecker:
     def __init__(self, model: CheckModel, shards: int = 1,
                  backend="serial", max_states: int = 200_000,
                  max_depth: int = 0, metrics: MetricsRegistry | None = None,
-                 shrink: bool = True, shrink_limit: int = 25,
-                 inline_wave: int = INLINE_WAVE) -> None:
+                 shrink: bool = True, shrink_limit: int = 25) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.model = model
@@ -280,7 +278,6 @@ class ModelChecker:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.shrink = shrink
         self.shrink_limit = shrink_limit
-        self.inline_wave = inline_wave
 
     def _count(self, name: str, amount: int = 1) -> None:
         """Bump the ``mc.<name>`` counter."""
@@ -347,7 +344,7 @@ class ModelChecker:
         """Execute one wave, inline or fanned out; returns shard outputs."""
         items_total = sum(len(items) for items in wave.values())
         fan_out = (backend is not None and len(wave) > 1
-                   and items_total >= self.inline_wave)
+                   and items_total >= INLINE_WAVE)
         if not fan_out:
             self._count("inline_waves")
             return [

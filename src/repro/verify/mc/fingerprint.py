@@ -1,10 +1,11 @@
 """Process-stable canonical state fingerprints.
 
 Python's ``hash(parts)`` would be fine inside one process but is
-useless across a worker fleet: ``str.__hash__`` is salted by
+useless across worker processes: ``str.__hash__`` is salted by
 ``PYTHONHASHSEED``, so two workers would disagree about every
 fingerprint -- and partition-by-hash sharding routes states by
-``fingerprint % shards``, which must mean the same thing on every host.
+``fingerprint % shards``, which must mean the same thing in every
+process.
 
 This module derives a 64-bit fingerprint from the canonical state
 walk (:func:`repro.verify.explorer.state_parts`) via a keyed-nothing

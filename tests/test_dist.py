@@ -1,57 +1,22 @@
-"""Tests for the distributed sweep backend (``repro.harness.dist``).
+"""Tests for the sweep's execution backends (``repro.harness.dist``).
 
-Four layers, cheapest first:
+Both backends run on one machine: the in-process
+:class:`SerialBackend` and the ``multiprocessing``
+:class:`ProcessPoolBackend`.  Covered here: the ``resolve_backend``
+spellings and their errors, backend selection in :class:`SweepRunner`
+(argument and ``REPRO_BACKEND``), per-cell error capture on both paths,
+and serial-vs-pool byte equality on a figure grid.
 
-- wire protocol: JSON-line framing, base64-pickle payloads, partial
-  reads, oversized/corrupt frames (no sockets beyond a socketpair);
-- :class:`CellScheduler`: the pure assignment/retry/orphan state
-  machine, unit-tested and then property-tested with ``hypothesis``
-  against its core invariants (every cell resolved exactly once, no
-  accepted result overwritten, retries bounded, backoff honored);
-- fault injection against a real loopback :class:`QueueBackend` fleet:
-  workers killed mid-cell (SIGKILL), cells that outlive the timeout,
-  cells that raise transiently or permanently, fleets that never show
-  up -- every path must complete the sweep and leave its trace in the
-  ``dist.*`` metrics;
-- cross-backend determinism: the same figure grid through serial,
-  process-pool and queue backends must be byte-identical.
-
-Worker processes import cell functions by reference (pickle), so every
-cell function used across a process boundary here is module-level.
+Pool workers unpickle cell functions by reference, so every cell
+function used across a process boundary here is module-level.
 """
 
-import os
-import pathlib
 import pickle
-import signal
-import socket
-import subprocess
-import sys
-import threading
-import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.harness.dist import BACKEND_ENV, Backend, protocol, resolve_backend
-from repro.harness.dist.broker import QueueBackend, worker_environment
+from repro.harness.dist import BACKEND_ENV, Backend, resolve_backend
 from repro.harness.dist.local import ProcessPoolBackend, SerialBackend
-from repro.harness.dist.scheduler import GAVE_UP, RETRY, STALE, CellScheduler
-from repro.harness.dist.ssh import (
-    HostsError,
-    HostSpec,
-    SSHBackend,
-    _parse_toml_minimal,
-    load_hosts,
-    validate_cache_dir,
-)
-from repro.harness.dist.worker import (
-    EXIT_CONNECT,
-    EXIT_REJECTED,
-    parse_address,
-    run_worker,
-)
 from repro.harness.sweep import (
     CellFailure,
     SweepCell,
@@ -60,9 +25,6 @@ from repro.harness.sweep import (
     run_cells,
 )
 
-# ---------------------------------------------------------------------------
-# Module-level cell functions (workers unpickle these by reference).
-# ---------------------------------------------------------------------------
 
 def _square(x):
     return x * x
@@ -72,429 +34,21 @@ def _boom(x):
     raise ValueError(f"cell {x} exploded")
 
 
-def _raise_until(path, times, value):
-    """Fail the first ``times`` calls (sentinel-file counter), then
-    succeed -- exercises retry + backoff across worker processes."""
-    counter = pathlib.Path(path)
-    count = int(counter.read_text()) if counter.exists() else 0
-    if count < times:
-        counter.write_text(str(count + 1))
-        raise ValueError(f"injected failure #{count + 1}")
-    return value
-
-
-def _die_once(path, value):
-    """SIGKILL the hosting worker on first execution -- exercises
-    dead-worker detection and orphan re-queueing."""
-    marker = pathlib.Path(path)
-    if not marker.exists():
-        marker.write_text("died")
-        os.kill(os.getpid(), signal.SIGKILL)
-    return value
-
-
-def _slow_once(path, value, seconds):
-    """Sleep past the cell timeout on first execution only."""
-    marker = pathlib.Path(path)
-    if not marker.exists():
-        marker.write_text("slow")
-        time.sleep(seconds)
-    return value
-
-
 # ---------------------------------------------------------------------------
-# Wire protocol.
+# Backends: resolve_backend and SweepRunner backend selection.
 # ---------------------------------------------------------------------------
 
-def test_pack_unpack_roundtrip():
-    for value in (42, "text", [1, 2, 3], {"k": (1, 2)}, None,
-                  CellFailure("E", "m")):
-        assert protocol.unpack(protocol.pack(value)) == value
-
-
-def test_unpack_rejects_garbage():
-    with pytest.raises(protocol.WireError, match="bad payload"):
-        protocol.unpack("definitely-not-base64-pickle!")
-
-
-def test_encode_decode_roundtrip():
-    message = {"type": "cell", "id": 3, "attempt": 1, "payload": "abc"}
-    data = protocol.encode(message)
-    assert data.endswith(b"\n") and b"\n" not in data[:-1]
-    assert protocol.decode(data[:-1]) == message
-
-
-def test_encode_requires_type():
-    with pytest.raises(protocol.WireError, match="without type"):
-        protocol.encode({"id": 1})
-
-
-def test_decode_rejects_bad_frames():
-    with pytest.raises(protocol.WireError, match="bad frame"):
-        protocol.decode(b"{not json")
-    with pytest.raises(protocol.WireError, match="not a typed message"):
-        protocol.decode(b"[1, 2, 3]")
-    with pytest.raises(protocol.WireError, match="not a typed message"):
-        protocol.decode(b'{"no_type": true}')
-
-
-def test_line_channel_reassembles_partial_frames():
-    left, right = socket.socketpair()
-    try:
-        channel = protocol.LineChannel(right)
-        data = protocol.encode({"type": "heartbeat"}) \
-            + protocol.encode({"type": "result", "id": 7})
-        # Deliver in awkward splits straddling the newline boundary.
-        left.sendall(data[:5])
-        left.sendall(data[5:len(data) // 2])
-        left.sendall(data[len(data) // 2:])
-        first = channel.recv()
-        second = channel.recv()
-        assert first == {"type": "heartbeat"}
-        assert second == {"type": "result", "id": 7}
-    finally:
-        left.close()
-        right.close()
-
-
-def test_line_channel_recv_returns_none_on_eof():
-    left, right = socket.socketpair()
-    channel = protocol.LineChannel(right)
-    left.close()
-    try:
-        assert channel.recv() is None
-        assert channel.closed
-    finally:
-        right.close()
-
-
-def test_line_channel_tolerates_blank_keepalive_lines():
-    left, right = socket.socketpair()
-    try:
-        channel = protocol.LineChannel(right)
-        left.sendall(b"\n\n" + protocol.encode({"type": "shutdown"}) + b"\n")
-        assert channel.recv() == {"type": "shutdown"}
-    finally:
-        left.close()
-        right.close()
-
-
-def test_source_fingerprint_is_stable_hex():
-    fingerprint = protocol.source_fingerprint()
-    assert fingerprint == protocol.source_fingerprint()
-    int(fingerprint, 16)  # 12 hex chars by construction
-    assert len(fingerprint) == 12
-
-
-# ---------------------------------------------------------------------------
-# CellScheduler unit tests.
-# ---------------------------------------------------------------------------
-
-def test_scheduler_assign_complete_lifecycle():
-    sched = CellScheduler(2)
-    worker = object()
-    assert sched.next_cell(worker, 0.0) == (0, 1)
-    assert sched.next_cell(worker, 0.0) == (1, 1)
-    assert sched.next_cell(worker, 0.0) is None  # nothing left to hand out
-    assert sched.complete(worker, 0, 1)
-    assert sched.complete(worker, 1, 1)
-    assert sched.all_resolved()
-    assert sched.resolved_count() == 2
-    assert sched.unfinished() == []
-
-
-def test_scheduler_rejects_stale_and_duplicate_deliveries():
-    sched = CellScheduler(1, max_retries=2, backoff_base=0.0)
-    first, second = object(), object()
-    index, attempt = sched.next_cell(first, 0.0)
-    # Broker gave up on `first` (say, a timeout) and re-assigned.
-    assert sched.fail(first, index, attempt, 0.0, kind="timeout") == RETRY
-    index2, attempt2 = sched.next_cell(second, 0.0)
-    assert (index2, attempt2) == (0, 2)
-    # The original worker delivers late: must not overwrite.
-    assert not sched.complete(first, index, attempt)
-    assert sched.complete(second, index2, attempt2)
-    # Duplicate delivery of the accepted result is also rejected.
-    assert not sched.complete(second, index2, attempt2)
-    assert sched.fail(second, index2, attempt2, 0.0) == STALE
-
-
-def test_scheduler_retry_exhaustion_records_failure():
-    sched = CellScheduler(1, max_retries=1, backoff_base=0.0)
-    worker = object()
-    failure = CellFailure("ValueError", "boom")
-    index, attempt = sched.next_cell(worker, 0.0)
-    assert sched.fail(worker, index, attempt, 0.0, failure=failure) == RETRY
-    index, attempt = sched.next_cell(worker, 0.0)
-    assert attempt == 2
-    assert sched.fail(worker, index, attempt, 0.0, failure=failure) == GAVE_UP
-    assert sched.all_resolved()
-    assert sched.failure(0) is failure
-    assert sched.attempts(0) == 2
-
-
-def test_scheduler_backoff_gates_requeued_cells():
-    sched = CellScheduler(1, max_retries=3, backoff_base=1.0,
-                          backoff_cap=30.0)
-    worker = object()
-    index, attempt = sched.next_cell(worker, 0.0)
-    assert sched.fail(worker, index, attempt, now=10.0) == RETRY
-    # backoff = base * 2**(attempts-1) = 1.0 after the first failure.
-    assert sched.next_cell(worker, 10.0) is None
-    assert sched.next_ready_at(10.0) == 11.0
-    assert sched.next_cell(worker, 10.5) is None
-    assert sched.next_cell(worker, 11.0) == (0, 2)
-    assert sched.fail(worker, 0, 2, now=20.0) == RETRY
-    assert sched.next_ready_at(20.0) == 22.0  # doubled
-
-
-def test_scheduler_backoff_is_capped():
-    sched = CellScheduler(1, max_retries=50, backoff_base=1.0,
-                          backoff_cap=4.0)
-    worker = object()
-    now = 0.0
-    delays = []
-    for _ in range(6):
-        index, attempt = sched.next_cell(worker, now)
-        sched.fail(worker, index, attempt, now)
-        ready = sched.next_ready_at(now)
-        delays.append(ready - now)
-        now = ready
-    # 1, 2, 4, then pinned at the cap -- never unbounded doubling.
-    assert delays == [1.0, 2.0, 4.0, 4.0, 4.0, 4.0]
-
-
-def test_scheduler_worker_lost_requeues_without_backoff():
-    sched = CellScheduler(2, max_retries=2, backoff_base=5.0)
-    doomed, survivor = object(), object()
-    sched.next_cell(doomed, 0.0)
-    sched.next_cell(survivor, 0.0)
-    requeued, gave_up = sched.worker_lost(doomed, now=1.0)
-    assert requeued == [0] and gave_up == []
-    # Orphans are immediately assignable (no backoff penalty) ...
-    assert sched.next_cell(survivor, 1.0) == (0, 2)
-    # ... and the survivor's cell is untouched.
-    assert sched.inflight() == {0: survivor, 1: survivor}
-
-
-def test_scheduler_worker_lost_exhausts_attempts():
-    sched = CellScheduler(1, max_retries=0)
-    worker = object()
-    sched.next_cell(worker, 0.0)
-    requeued, gave_up = sched.worker_lost(worker, 0.0)
-    assert requeued == [] and gave_up == [0]
-    assert sched.all_resolved()
-    assert sched.failure(0) == "worker died"
-
-
-def test_scheduler_expired_reports_deadline_hits():
-    sched = CellScheduler(2, cell_timeout=10.0)
-    worker = object()
-    sched.next_cell(worker, 0.0)
-    sched.next_cell(worker, 5.0)
-    assert sched.expired(9.0) == []
-    assert sched.expired(10.0) == [(0, worker, 1)]
-    assert sorted(i for i, _w, _a in sched.expired(15.0)) == [0, 1]
-    assert sched.next_deadline() == 10.0
-
-
-def test_scheduler_validates_arguments():
-    with pytest.raises(ValueError, match="n_cells"):
-        CellScheduler(-1)
-    with pytest.raises(ValueError, match="max_retries"):
-        CellScheduler(1, max_retries=-1)
-    assert CellScheduler(0).all_resolved()
-
-
-def test_scheduler_ignores_out_of_range_indices():
-    sched = CellScheduler(1)
-    worker = object()
-    assert not sched.complete(worker, 99, 1)
-    assert sched.fail(worker, -5, 1, 0.0) == STALE
-
-
-# ---------------------------------------------------------------------------
-# CellScheduler property tests: the broker-side invariants must hold
-# for *any* interleaving of joins, completions, failures and deaths.
-# ---------------------------------------------------------------------------
-
-_OPS = st.lists(
-    st.tuples(
-        st.sampled_from(["join", "complete", "fail", "kill", "tick",
-                         "stale"]),
-        st.integers(min_value=0, max_value=7),
-    ),
-    max_size=60,
-)
-
-
-class _Fleet:
-    """Deterministic interpreter driving a scheduler like the broker
-    does, with a synthetic clock and accepted-result bookkeeping."""
-
-    def __init__(self, n_cells, max_retries):
-        self.sched = CellScheduler(n_cells, max_retries=max_retries,
-                                   backoff_base=0.001)
-        self.max_retries = max_retries
-        self.now = 0.0
-        self.workers = []          # alive workers
-        self.holding = {}          # worker -> (index, attempt)
-        self.results = {}          # index -> attempt that won
-        self.joined = 0
-
-    def join(self):
-        if len(self.workers) < 4:
-            worker = f"w{self.joined}"
-            self.joined += 1
-            self.workers.append(worker)
-
-    def assign_all(self):
-        for worker in self.workers:
-            if worker in self.holding:
-                continue
-            assignment = self.sched.next_cell(worker, self.now)
-            if assignment is not None:
-                self.holding[worker] = assignment
-
-    def _pick(self, pick):
-        busy = sorted(self.holding)
-        return busy[pick % len(busy)] if busy else None
-
-    def complete(self, pick):
-        worker = self._pick(pick)
-        if worker is None:
-            return
-        index, attempt = self.holding.pop(worker)
-        if self.sched.complete(worker, index, attempt):
-            assert index not in self.results, \
-                f"cell {index} completed twice"
-            self.results[index] = attempt
-
-    def fail(self, pick):
-        worker = self._pick(pick)
-        if worker is None:
-            return
-        index, attempt = self.holding.pop(worker)
-        outcome = self.sched.fail(worker, index, attempt, self.now,
-                                  failure=CellFailure("E", "boom"))
-        assert outcome in (RETRY, GAVE_UP)
-
-    def stale(self, pick):
-        """A delivery for a superseded attempt must always bounce."""
-        worker = self._pick(pick)
-        if worker is None:
-            return
-        index, attempt = self.holding[worker]
-        assert not self.sched.complete(worker, index, attempt + 1)
-        assert not self.sched.complete("ghost", index, attempt)
-
-    def kill(self, pick):
-        if not self.workers:
-            return
-        worker = self.workers.pop(pick % len(self.workers))
-        self.holding.pop(worker, None)
-        self.sched.worker_lost(worker, self.now)
-
-    def check_invariants(self):
-        inflight = self.sched.inflight()
-        held = {worker: index for worker, (index, _a) in
-                self.holding.items()}
-        # What the scheduler thinks is in flight matches our hands, and
-        # no cell is in flight on two workers (dict keyed by index +
-        # one-cell-per-worker on our side).
-        assert sorted(inflight) == sorted(held.values())
-        for index in range(self.sched.n_cells):
-            assert self.sched.attempts(index) <= self.max_retries + 1
-            if index in self.results:
-                assert self.sched.is_done(index)
-                assert self.sched.failure(index) is None
-
-
-@settings(max_examples=60, deadline=None)
-@given(n_cells=st.integers(min_value=0, max_value=8),
-       max_retries=st.integers(min_value=0, max_value=3),
-       ops=_OPS)
-def test_scheduler_invariants_hold_for_any_interleaving(
-        n_cells, max_retries, ops):
-    fleet = _Fleet(n_cells, max_retries)
-    fleet.join()
-    for op, pick in ops:
-        if op == "join":
-            fleet.join()
-        elif op == "complete":
-            fleet.complete(pick)
-        elif op == "fail":
-            fleet.fail(pick)
-        elif op == "kill":
-            fleet.kill(pick)
-        elif op == "stale":
-            fleet.stale(pick)
-        elif op == "tick":
-            fleet.now += 1.0
-        fleet.assign_all()
-        fleet.check_invariants()
-    # Drain: with a healthy fleet and an advancing clock, the scheduler
-    # must converge -- every cell resolved exactly once.
-    for _ in range(10 * (n_cells + 1) * (max_retries + 2)):
-        if fleet.sched.all_resolved():
-            break
-        fleet.now += 1.0
-        if not fleet.workers:
-            fleet.join()
-        fleet.assign_all()
-        while fleet.holding:
-            fleet.complete(0)
-        fleet.check_invariants()
-    assert fleet.sched.all_resolved(), "scheduler failed to converge"
-    for index in range(n_cells):
-        done = fleet.sched.is_done(index)
-        failed = fleet.sched.failure(index) is not None
-        assert done != failed or n_cells == 0 or (done ^ failed), \
-            f"cell {index} must resolve exactly one way"
-        assert done == (index in fleet.results)
-
-
-@settings(max_examples=30, deadline=None)
-@given(order=st.permutations(list(range(6))))
-def test_scheduler_result_keying_is_order_independent(order):
-    """Whatever order completions land in, the resolved set and the
-    winning attempt numbers are identical."""
-    sched = CellScheduler(6)
-    worker = object()
-    assignments = {}
-    for _ in range(6):
-        index, attempt = sched.next_cell(worker, 0.0)
-        assignments[index] = attempt
-    for index in order:
-        assert sched.complete(worker, index, assignments[index])
-    assert sched.all_resolved()
-    assert all(sched.attempts(i) == 1 for i in range(6))
-
-
-# ---------------------------------------------------------------------------
-# resolve_backend / SweepRunner backend selection.
-# ---------------------------------------------------------------------------
-
-def test_resolve_backend_spellings(tmp_path):
+def test_resolve_backend_spellings():
     assert isinstance(resolve_backend("serial"), SerialBackend)
-    assert isinstance(resolve_backend("local", jobs=3), ProcessPoolBackend)
-    queue = resolve_backend("queue:3")
-    assert isinstance(queue, QueueBackend) and queue.workers == 3
-    listen = resolve_backend("queue:0.0.0.0:4455")
-    assert listen.host == "0.0.0.0" and listen.port == 4455
-    assert not listen.spawn
-    hosts = tmp_path / "hosts.toml"
-    hosts.write_text('[[hosts]]\nssh = "nodea"\n')
-    ssh = resolve_backend(f"ssh:{hosts}")
-    assert isinstance(ssh, SSHBackend)
+    pool = resolve_backend(" Local ", jobs=3)
+    assert isinstance(pool, ProcessPoolBackend) and pool.jobs == 3
     # An instance passes through unchanged.
-    assert resolve_backend(queue) is queue
-    assert isinstance(queue, Backend)
+    assert resolve_backend(pool) is pool
+    assert isinstance(pool, Backend)
 
 
 def test_resolve_backend_rejects_bad_specs():
-    for bad in ("queue:banana", "queue:h:p:x", "queue:host:port",
-                "warp-drive", "ssh:"):
+    for bad in ("warp-drive", "local:2", "serial:x", ""):
         with pytest.raises(ValueError):
             resolve_backend(bad)
     with pytest.raises(ValueError):
@@ -503,12 +57,16 @@ def test_resolve_backend_rejects_bad_specs():
         resolve_backend(42)
 
 
-def test_parse_address():
-    assert parse_address("127.0.0.1:80") == ("127.0.0.1", 80)
-    assert parse_address("host.example:9999") == ("host.example", 9999)
-    for bad in ("no-port", ":80", "host:", "host:banana"):
-        with pytest.raises(ValueError):
-            parse_address(bad)
+@pytest.mark.parametrize("spec", ["queue", "queue:2", "ssh:x.toml"])
+def test_resolve_backend_rejects_retired_backends(spec):
+    """Only this machine's two backends remain; the error names them."""
+    with pytest.raises(ValueError, match="expected serial or local"):
+        resolve_backend(spec)
+
+
+@pytest.mark.parametrize("spec", ["serial", "local"])
+def test_empty_submit_returns_empty_dict(spec):
+    assert resolve_backend(spec, jobs=2).submit([]) == {}
 
 
 def test_runner_serial_backend_spec_forces_serial_path():
@@ -528,7 +86,7 @@ def test_runner_backend_from_environment(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Per-cell error capture (the run_cells abort-the-sweep fix).
+# Per-cell error capture.
 # ---------------------------------------------------------------------------
 
 def test_parallel_cell_exception_no_longer_aborts_the_sweep():
@@ -574,195 +132,19 @@ def test_cell_failure_roundtrips_through_pickle():
         failure = CellFailure.from_exception(exc, kind="error", attempts=2)
     clone = pickle.loads(pickle.dumps(failure))
     assert clone == failure
+    assert clone.attempts == 2
     assert "ValueError" in str(clone)
-    assert clone.retried(5).attempts == 5
 
 
 # ---------------------------------------------------------------------------
-# QueueBackend integration: a real loopback fleet.
-# ---------------------------------------------------------------------------
-
-def _cells(n):
-    return [SweepCell(key=i, fn=_square, kwargs={"x": i}) for i in range(n)]
-
-
-def test_queue_backend_runs_cells_through_loopback_workers():
-    backend = QueueBackend(workers=2, backoff_base=0.01)
-    seen = []
-    out = backend.submit(_cells(8), progress=lambda *a: seen.append(a))
-    assert out == {i: i * i for i in range(8)}
-    assert list(out) == list(range(8))  # cell order, not completion order
-    counters = backend.metrics.counter_values("dist.")
-    assert counters["dist.cells_completed"] == 8
-    assert counters["dist.workers_connected"] >= 1
-    assert sorted(done for done, _t, _k, _w in seen) == list(range(1, 9))
-    assert all(total == 8 for _d, total, _k, _w in seen)
-
-
-def test_queue_backend_through_sweep_runner_sets_mode():
-    backend = QueueBackend(workers=2, backoff_base=0.01)
-    runner = SweepRunner(jobs=2, backend=backend)
-    out = runner.map(_cells(4))
-    assert runner.last_mode == "queue"
-    assert out == {i: i * i for i in range(4)}
-
-
-def test_queue_backend_retries_transient_failures(tmp_path):
-    cells = [SweepCell(key="flaky", fn=_raise_until,
-                       kwargs={"path": str(tmp_path / "flaky"), "times": 2,
-                               "value": 42})] + _cells(3)
-    backend = QueueBackend(workers=2, max_retries=3, backoff_base=0.01)
-    out = backend.submit(cells)
-    assert out["flaky"] == 42
-    counters = backend.metrics.counter_values("dist.")
-    assert counters["dist.retries"] == 2
-    assert counters["dist.cells_completed"] == 4
-    assert "dist.cells_failed" not in counters
-
-
-def test_queue_backend_survives_worker_killed_mid_cell(tmp_path):
-    """SIGKILL one of two workers while it runs a cell: the broker must
-    detect the death, re-queue the orphan, and still complete every
-    cell -- the acceptance criterion for fault tolerance."""
-    cells = [SweepCell(key="victim", fn=_die_once,
-                       kwargs={"path": str(tmp_path / "die"), "value": 7})] \
-        + _cells(5)
-    backend = QueueBackend(workers=2, max_retries=2, backoff_base=0.01)
-    out = backend.submit(cells)
-    assert out["victim"] == 7
-    assert all(out[i] == i * i for i in range(5))
-    counters = backend.metrics.counter_values("dist.")
-    assert counters["dist.dead_workers"] >= 1
-    assert counters["dist.requeued"] >= 1
-    assert counters["dist.cells_completed"] == 6
-
-
-def test_queue_backend_times_out_wedged_cells(tmp_path):
-    cells = [SweepCell(key="slow", fn=_slow_once,
-                       kwargs={"path": str(tmp_path / "slow"), "value": 9,
-                               "seconds": 30.0})] + _cells(3)
-    backend = QueueBackend(workers=2, cell_timeout=0.7, max_retries=2,
-                           backoff_base=0.01)
-    out = backend.submit(cells)
-    assert out["slow"] == 9  # retry after the timeout succeeded
-    counters = backend.metrics.counter_values("dist.")
-    assert counters["dist.timeouts"] >= 1
-    assert counters["dist.retries"] >= 1
-
-
-def test_queue_backend_permanent_failure_resolves_to_cell_failure():
-    cells = [SweepCell(key="bad", fn=_boom, kwargs={"x": 1})] + _cells(2)
-    backend = QueueBackend(workers=2, max_retries=1, backoff_base=0.01)
-    out = backend.submit(cells)
-    failure = out["bad"]
-    assert isinstance(failure, CellFailure)
-    assert failure.exc_type == "ValueError"
-    assert failure.attempts == 2  # initial try + one retry
-    assert "cell 1 exploded" in failure.message
-    counters = backend.metrics.counter_values("dist.")
-    assert counters["dist.cells_failed"] == 1
-    assert counters["dist.retries"] == 1
-
-
-def test_queue_backend_failures_raise_through_the_runner():
-    backend = QueueBackend(workers=2, max_retries=0, backoff_base=0.01)
-    runner = SweepRunner(backend=backend)
-    with pytest.raises(SweepCellError) as excinfo:
-        runner.map([SweepCell(key="bad", fn=_boom, kwargs={"x": 3})]
-                   + _cells(2))
-    assert set(excinfo.value.failures) == {"bad"}
-    assert excinfo.value.results == {0: 0, 1: 1}
-    # ... and capture_errors=True opts into in-band failures instead.
-    backend2 = QueueBackend(workers=2, max_retries=0, backoff_base=0.01)
-    runner2 = SweepRunner(backend=backend2, capture_errors=True)
-    out = runner2.map([SweepCell(key="bad", fn=_boom, kwargs={"x": 3})]
-                      + _cells(2))
-    assert isinstance(out["bad"], CellFailure)
-
-
-def test_queue_backend_degrades_to_serial_without_workers():
-    backend = QueueBackend(workers=2, spawn=False, wait_for_workers=0.5)
-    out = backend.submit(_cells(4))
-    assert out == {i: i * i for i in range(4)}
-    counters = backend.metrics.counter_values("dist.")
-    assert counters["dist.serial_cells"] == 4
-
-
-def test_queue_backend_unpicklable_cells_run_serially():
-    cells = [SweepCell(key=i, fn=lambda x=i: x + 1) for i in range(3)]
-    backend = QueueBackend(workers=2, spawn=False)
-    out = backend.submit(cells)
-    assert out == {0: 1, 1: 2, 2: 3}
-    assert backend.metrics.counter_values("dist.")["dist.serial_cells"] == 3
-
-
-def test_queue_backend_empty_sweep():
-    backend = QueueBackend(workers=2, spawn=False)
-    assert backend.submit([]) == {}
-
-
-def test_broker_rejects_fingerprint_mismatch():
-    """A worker built from divergent sources must be turned away at
-    handshake, and the sweep must still complete (serial fallback)."""
-    backend = QueueBackend(workers=1, spawn=False, wait_for_workers=1.5)
-    done = {}
-
-    def drive():
-        done["out"] = backend.submit(_cells(2))
-
-    broker = threading.Thread(target=drive)
-    broker.start()
-    try:
-        deadline = time.monotonic() + 5.0
-        while backend.address is None and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert backend.address is not None
-        code = run_worker(backend.address, fingerprint="0badc0ffee00")
-        assert code == EXIT_REJECTED
-    finally:
-        broker.join(timeout=30.0)
-    assert done["out"] == {0: 0, 1: 1}
-    counters = backend.metrics.counter_values("dist.")
-    assert counters["dist.fingerprint_rejects"] == 1
-    assert counters["dist.serial_cells"] == 2
-
-
-def test_worker_environment_carries_import_paths():
-    env = worker_environment(extra={"MARKER": "1"})
-    assert env["MARKER"] == "1"
-    paths = env["PYTHONPATH"].split(os.pathsep)
-    # Whatever lets *us* import repro must reach the worker too.
-    import repro
-
-    package_root = str(pathlib.Path(repro.__file__).resolve().parent.parent)
-    assert package_root in paths
-
-
-def test_worker_cli_connect_failure_exit_code():
-    # Bind-then-close guarantees nothing is listening on the port.
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    done = subprocess.run(
-        [sys.executable, "-m", "repro", "worker",
-         "--connect", f"127.0.0.1:{port}"],
-        env=worker_environment(), capture_output=True, text=True,
-        timeout=60)
-    assert done.returncode == EXIT_CONNECT
-    assert "cannot connect" in done.stdout
-
-
-# ---------------------------------------------------------------------------
-# Cross-backend determinism: serial == pool == queue, byte for byte.
+# Cross-backend determinism.
 # ---------------------------------------------------------------------------
 
 def test_backends_are_byte_identical_on_a_figure_grid(tmp_path, monkeypatch):
-    """Satellite 1: the same Fig. 10 grid through serial, process-pool
-    and queue (2 loopback workers) backends must produce byte-identical
-    result dicts -- the PR 1 determinism guarantee, extended to the
-    distributed path.  A shared on-disk FSM cache keeps the queue
-    workers from re-synthesizing compound FSMs."""
+    """The same Fig. 10 grid through the serial and process-pool
+    backends must produce byte-identical result dicts.  A shared
+    on-disk FSM cache keeps the pool workers from re-synthesizing
+    compound FSMs."""
     from repro.core import generator
     from repro.harness.experiments import FIG10_COMBOS, figure10
 
@@ -771,197 +153,9 @@ def test_backends_are_byte_identical_on_a_figure_grid(tmp_path, monkeypatch):
     grid = dict(workloads=["vips", "histogram"], combos=FIG10_COMBOS[:2],
                 scale=0.3, seeds=(1,))
     try:
-        serial = figure10(jobs=1, **grid)
-        pool = figure10(jobs=2, **grid)
-        queue = figure10(backend=QueueBackend(workers=2, backoff_base=0.01),
-                         **grid)
+        serial = figure10(backend="serial", **grid)
+        pool = figure10(jobs=2, backend="local", **grid)
     finally:
         generator.clear_fsm_cache()
-    assert serial.times == pool.times == queue.times
-    assert pickle.dumps(serial.times) == pickle.dumps(pool.times) \
-        == pickle.dumps(queue.times)
-
-
-# ---------------------------------------------------------------------------
-# hosts.toml parsing and the SSH bootstrap plan (no SSH is ever run).
-# ---------------------------------------------------------------------------
-
-_HOSTS_TOML = '''
-# fleet-wide defaults
-[fleet]
-python = "python3"
-repro_path = "/opt/repro/src"
-fsm_cache = "/tmp/repro-fsm"   # shared across hosts
-rsync_cache = true
-
-[[hosts]]
-name = "nodeA"
-ssh = "user@nodea"
-workers = 4
-
-[[hosts]]
-name = "nodeB"
-ssh = "nodeb"
-workers = 2
-python = "/opt/py311/bin/python"
-'''
-
-
-def test_load_hosts_merges_fleet_defaults(tmp_path):
-    path = tmp_path / "hosts.toml"
-    path.write_text(_HOSTS_TOML)
-    node_a, node_b = load_hosts(path)
-    assert node_a == HostSpec(
-        name="nodeA", ssh="user@nodea", workers=4, python="python3",
-        repro_path="/opt/repro/src", fsm_cache="/tmp/repro-fsm",
-        rsync_cache=True)
-    assert node_b.python == "/opt/py311/bin/python"  # per-host override
-    assert node_b.workers == 2
-    assert node_b.fsm_cache == "/tmp/repro-fsm"      # inherited
-
-
-def test_minimal_toml_parser_agrees_with_tomllib():
-    tomllib = pytest.importorskip("tomllib")
-    assert _parse_toml_minimal(_HOSTS_TOML) == tomllib.loads(_HOSTS_TOML)
-
-
-def test_minimal_toml_parser_rejects_garbage():
-    with pytest.raises(HostsError, match="cannot parse"):
-        _parse_toml_minimal("what even is this line")
-    with pytest.raises(HostsError, match="unsupported value"):
-        _parse_toml_minimal("key = 3.14159")
-
-
-def test_load_hosts_error_paths(tmp_path):
-    with pytest.raises(HostsError, match="not found"):
-        load_hosts(tmp_path / "missing.toml")
-    empty = tmp_path / "empty.toml"
-    empty.write_text("[fleet]\n")
-    with pytest.raises(HostsError, match="no \\[\\[hosts\\]\\] entries"):
-        load_hosts(empty)
-    bad_key = tmp_path / "badkey.toml"
-    bad_key.write_text('[[hosts]]\nssh = "x"\nfrobnicate = 1\n')
-    with pytest.raises(HostsError, match="unknown keys"):
-        load_hosts(bad_key)
-    no_ssh = tmp_path / "nossh.toml"
-    no_ssh.write_text('[[hosts]]\nname = "x"\n')
-    with pytest.raises(HostsError, match="needs an"):
-        load_hosts(no_ssh)
-    bad_workers = tmp_path / "badworkers.toml"
-    bad_workers.write_text('[[hosts]]\nssh = "x"\nworkers = 0\n')
-    with pytest.raises(HostsError, match="positive integer"):
-        load_hosts(bad_workers)
-
-
-def test_bootstrap_command_shapes():
-    spec = HostSpec(name="a", ssh="user@nodea", workers=2,
-                    python="/usr/bin/python3", repro_path="/opt/repro/src",
-                    fsm_cache="/tmp/fsm", rsync_cache=True)
-    argv = spec.bootstrap_command(("broker.local", 4321))
-    assert argv[0] == "ssh" and "user@nodea" in argv
-    remote = argv[-1]
-    assert "REPRO_FSM_CACHE=/tmp/fsm" in remote
-    assert "PYTHONPATH=/opt/repro/src" in remote
-    assert "--connect broker.local:4321" in remote
-    rsync = spec.rsync_command("/var/cache/fsm")
-    assert rsync[0] == "rsync"
-    assert rsync[-1] == "user@nodea:/tmp/fsm/"
-    assert "*.pickle" in rsync
-    # No cache configured -> nothing to rsync.
-    bare = HostSpec(name="b", ssh="nodeb")
-    assert bare.rsync_command("/var/cache/fsm") is None
-
-
-def test_ssh_backend_plans_fleet_without_running_ssh(tmp_path):
-    path = tmp_path / "hosts.toml"
-    path.write_text(_HOSTS_TOML)
-    backend = SSHBackend(path)
-    assert backend.name == "ssh"
-    assert backend.workers == 6  # 4 + 2 across the fleet
-    plan = backend.commands(("broker.local", 7777))
-    assert set(plan) == {"nodeA", "nodeB"}
-    assert len(plan["nodeA"]["bootstrap"]) == 4
-    assert len(plan["nodeB"]["bootstrap"]) == 2
-    assert plan["nodeB"]["bootstrap"][0][-1].startswith(
-        "env REPRO_FSM_CACHE=/tmp/repro-fsm")
-
-
-def test_validate_cache_dir_separates_fresh_from_stale(tmp_path):
-    fingerprint = protocol.source_fingerprint()
-    (tmp_path / f"MESI-CXL-{fingerprint}.pickle").write_bytes(b"x")
-    (tmp_path / f"MOESI-CXL-{fingerprint}.pickle").write_bytes(b"x")
-    (tmp_path / "MESI-CXL-000000000000.pickle").write_bytes(b"x")
-    (tmp_path / "notes.txt").write_text("ignored")
-    assert validate_cache_dir(tmp_path) == (2, 1)
-    assert validate_cache_dir(tmp_path / "missing") == (0, 0)
-
-
-# ---------------------------------------------------------------------------
-# Chunked assignment (protocol v2 `cells` batches).
-# ---------------------------------------------------------------------------
-
-def test_scheduler_next_cells_staggers_batch_deadlines():
-    sched = CellScheduler(5, cell_timeout=10.0)
-    batch = sched.next_cells("w0", now=100.0, limit=3)
-    assert [index for index, _attempt in batch] == [0, 1, 2]
-    assert all(attempt == 1 for _index, attempt in batch)
-    # The i-th cell of a batch runs after its predecessors: deadlines
-    # stagger so a healthy worker is not timed out mid-batch.
-    deadlines = [sched._cells[index].deadline for index, _a in batch]
-    assert deadlines == [110.0, 120.0, 130.0]
-    assert sched.inflight() == {0: "w0", 1: "w0", 2: "w0"}
-    # Remaining cells are still assignable to another worker.
-    assert [i for i, _a in sched.next_cells("w1", now=100.0, limit=9)] == [3, 4]
-
-
-def test_scheduler_next_cells_respects_backoff_and_limit():
-    sched = CellScheduler(3, max_retries=3, backoff_base=4.0)
-    index, attempt = sched.next_cell("w0", now=0.0)
-    assert sched.fail("w0", index, attempt, now=0.0) == RETRY
-    # Cell 0 is backoff-gated: a batch at t=1 must skip it, keep FIFO
-    # among the ready remainder, and honor the limit.
-    batch = sched.next_cells("w1", now=1.0, limit=2)
-    assert [i for i, _a in batch] == [1, 2]
-    assert sched.next_cells("w1", now=1.0, limit=2) == []
-    # Past the backoff gate the retried cell is assignable again.
-    assert sched.next_cells("w2", now=10.0, limit=2) == [(0, 2)]
-
-
-def test_scheduler_next_cell_is_the_limit_one_batch():
-    sched = CellScheduler(2, cell_timeout=7.0)
-    assert sched.next_cell("w0", now=0.0) == (0, 1)
-    assert sched._cells[0].deadline == 7.0  # unchanged single-cell deadline
-
-
-def test_queue_backend_chunk_autosizing():
-    backend = QueueBackend(workers=2)
-    assert backend._chunk_for(8) == 1       # small sweep: per-cell frames
-    assert backend._chunk_for(64) == 8      # 64 cells / (4 * 2 workers)
-    assert backend._chunk_for(10_000) == 16  # capped batch size
-    assert QueueBackend(workers=2, chunk=5)._chunk_for(10_000) == 5
-    assert QueueBackend(workers=2, chunk=0)._chunk_for(64) == 1
-
-
-def test_queue_backend_chunked_assignment_completes():
-    backend = QueueBackend(workers=2, backoff_base=0.01, chunk=3)
-    out = backend.submit(_cells(10))
-    assert out == {i: i * i for i in range(10)}
-    counters = backend.metrics.counter_values("dist.")
-    assert counters["dist.cells_completed"] == 10
-    assert counters["dist.batches"] >= 1  # at least one multi-cell frame
-
-
-def test_queue_backend_chunked_batch_survives_worker_death(tmp_path):
-    """Killing a worker mid-batch orphans *several* cells at once; every
-    one of them must be re-queued and resolved."""
-    cells = [SweepCell(key="victim", fn=_die_once,
-                       kwargs={"path": str(tmp_path / "die"), "value": 9})] \
-        + _cells(7)
-    backend = QueueBackend(workers=2, max_retries=2, backoff_base=0.01,
-                           chunk=4)
-    out = backend.submit(cells)
-    assert out["victim"] == 9
-    assert all(out[i] == i * i for i in range(7))
-    counters = backend.metrics.counter_values("dist.")
-    assert counters["dist.cells_completed"] == 8
-    assert counters["dist.dead_workers"] >= 1
+    assert serial.times == pool.times
+    assert pickle.dumps(serial.times) == pickle.dumps(pool.times)

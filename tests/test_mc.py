@@ -399,6 +399,23 @@ def test_same_configuration_is_deterministic(corr1_serial):
     assert again.outcome_examples == corr1_serial.outcome_examples
 
 
+def test_pool_sharded_search_matches_serial():
+    """MP over 4 shards on the local process pool is the serial search,
+    and its big waves really went through the pool."""
+    serial = check_litmus("MP", COMBO, max_states=0)
+    metrics = MetricsRegistry()
+    pooled = check_litmus("MP", COMBO, shards=4, backend="local",
+                          max_states=0, metrics=metrics)
+    assert (serial.states, serial.terminals, len(serial.outcomes)) \
+        == (823, 3, 3)
+    assert pooled.states == serial.states
+    assert pooled.terminals == serial.terminals
+    assert pooled.outcomes == serial.outcomes
+    assert pooled.ok
+    counters = metrics.counter_values("mc.")
+    assert counters["mc.waves"] > counters["mc.inline_waves"]
+
+
 def test_outcome_witness_paths_replay_to_their_outcome(corr1_serial):
     model = litmus_model("CoRR1", COMBO)
     for outcome, path in corr1_serial.outcome_examples.items():

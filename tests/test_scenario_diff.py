@@ -2,9 +2,9 @@
 
 Extends the ``test_engine_parity`` discipline to the scenario layer,
 including *faulted* runs: the same scenario corpus must produce
-byte-identical outcome dicts whether executed serially, through the
-local process pool, or through a ``queue:2`` distributed fleet, and
-whether the batched engine or the legacy reference loop drives it.
+byte-identical outcome dicts whether executed serially or through the
+local process pool, and whether the batched engine or the legacy
+reference loop drives it.
 """
 
 import glob
@@ -39,13 +39,12 @@ def _canon(outcomes: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Backend parity: serial vs pool vs distributed queue.
+# Backend parity: serial vs pool.
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("backend,jobs", [
     ("local", 2),
-    ("queue:2", None),
-], ids=["pool", "queue2"])
+], ids=["pool"])
 def test_backends_match_serial_bit_for_bit(backend, jobs):
     scenarios = _scenarios()
     reference = _canon(run_scenarios(scenarios, backend="serial"))
