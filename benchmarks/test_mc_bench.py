@@ -3,7 +3,9 @@
 Not a paper figure: this keeps the sharded engine honest.  It explores
 the SB litmus program exhaustively (~1.7k states) two ways -- the mc
 engine with one shard, and the mc engine partitioned into 4 shards over
-a 2-worker local process pool -- asserts the two searches agree
+a 2-worker local process pool (one pool for the whole search, started
+at the first fanned-out wave, so its forked workers inherit the FSM the
+coordinator's inline waves already generated) -- asserts the two searches agree
 exactly (states, terminals, outcomes), and records states/second for
 each.
 
@@ -21,8 +23,7 @@ import time
 
 import pytest
 
-from repro.core.generator import FSM_CACHE_ENV, clear_fsm_cache, warm_fsm_cache
-from repro.harness.dist import resolve_backend
+from repro.core.generator import FSM_CACHE_ENV, clear_fsm_cache
 from repro.verify.mc.engine import ModelChecker
 from repro.verify.mc.model import litmus_model
 
@@ -32,14 +33,13 @@ COMBO = ("MESI", "CXL", "MESI")
 LITMUS = "SB"
 SHARDS = 4
 WORKERS = 2
-FSM_PAIRS = (("MESI", "CXL"),)
 
 
-def _mc_rate(shards: int, backend):
+def _mc_rate(shards: int, backend: str):
     """Exhaustive mc run; returns (result, states/sec)."""
     model = litmus_model(LITMUS, COMBO)
     checker = ModelChecker(model, shards=shards, backend=backend,
-                           max_states=0)
+                           max_states=0, jobs=WORKERS)
     start = time.perf_counter()
     result = checker.run()
     return result, result.states / (time.perf_counter() - start)
@@ -53,10 +53,7 @@ def test_sharded_exploration_throughput(benchmark, save_result, tmp_path,
 
     def run():
         serial, serial_rate = _mc_rate(1, "serial")
-        pool = resolve_backend("local", jobs=WORKERS,
-                               initializer=warm_fsm_cache,
-                               initargs=(FSM_PAIRS,))
-        sharded, sharded_rate = _mc_rate(SHARDS, pool)
+        sharded, sharded_rate = _mc_rate(SHARDS, "local")
         return serial, serial_rate, sharded, sharded_rate
 
     try:

@@ -72,11 +72,11 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
              "cpu count; 1 = serial)")
 
 
-def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
+def _add_backend_flag(parser: argparse.ArgumentParser,
+                      default: str = "the local process pool") -> None:
     parser.add_argument(
         "--backend", default=None, choices=("serial", "local"),
-        help="execution backend: serial or local (default: REPRO_BACKEND, "
-             "then the local process pool)")
+        help=f"execution backend: serial or local (default: {default})")
 
 
 def _add_progress_flag(parser: argparse.ArgumentParser) -> None:
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit the verdict as JSON")
     _add_jobs_flag(p)
-    _add_backend_flag(p)
+    _add_backend_flag(p, default="serial")
     _add_progress_flag(p)
 
     p = sub.add_parser(
@@ -377,7 +377,7 @@ def _cmd_check(args) -> int:
     try:
         checker = ModelChecker(
             model, shards=args.shards,
-            backend=args.backend or "serial",
+            backend=args.backend or "serial", jobs=args.jobs,
             max_states=args.max_states, max_depth=args.depth,
             metrics=metrics, shrink=not args.no_shrink)
         result = checker.run(progress=report_wave if args.progress else None)

@@ -159,10 +159,9 @@ def _sweep(cells, combos, jobs: int | None, progress=None,
            backend=None) -> dict:
     """Run figure cells through a SweepRunner warmed for ``combos``.
 
-    ``backend`` selects the execution backend (None for the local pool;
-    see :func:`repro.harness.dist.resolve_backend` for the string
-    spellings) -- results are keyed by cell either way, so every
-    backend regenerates the figure bit-identically.
+    ``backend`` is ``"serial"`` or ``"local"`` (None: the local pool,
+    see :class:`SweepRunner`) -- results are keyed by cell either way,
+    so both regenerate the figure bit-identically.
     """
     runner = SweepRunner(
         jobs=jobs, initializer=warm_fsm_cache, initargs=(_fsm_pairs(combos),),

@@ -3,22 +3,17 @@
 Every paper figure is a sweep over independent simulation cells --
 (workload x protocol combo x MCM x seed) -- that share no state: each
 cell builds its own :class:`~repro.sim.system.System` from a config and
-a seed.  :class:`SweepRunner` fans those cells out over an execution
-*backend* while keeping the *results* keyed by cell, so any backend's
-sweep is bit-identical to the serial one regardless of completion
-order.
-
-Backends (see :mod:`repro.harness.dist`), both on this machine:
-
-- the default local process pool (``jobs`` workers),
-- ``backend="serial"`` -- the plain in-process loop.
+a seed.  :class:`SweepRunner` runs those cells either in-process or
+over a ``multiprocessing`` pool on this machine while keeping the
+*results* keyed by cell, so the pooled sweep is bit-identical to the
+serial one regardless of completion order.
 
 Design constraints (and how they are met):
 
 - **Spawn safety.**  Cell functions must be module-level callables and
-  cell kwargs picklable values; both are verified up front with a
-  pre-flight ``pickle.dumps`` so a bad cell degrades to the serial path
-  instead of wedging the pool's task-handler thread.
+  cell kwargs picklable values; each cell is pickled up front, so a bad
+  cell degrades to the serial path instead of wedging the pool's
+  task-handler thread (the pool then ships those same bytes).
 - **Determinism.**  Results are stored by cell key (never by completion
   order) and every cell carries its own seed, so
   ``SweepRunner(jobs=N).map(cells) == SweepRunner(jobs=1).map(cells)``
@@ -31,14 +26,20 @@ Design constraints (and how they are met):
 - **Graceful fallback.**  ``jobs=1``, a single cell, an unpicklable
   cell, or an OS that cannot spawn processes all fall back to a plain
   in-process loop.  ``runner.last_mode`` records which path ran.
+- **One pool per search.**  A bare :meth:`SweepRunner.map` opens and
+  closes its own pool; inside ``with SweepRunner(...) as runner:`` the
+  first map that fans out starts the pool and every later map reuses
+  it, so a loop of batches (model-checker waves, fuzz batches) pays
+  for one pool, not one per batch.
 
 Knobs:
 
 - ``REPRO_JOBS`` (or the ``--jobs`` CLI flag / ``jobs=`` keyword):
   worker count; defaults to ``os.cpu_count()``; ``1`` forces the
   serial path.
-- ``REPRO_BACKEND`` (or ``--backend`` / ``backend=``): execution
-  backend spec; see :func:`repro.harness.dist.resolve_backend`.
+- ``--backend`` / ``backend=``: ``"serial"`` (the in-process loop,
+  whatever ``jobs`` says) or ``"local"`` (the pool; the same as
+  ``None``).
 - ``REPRO_MP_START``: multiprocessing start method (``fork`` /
   ``spawn`` / ``forkserver``); defaults to the platform default.
 
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Mapping
@@ -95,32 +97,25 @@ class CellFailure:
 
     Exceptions are flattened to strings (type name, message, formatted
     traceback) so a failure crosses the process boundary exactly like a
-    result would.  ``kind`` names the failure path (``"error"``: the
-    cell raised) and ``attempts`` counts how many times the cell was
-    tried in total.
+    result would.
     """
 
     exc_type: str
     message: str
     traceback: str = ""
-    kind: str = "error"
-    attempts: int = 1
 
     @classmethod
-    def from_exception(cls, exc: BaseException, kind: str = "error",
-                       attempts: int = 1) -> "CellFailure":
+    def from_exception(cls, exc: BaseException) -> "CellFailure":
         """Flatten a live exception into a portable failure record."""
         return cls(
             exc_type=type(exc).__name__,
             message=str(exc),
             traceback="".join(traceback_module.format_exception(
                 type(exc), exc, exc.__traceback__)),
-            kind=kind,
-            attempts=attempts,
         )
 
     def __str__(self) -> str:
-        return f"[{self.kind}] {self.exc_type}: {self.message}"
+        return f"{self.exc_type}: {self.message}"
 
 
 class SweepCellError(RuntimeError):
@@ -176,13 +171,39 @@ def split_metrics(results: Mapping[Hashable, Any]) -> tuple[dict, dict]:
     return values, rollups
 
 
+def _run_cell(fn: Callable[..., Any], kwargs) -> tuple:
+    """Run one cell; return ``(wall_seconds, result)``.
+
+    A cell exception becomes a :class:`CellFailure` result: in the pool
+    it must not poison the result stream (an uncaught worker exception
+    would abort ``imap_unordered`` mid-batch, discarding every other
+    cell's finished work).  The wall time is measured where the cell
+    ran, so progress reports show real per-cell cost, not queueing.
+    """
+    t0 = time.perf_counter()
+    try:
+        result = fn(**kwargs)
+    except Exception as exc:
+        result = CellFailure.from_exception(exc)
+    return time.perf_counter() - t0, result
+
+
+def _run_pickled(payload: bytes) -> tuple:
+    """Pool worker entry: run one preflighted cell, tagged with its
+    index; returns ``(index, wall_seconds, result)``."""
+    index, fn, kwargs = pickle.loads(payload)
+    return (index, *_run_cell(fn, kwargs))
+
+
 class SweepRunner:
-    """Fan independent sweep cells out over an execution backend.
+    """Run independent sweep cells in-process or over a process pool.
 
     Results come back as ``{cell.key: fn(**kwargs)}`` in the order the
     cells were given, independent of which worker finished first -- the
     property that keeps parallel figure regeneration bit-identical to
-    the serial path.
+    the serial path.  Used as a context manager, the runner keeps the
+    pool its first fanned-out :meth:`map` starts (sized ``jobs``) and
+    reuses it until exit.
     """
 
     def __init__(
@@ -192,10 +213,19 @@ class SweepRunner:
         initializer: Callable[..., None] | None = None,
         initargs: tuple = (),
         progress: Callable[[int, int, Hashable, float], None] | None = None,
-        backend=None,
+        backend: str | None = None,
         capture_errors: bool = False,
     ) -> None:
-        self.jobs = resolve_jobs(jobs)
+        if backend is not None:
+            if not isinstance(backend, str):
+                raise TypeError(f"backend must be a str, got {backend!r}")
+            backend = backend.strip().lower()
+            if backend not in ("serial", "local"):
+                raise ValueError(f"unknown backend {backend!r}; "
+                                 "expected serial or local")
+        #: ``"serial"``, ``"local"`` or None (the pool, as ``"local"``).
+        self.backend = backend
+        self.jobs = 1 if backend == "serial" else resolve_jobs(jobs)
         self.start_method = (
             start_method
             or os.environ.get(START_METHOD_ENV, "").strip()
@@ -206,23 +236,25 @@ class SweepRunner:
         #: Optional callback ``progress(done, total, key, wall_seconds)``
         #: fired as each cell completes (in completion order).
         self.progress = progress
-        #: Execution backend: None for the built-in local pool, a spec
-        #: string (``"serial"`` or ``"local"``, see
-        #: :func:`repro.harness.dist.resolve_backend`) or a Backend
-        #: instance.  Defaults to the ``REPRO_BACKEND`` env knob.
-        if backend is None:
-            from repro.harness.dist import BACKEND_ENV
-
-            backend = os.environ.get(BACKEND_ENV, "").strip() or None
-        self.backend = backend
         #: Return :class:`CellFailure` objects in the result dict
         #: instead of raising :class:`SweepCellError` at the end.
         self.capture_errors = capture_errors
-        #: Backend name after the last map() call ("serial" or
-        #: "parallel").
+        #: Path taken by the last map() call ("serial" or "parallel").
         self.last_mode: str | None = None
         #: The exception that forced a fallback to serial, if any.
         self.last_fallback: BaseException | None = None
+        self._keep_pool = False
+        self._pool = None
+
+    def __enter__(self) -> "SweepRunner":
+        self._keep_pool = True
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._keep_pool = False
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.terminate()
 
     # ------------------------------------------------------------------
     def map(self, cells: Iterable[SweepCell]) -> dict:
@@ -237,50 +269,19 @@ class SweepRunner:
                 seen.add(key)
             raise ValueError(f"duplicate sweep cell keys: {dupes[:5]}")
         self.last_fallback = None
-        backend = self._explicit_backend()
-        if backend is not None:
-            results = backend.submit(cells, progress=self.progress)
-            self.last_mode = backend.name
-            return self._finish(results)
-        return self._finish(self._map_local(cells))
-
-    # ------------------------------------------------------------------
-    def _explicit_backend(self):
-        """Resolve the explicit backend, if one was requested.
-
-        ``"local"`` and ``"serial"`` resolve to None here and steer the
-        built-in path instead, so they keep its preflight checks and
-        pool fallback behaviour.
-        """
-        spec = self.backend
-        if spec is None:
-            return None
-        if isinstance(spec, str):
-            text = spec.strip().lower()
-            if text == "local":
-                return None
-            if text == "serial":
-                self.jobs = 1
-                return None
-        from repro.harness.dist import resolve_backend
-
-        return resolve_backend(spec, jobs=self.jobs,
-                               initializer=self.initializer,
-                               initargs=self.initargs)
-
-    def _map_local(self, cells) -> dict:
-        """The built-in path: process pool with serial fallbacks."""
         if self.jobs <= 1 or len(cells) <= 1:
-            return self._map_serial(cells)
-        if not self._picklable(cells):  # spawn-unsafe, go serial
-            return self._map_serial(cells)
+            return self._finish(self._map_serial(cells))
+        payloads = self._preflight(cells)
+        if payloads is None:  # spawn-unsafe, go serial
+            return self._finish(self._map_serial(cells))
         try:
-            return self._map_parallel(cells)
+            results = self._map_parallel(cells, payloads)
         except (OSError, ImportError) as exc:
             # No pool on this platform (sandboxed /dev/shm, missing
             # semaphores, fork failure): degrade, don't die.
             self.last_fallback = exc
-            return self._map_serial(cells)
+            results = self._map_serial(cells)
+        return self._finish(results)
 
     def _finish(self, results: dict) -> dict:
         """Raise on captured failures unless ``capture_errors`` asked
@@ -296,35 +297,57 @@ class SweepRunner:
         return results
 
     # ------------------------------------------------------------------
-    def _picklable(self, cells) -> bool:
-        payloads = [(i, cell.fn, dict(cell.kwargs))
-                    for i, cell in enumerate(cells)]
+    def _preflight(self, cells) -> list[bytes] | None:
+        """Pickle every cell (and the initializer) once; None if any
+        cannot cross a process boundary."""
         try:
-            pickle.dumps(payloads)
+            payloads = [pickle.dumps((i, cell.fn, dict(cell.kwargs)))
+                        for i, cell in enumerate(cells)]
             if self.initializer is not None:
                 pickle.dumps((self.initializer, self.initargs))
         except Exception as exc:  # PicklingError, AttributeError, TypeError
             self.last_fallback = exc
-            return False
-        return True
+            return None
+        return payloads
 
     def _map_serial(self, cells) -> dict:
-        from repro.harness.dist.local import SerialBackend
-
+        """The in-process loop."""
         self.last_mode = "serial"
-        backend = SerialBackend(initializer=self.initializer,
-                                initargs=self.initargs)
-        return backend.submit(cells, progress=self.progress)
-
-    def _map_parallel(self, cells) -> dict:
-        from repro.harness.dist.local import ProcessPoolBackend
-
-        backend = ProcessPoolBackend(
-            jobs=self.jobs, start_method=self.start_method,
-            initializer=self.initializer, initargs=self.initargs)
-        results = backend.submit(cells, progress=self.progress)
-        self.last_mode = "parallel"
+        if self.initializer is not None:
+            self.initializer(*self.initargs)
+        results: dict = {}
+        for done, cell in enumerate(cells, start=1):
+            wall, results[cell.key] = _run_cell(cell.fn, cell.kwargs)
+            if self.progress is not None:
+                self.progress(done, len(cells), cell.key, wall)
         return results
+
+    def _map_parallel(self, cells, payloads) -> dict:
+        """Fan the preflighted cells over the (kept or fresh) pool."""
+        import multiprocessing
+
+        pool = self._pool
+        if pool is None:
+            pool = multiprocessing.get_context(self.start_method).Pool(
+                processes=(self.jobs if self._keep_pool
+                           else min(self.jobs, len(cells))),
+                initializer=self.initializer,
+                initargs=self.initargs,
+            )
+            if self._keep_pool:
+                self._pool = pool
+        results: list = [None] * len(cells)
+        try:
+            for done, (index, wall, value) in enumerate(
+                    pool.imap_unordered(_run_pickled, payloads), start=1):
+                results[index] = value
+                if self.progress is not None:
+                    self.progress(done, len(cells), cells[index].key, wall)
+        finally:
+            if pool is not self._pool:
+                pool.terminate()
+        self.last_mode = "parallel"
+        return {cell.key: results[i] for i, cell in enumerate(cells)}
 
 
 def run_cells(

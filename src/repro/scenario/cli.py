@@ -4,9 +4,9 @@ Four subcommands (wired into :mod:`repro.cli`):
 
 - ``validate FILES...`` -- schema-check scenario TOML files.
   Exit 0 all valid / 1 any invalid.
-- ``run FILES...``      -- run scenarios through a sweep backend and
-  check each outcome against its ``[expect]`` table (no table = must
-  pass).  Exit 0 all as expected / 1 mismatches / 2 bad usage.
+- ``run FILES...``      -- run scenarios serially or over the process
+  pool and check each outcome against its ``[expect]`` table (no
+  table = must pass).  Exit 0 all as expected / 1 mismatches / 2 bad usage.
 - ``fuzz``              -- a budgeted coverage-guided fuzzing session;
   ``--defect`` injects the ``violate_atomicity`` Rule-II defect and
   ``--expect-failure`` makes "found, shrunk, fixture replays red" the
@@ -40,8 +40,8 @@ def add_scenario_parser(sub) -> None:
     r = scenario_sub.add_parser(
         "run", help="run scenarios and check their [expect] tables")
     r.add_argument("files", nargs="+", metavar="FILE")
-    r.add_argument("--backend", default=None, metavar="SPEC",
-                   help="execution backend: serial or local (default "
+    r.add_argument("--backend", default=None, choices=("serial", "local"),
+                   help="execution backend: serial or local (default: "
                         "serial)")
     r.add_argument("--jobs", type=int, default=None, metavar="N",
                    help="worker processes for the local pool backend")
@@ -59,8 +59,9 @@ def add_scenario_parser(sub) -> None:
                    help="stop after N scenario runs (default 32 when no "
                         "budget is given)")
     f.add_argument("--seed", type=int, default=1)
-    f.add_argument("--backend", default=None, metavar="SPEC",
-                   help="execution backend for scenario batches")
+    f.add_argument("--backend", default=None, choices=("serial", "local"),
+                   help="execution backend for scenario batches: serial "
+                        "or local (default: serial)")
     f.add_argument("--jobs", type=int, default=None, metavar="N")
     f.add_argument("--batch", type=int, default=8, metavar="N",
                    help="scenarios per backend batch (default 8)")

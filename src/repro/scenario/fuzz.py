@@ -3,7 +3,8 @@
 The fuzzer walks the scenario space the DSL spans: each round it
 generates a batch of random scenarios (fresh ones, plus mutations of
 the *corpus* -- scenarios that previously visited behaviour nobody
-else had), runs the batch through any ``harness.dist`` backend, and
+else had), runs the batch through one sweep runner (serial loop or
+process pool, started once per session), and
 keeps whatever widened coverage.  Coverage is the runner's signal set:
 compound-state transitions, span kinds, message kinds, fired fault
 verbs and verdicts (see ``repro.scenario.runner``).
@@ -305,6 +306,7 @@ def fuzz(
     if budget_seconds is None and max_scenarios is None:
         max_scenarios = 32
     rng = random.Random(seed)
+    # Held open across batches: a pooled session starts one pool.
     runner = SweepRunner(jobs=jobs, backend=backend or "serial",
                          capture_errors=True)
     report = FuzzReport()
@@ -312,64 +314,65 @@ def fuzz(
     corpus: list[Scenario] = []
     started = time.monotonic()
     index = 0
-    while True:
-        elapsed = time.monotonic() - started
-        if budget_seconds is not None and report.scenarios_run \
-                and elapsed >= budget_seconds:
-            break
-        if max_scenarios is not None \
-                and report.scenarios_run >= max_scenarios:
-            break
-        if len(report.findings) >= max_findings:
-            break
+    with runner:
+        while True:
+            elapsed = time.monotonic() - started
+            if budget_seconds is not None and report.scenarios_run \
+                    and elapsed >= budget_seconds:
+                break
+            if max_scenarios is not None \
+                    and report.scenarios_run >= max_scenarios:
+                break
+            if len(report.findings) >= max_findings:
+                break
 
-        batch: list[Scenario] = []
-        for _ in range(batch_size):
-            if corpus and rng.random() < 0.5:
-                candidate = mutate_scenario(rng.choice(corpus), rng, index)
-                try:
-                    candidate = Scenario.from_dict(candidate.to_dict())
-                except ScenarioError:
+            batch: list[Scenario] = []
+            for _ in range(batch_size):
+                if corpus and rng.random() < 0.5:
+                    candidate = mutate_scenario(rng.choice(corpus), rng, index)
+                    try:
+                        candidate = Scenario.from_dict(candidate.to_dict())
+                    except ScenarioError:
+                        candidate = random_scenario(rng, index, defect=defect)
+                else:
                     candidate = random_scenario(rng, index, defect=defect)
-            else:
-                candidate = random_scenario(rng, index, defect=defect)
-            batch.append(candidate)
-            index += 1
-        by_name = {scenario.name: scenario for scenario in batch}
-        cells = [SweepCell(key=s.name, fn=_fuzz_cell,
-                           kwargs={"data": s.to_dict()}) for s in batch]
-        results = runner.map(cells)
-        report.scenarios_run += len(batch)
+                batch.append(candidate)
+                index += 1
+            by_name = {scenario.name: scenario for scenario in batch}
+            cells = [SweepCell(key=s.name, fn=_fuzz_cell,
+                               kwargs={"data": s.to_dict()}) for s in batch]
+            results = runner.map(cells)
+            report.scenarios_run += len(batch)
 
-        for name, outcome in results.items():
-            if outcome is None or not isinstance(outcome, dict):
-                continue  # a worker-side crash captured as CellFailure
-            novel = set(outcome["coverage"]) - seen
-            if novel:
-                seen.update(novel)
-                corpus.append(by_name[name])
-            if outcome["status"] != "fail" \
-                    or len(report.findings) >= max_findings:
-                continue
-            finding = FuzzFinding(scenario=by_name[name], outcome=outcome)
+            for name, outcome in results.items():
+                if outcome is None or not isinstance(outcome, dict):
+                    continue  # a worker-side crash captured as CellFailure
+                novel = set(outcome["coverage"]) - seen
+                if novel:
+                    seen.update(novel)
+                    corpus.append(by_name[name])
+                if outcome["status"] != "fail" \
+                        or len(report.findings) >= max_findings:
+                    continue
+                finding = FuzzFinding(scenario=by_name[name], outcome=outcome)
+                if log is not None:
+                    log(f"[fuzz] {finding.kind}: {name} "
+                        f"({outcome['failure']['message'][:70]})")
+                if shrink:
+                    finding.shrunk, finding.probes = \
+                        shrink_scenario(by_name[name])
+                    if fixture_dir is not None:
+                        finding.fixture = write_fixture(finding.shrunk,
+                                                        fixture_dir)
+                        if log is not None and finding.fixture:
+                            log(f"[fuzz] fixture: {finding.fixture} "
+                                f"(shrunk in {finding.probes} probes)")
+                report.findings.append(finding)
             if log is not None:
-                log(f"[fuzz] {finding.kind}: {name} "
-                    f"({outcome['failure']['message'][:70]})")
-            if shrink:
-                finding.shrunk, finding.probes = \
-                    shrink_scenario(by_name[name])
-                if fixture_dir is not None:
-                    finding.fixture = write_fixture(finding.shrunk,
-                                                    fixture_dir)
-                    if log is not None and finding.fixture:
-                        log(f"[fuzz] fixture: {finding.fixture} "
-                            f"(shrunk in {finding.probes} probes)")
-            report.findings.append(finding)
-        if log is not None:
-            log(f"[fuzz] {report.scenarios_run} scenarios, "
-                f"{len(seen)} coverage signals, "
-                f"{len(report.findings)} finding(s), "
-                f"{time.monotonic() - started:.1f}s")
+                log(f"[fuzz] {report.scenarios_run} scenarios, "
+                    f"{len(seen)} coverage signals, "
+                    f"{len(report.findings)} finding(s), "
+                    f"{time.monotonic() - started:.1f}s")
 
     report.elapsed_s = time.monotonic() - started
     report.coverage_size = len(seen)

@@ -11,8 +11,8 @@ the workload mix, and reduces everything to one canonical, picklable
 Outcome contract (the differential tests depend on it):
 
 - pure JSON types with deterministic construction order, so two runs
-  of the same scenario -- in any process, through any
-  ``harness.dist`` backend -- compare equal (and serialize to
+  of the same scenario -- in any process, serially or through the
+  process pool -- compare equal (and serialize to
   identical JSON);
 - ``status`` is ``"ok"`` or ``"fail"``; ``failure`` carries
   ``{"kind", "message"}`` with kind in
@@ -165,15 +165,14 @@ def run_scenario_cell(data: dict) -> dict:
     """Sweep-cell entry point: validate a scenario dict and run it.
 
     Module-level and dict-in/dict-out, so it pickles by reference and
-    crosses process/host boundaries under every ``harness.dist``
-    backend.
+    crosses into the sweep runner's pool workers.
     """
     scenario = Scenario.from_dict(data)
     return run_scenario(scenario)
 
 
 def run_scenarios(scenarios, backend=None, jobs=None, progress=None) -> dict:
-    """Run many scenarios through a sweep backend; ``{name: outcome}``.
+    """Run many scenarios through a sweep runner; ``{name: outcome}``.
 
     Scenario names must be unique within one batch (they key the result
     dict, and the sweep contract keys cells).

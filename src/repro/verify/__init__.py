@@ -15,7 +15,7 @@
 - :mod:`repro.verify.mc` -- the model checker (the Murphi substitute):
   stateless exhaustive search over network delivery orders with
   process-stable canonical fingerprints, partition-by-hash sharding
-  over the :mod:`repro.harness.dist` backends, and deduplicated,
+  over the sweep runner's serial loop or process pool, and deduplicated,
   shrunk, replayable counterexample traces (``python -m repro check``;
   see ``docs/VERIFY.md``).
 - :mod:`repro.verify.explorer` -- what the checker builds on: the

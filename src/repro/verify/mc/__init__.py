@@ -11,8 +11,8 @@ interception and state walk of :mod:`repro.verify.explorer`:
   description from which any worker reconstructs states by replaying
   delivery paths (stateless model checking).
 - :mod:`~repro.verify.mc.engine` -- :class:`ModelChecker`, the
-  partition-by-hash frontier engine over the
-  :mod:`repro.harness.dist` backends; shard *k* of *n* owns the states
+  partition-by-hash frontier engine over one
+  :class:`~repro.harness.sweep.SweepRunner`; shard *k* of *n* owns the states
   with ``fingerprint % n == k``.
 - :mod:`~repro.verify.mc.counterexample` -- deduplicated, shrunk,
   JSON-serializable :class:`Counterexample` traces that replay the

@@ -1,4 +1,4 @@
-"""Frontier-sharded exhaustive exploration over the sweep backends.
+"""Frontier-sharded exhaustive exploration over the sweep runner.
 
 A depth-first search over delivery orders, partitioned by **state
 ownership**: shard *k* of *n* owns exactly the states whose canonical
@@ -10,14 +10,16 @@ A successor owned elsewhere is *punted*: the ``(path, fingerprint)``
 pair is handed to the owner, which can reject already-visited states
 without replaying them.
 
-The search proceeds in waves over the stateless
-:mod:`repro.harness.dist` backends (serial / local pool): each wave fans
-one :class:`~repro.harness.sweep.SweepCell` per shard-with-work out
-through ``Backend.submit`` and the coordinator routes the punted
-frontier to the next wave.  Because starting a process pool costs real
-time, small waves are drained inline in the coordinator
-(:data:`INLINE_WAVE`) -- the backend only sees waves big enough to repay
-the fan-out.
+The search proceeds in waves over one
+:class:`~repro.harness.sweep.SweepRunner` (serial loop or local process
+pool): each wave fans one :class:`~repro.harness.sweep.SweepCell` per
+shard-with-work out through :meth:`~repro.harness.sweep.SweepRunner.map`
+and the coordinator routes the punted frontier to the next wave.  The
+runner is held open for the whole search, so the pool is started once,
+at the first wave that fans out, and reused by every later one.  A
+fanned-out wave still pickles each shard's visited set, so small waves
+are drained inline in the coordinator (:data:`INLINE_WAVE`) -- the
+runner only sees waves big enough to repay the fan-out.
 
 Worker failures degrade deterministically: a cell that comes back as a
 :class:`~repro.harness.sweep.CellFailure` is re-run inline, and every
@@ -31,8 +33,12 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import ConsistencyViolation
-from repro.harness.dist import resolve_backend
-from repro.harness.sweep import CellFailure, SweepCell
+from repro.harness.sweep import (
+    CellFailure,
+    SweepCell,
+    SweepRunner,
+    resolve_jobs,
+)
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.verify import invariants
@@ -48,8 +54,8 @@ from repro.verify.mc.fingerprint import canonical_fingerprint
 from repro.verify.mc.model import CheckModel
 
 #: Waves with fewer work items than this are drained inline in the
-#: coordinator: each fanned-out wave starts a fresh process pool, whose
-#: spawn cost a handful of replays never repays.
+#: coordinator: each fanned-out wave pickles every shard's visited set
+#: to its worker and back, a cost a handful of replays never repays.
 INLINE_WAVE = 24
 
 
@@ -258,21 +264,25 @@ class ModelChecker:
 
     ``shards=1`` degenerates to a single inline drain (the sharded
     engine's serial mode -- still process-stable fingerprints, still
-    counterexample objects).  ``backend`` takes any
-    :func:`repro.harness.dist.resolve_backend` spelling or instance;
-    ``metrics`` an optional :class:`~repro.obs.metrics.MetricsRegistry`
-    that receives the ``mc.*`` counters.
+    counterexample objects) and builds no runner.  ``backend`` is
+    ``"serial"`` or ``"local"`` (the process pool); ``jobs`` sizes that
+    pool as ``min(jobs, shards)``, with ``jobs`` resolved like every
+    runner's (``REPRO_JOBS``, then the CPU count).  ``metrics`` is an
+    optional :class:`~repro.obs.metrics.MetricsRegistry` that receives
+    the ``mc.*`` counters.
     """
 
     def __init__(self, model: CheckModel, shards: int = 1,
-                 backend="serial", max_states: int = 200_000,
+                 backend: str = "serial", max_states: int = 200_000,
                  max_depth: int = 0, metrics: MetricsRegistry | None = None,
-                 shrink: bool = True, shrink_limit: int = 25) -> None:
+                 shrink: bool = True, shrink_limit: int = 25,
+                 jobs: int | None = None) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.model = model
         self.shards = shards
-        self.backend_spec = backend
+        self.backend = backend
+        self.jobs = jobs
         self.max_states = max_states
         self.max_depth = max_depth
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -285,14 +295,17 @@ class ModelChecker:
 
     def run(self, progress=None) -> CheckResult:
         """Explore exhaustively (or to the caps); return the verdict."""
+        if self.shards == 1:
+            return self._search(None, progress)
+        with SweepRunner(jobs=min(resolve_jobs(self.jobs), self.shards),
+                         backend=self.backend, capture_errors=True) as runner:
+            return self._search(runner, progress)
+
+    def _search(self, runner, progress) -> CheckResult:
+        """The wave loop; ``runner`` is None for an inline-only search."""
         started = time.monotonic()
-        backend_name = (self.backend_spec if isinstance(self.backend_spec, str)
-                        else getattr(self.backend_spec, "name", "custom"))
         result = CheckResult(model=self.model, shards=self.shards,
-                             backend=backend_name)
-        backend = None
-        if self.shards > 1:
-            backend = resolve_backend(self.backend_spec, jobs=self.shards)
+                             backend=self.backend)
         visited: list[set] = [set() for _ in range(self.shards)]
         raw_violations: list[tuple] = []
         outcome_paths: dict[tuple, tuple] = {}
@@ -305,7 +318,7 @@ class ModelChecker:
             wave, pending = pending, {}
             budget = (max(1, self.max_states - result.states)
                       if self.max_states else 0)
-            outs = self._run_wave(wave, visited, budget, backend, progress)
+            outs = self._run_wave(wave, visited, budget, runner)
             for out in outs:
                 shard = out["shard"]
                 visited[shard].update(out["new_fps"])
@@ -340,10 +353,10 @@ class ModelChecker:
         return result
 
     # ------------------------------------------------------------------
-    def _run_wave(self, wave, visited, budget, backend, progress) -> list:
+    def _run_wave(self, wave, visited, budget, runner) -> list:
         """Execute one wave, inline or fanned out; returns shard outputs."""
         items_total = sum(len(items) for items in wave.values())
-        fan_out = (backend is not None and len(wave) > 1
+        fan_out = (runner is not None and len(wave) > 1
                    and items_total >= INLINE_WAVE)
         if not fan_out:
             self._count("inline_waves")
@@ -363,11 +376,11 @@ class ModelChecker:
             )
             for shard, items in sorted(wave.items())
         ]
-        submitted = backend.submit(cells, progress=None)
+        submitted = runner.map(cells)
         outs = []
         for cell in cells:
-            value = submitted.get(cell.key)
-            if value is None or isinstance(value, CellFailure):
+            value = submitted[cell.key]
+            if isinstance(value, CellFailure):
                 # Deterministic degradation: the cell body is a pure
                 # function of its kwargs, so an inline re-run yields the
                 # exact result the lost worker would have produced.
@@ -397,15 +410,16 @@ class ModelChecker:
         return survivors
 
 
-def check_model(model: CheckModel, shards: int = 1, backend="serial",
+def check_model(model: CheckModel, shards: int = 1, backend: str = "serial",
                 max_states: int = 200_000, max_depth: int = 0,
                 metrics: MetricsRegistry | None = None, shrink: bool = True,
-                shrink_limit: int = 25, progress=None) -> CheckResult:
+                shrink_limit: int = 25, progress=None,
+                jobs: int | None = None) -> CheckResult:
     """One-call convenience wrapper around :class:`ModelChecker`."""
     checker = ModelChecker(model, shards=shards, backend=backend,
                            max_states=max_states, max_depth=max_depth,
                            metrics=metrics, shrink=shrink,
-                           shrink_limit=shrink_limit)
+                           shrink_limit=shrink_limit, jobs=jobs)
     return checker.run(progress=progress)
 
 

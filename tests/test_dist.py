@@ -1,11 +1,10 @@
-"""Tests for the sweep's execution backends (``repro.harness.dist``).
+"""Tests for the sweep runner's two execution paths.
 
-Both backends run on one machine: the in-process
-:class:`SerialBackend` and the ``multiprocessing``
-:class:`ProcessPoolBackend`.  Covered here: the ``resolve_backend``
-spellings and their errors, backend selection in :class:`SweepRunner`
-(argument and ``REPRO_BACKEND``), per-cell error capture on both paths,
-and serial-vs-pool byte equality on a figure grid.
+:class:`SweepRunner` runs cells in-process (``backend="serial"``) or
+over a ``multiprocessing`` pool (``"local"``, or None).  Covered here:
+the backend spellings and their errors, serial forcing, per-cell error
+capture on both paths, and serial-vs-pool byte equality on a figure
+grid.
 
 Pool workers unpickle cell functions by reference, so every cell
 function used across a process boundary here is module-level.
@@ -15,8 +14,6 @@ import pickle
 
 import pytest
 
-from repro.harness.dist import BACKEND_ENV, Backend, resolve_backend
-from repro.harness.dist.local import ProcessPoolBackend, SerialBackend
 from repro.harness.sweep import (
     CellFailure,
     SweepCell,
@@ -35,38 +32,35 @@ def _boom(x):
 
 
 # ---------------------------------------------------------------------------
-# Backends: resolve_backend and SweepRunner backend selection.
+# Backend spellings and SweepRunner backend selection.
 # ---------------------------------------------------------------------------
 
 def test_resolve_backend_spellings():
-    assert isinstance(resolve_backend("serial"), SerialBackend)
-    pool = resolve_backend(" Local ", jobs=3)
-    assert isinstance(pool, ProcessPoolBackend) and pool.jobs == 3
-    # An instance passes through unchanged.
-    assert resolve_backend(pool) is pool
-    assert isinstance(pool, Backend)
+    """The runner normalizes the two spellings; None means the pool."""
+    assert SweepRunner(jobs=3, backend="serial").jobs == 1
+    pool = SweepRunner(jobs=3, backend=" Local ")
+    assert pool.backend == "local" and pool.jobs == 3
+    assert SweepRunner(jobs=3).backend is None
 
 
 def test_resolve_backend_rejects_bad_specs():
     for bad in ("warp-drive", "local:2", "serial:x", ""):
         with pytest.raises(ValueError):
-            resolve_backend(bad)
-    with pytest.raises(ValueError):
-        resolve_backend(None)
+            SweepRunner(backend=bad)
     with pytest.raises(TypeError):
-        resolve_backend(42)
+        SweepRunner(backend=42)
 
 
 @pytest.mark.parametrize("spec", ["queue", "queue:2", "ssh:x.toml"])
 def test_resolve_backend_rejects_retired_backends(spec):
     """Only this machine's two backends remain; the error names them."""
     with pytest.raises(ValueError, match="expected serial or local"):
-        resolve_backend(spec)
+        SweepRunner(backend=spec)
 
 
 @pytest.mark.parametrize("spec", ["serial", "local"])
 def test_empty_submit_returns_empty_dict(spec):
-    assert resolve_backend(spec, jobs=2).submit([]) == {}
+    assert SweepRunner(jobs=2, backend=spec).map([]) == {}
 
 
 def test_runner_serial_backend_spec_forces_serial_path():
@@ -75,14 +69,6 @@ def test_runner_serial_backend_spec_forces_serial_path():
                      for i in range(3))
     assert runner.last_mode == "serial"
     assert out == {0: 0, 1: 1, 2: 4}
-
-
-def test_runner_backend_from_environment(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "serial")
-    runner = SweepRunner(jobs=4)
-    assert runner.backend == "serial"
-    runner.map([SweepCell(key=0, fn=_square, kwargs={"x": 2})])
-    assert runner.last_mode == "serial"
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +96,7 @@ def test_parallel_cell_exception_no_longer_aborts_the_sweep():
 def test_serial_cell_exception_is_captured_the_same_way():
     with pytest.raises(SweepCellError) as excinfo:
         run_cells(_boom, {"only": {"x": 7}}, jobs=1)
-    assert excinfo.value.failures["only"].kind == "error"
+    assert excinfo.value.failures["only"].exc_type == "ValueError"
     assert "ValueError" in str(excinfo.value)
 
 
@@ -129,10 +115,10 @@ def test_cell_failure_roundtrips_through_pickle():
     try:
         raise ValueError("boom")
     except ValueError as exc:
-        failure = CellFailure.from_exception(exc, kind="error", attempts=2)
+        failure = CellFailure.from_exception(exc)
     clone = pickle.loads(pickle.dumps(failure))
     assert clone == failure
-    assert clone.attempts == 2
+    assert "raise ValueError" in clone.traceback
     assert "ValueError" in str(clone)
 
 
@@ -141,8 +127,8 @@ def test_cell_failure_roundtrips_through_pickle():
 # ---------------------------------------------------------------------------
 
 def test_backends_are_byte_identical_on_a_figure_grid(tmp_path, monkeypatch):
-    """The same Fig. 10 grid through the serial and process-pool
-    backends must produce byte-identical result dicts.  A shared
+    """The same Fig. 10 grid through the serial loop and the process
+    pool must produce byte-identical result dicts.  A shared
     on-disk FSM cache keeps the pool workers from re-synthesizing
     compound FSMs."""
     from repro.core import generator

@@ -399,10 +399,13 @@ def test_same_configuration_is_deterministic(corr1_serial):
     assert again.outcome_examples == corr1_serial.outcome_examples
 
 
-def test_pool_sharded_search_matches_serial():
+def test_pool_sharded_search_matches_serial(pool_sizes, monkeypatch):
     """MP over 4 shards on the local process pool is the serial search,
-    and its big waves really went through the pool."""
+    and its big waves really went through one pool of min(jobs, shards)
+    workers, started once for the whole search."""
     serial = check_litmus("MP", COMBO, max_states=0)
+    assert pool_sizes == []  # a one-shard check starts no pool
+    monkeypatch.setenv("REPRO_JOBS", "8")
     metrics = MetricsRegistry()
     pooled = check_litmus("MP", COMBO, shards=4, backend="local",
                           max_states=0, metrics=metrics)
@@ -414,6 +417,11 @@ def test_pool_sharded_search_matches_serial():
     assert pooled.ok
     counters = metrics.counter_values("mc.")
     assert counters["mc.waves"] > counters["mc.inline_waves"]
+    assert pool_sizes == [4]
+    two = check_litmus("MP", COMBO, shards=4, backend="local",
+                       max_states=0, jobs=2)
+    assert (two.states, two.outcomes) == (serial.states, serial.outcomes)
+    assert pool_sizes == [4, 2]
 
 
 def test_outcome_witness_paths_replay_to_their_outcome(corr1_serial):

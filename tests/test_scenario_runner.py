@@ -237,9 +237,27 @@ def test_fuzz_respects_max_scenarios():
     assert report.coverage_size > 0
 
 
+def test_pooled_fuzz_session_starts_one_pool(pool_sizes):
+    report = fuzz(max_scenarios=4, seed=2, backend="local", jobs=2,
+                  shrink=False, batch_size=2)
+    assert report.scenarios_run == 4  # two batches
+    assert pool_sizes == [2]
+
+
 # ---------------------------------------------------------------------------
 # CLI exit codes.
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["scenario", "run", "x.toml", "--backend", "queue"],
+    ["scenario", "fuzz", "--backend", "queue"],
+], ids=["run", "fuzz"])
+def test_cli_scenario_backend_choices(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'queue'" in capsys.readouterr().err
+
 
 def test_cli_validate_ok_and_invalid(tmp_path, capsys):
     good = tmp_path / "good.toml"

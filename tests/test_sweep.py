@@ -56,6 +56,23 @@ def test_single_cell_skips_the_pool():
     assert runner.last_mode == "serial"
 
 
+def test_held_runner_reuses_one_pool(pool_sizes):
+    """Inside ``with`` the first fanned-out map starts a ``jobs``-sized
+    pool and later maps reuse it; a bare map starts and closes its own."""
+    cells = [SweepCell(key=i, fn=_square, kwargs={"x": i}) for i in range(2)]
+    with SweepRunner(jobs=3) as runner:
+        assert runner.map(cells[:1]) == {0: 0}  # one cell: no pool yet
+        assert pool_sizes == []
+        for _ in range(3):
+            assert runner.map(cells) == {0: 0, 1: 1}
+            assert runner.last_mode == "parallel"
+    assert pool_sizes == [3]
+    bare = SweepRunner(jobs=3)
+    bare.map(cells)
+    bare.map(cells)
+    assert pool_sizes == [3, 2, 2]
+
+
 def test_duplicate_keys_rejected():
     runner = SweepRunner(jobs=1)
     with pytest.raises(ValueError, match="duplicate"):
