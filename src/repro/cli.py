@@ -423,7 +423,8 @@ def _cmd_check(args) -> int:
     print(f"{args.litmus} on {'-'.join(model.combo)} "
           f"({'/'.join(args.mcms)}): {mark}")
     print(f"  states    : {result.states} ({result.terminals} terminal, "
-          f"depth {result.max_depth}, {result.replays} rebuilt from the root)")
+          f"depth {result.max_depth}, {result.replays} rebuilt from the root, "
+          f"{result.restores} restored from a snapshot)")
     print(f"  search    : {result.shards} shard(s), {result.rounds} "
           f"round(s), backend {result.backend}, {result.elapsed:.2f}s")
     print(f"  outcomes  : {len(result.outcomes)} observed / "

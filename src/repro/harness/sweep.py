@@ -195,6 +195,21 @@ def _run_pickled(payload: bytes) -> tuple:
     return (index, *_run_cell(fn, kwargs))
 
 
+def check_backend(backend: str) -> str:
+    """``backend`` stripped and lower-cased: ``"serial"`` or ``"local"``.
+
+    Raises :class:`TypeError` for a non-string and :class:`ValueError`
+    for any other spelling.
+    """
+    if not isinstance(backend, str):
+        raise TypeError(f"backend must be a str, got {backend!r}")
+    backend = backend.strip().lower()
+    if backend not in ("serial", "local"):
+        raise ValueError(f"unknown backend {backend!r}; "
+                         "expected serial or local")
+    return backend
+
+
 class SweepRunner:
     """Run independent sweep cells in-process or over a process pool.
 
@@ -217,12 +232,7 @@ class SweepRunner:
         capture_errors: bool = False,
     ) -> None:
         if backend is not None:
-            if not isinstance(backend, str):
-                raise TypeError(f"backend must be a str, got {backend!r}")
-            backend = backend.strip().lower()
-            if backend not in ("serial", "local"):
-                raise ValueError(f"unknown backend {backend!r}; "
-                                 "expected serial or local")
+            backend = check_backend(backend)
         #: ``"serial"``, ``"local"`` or None (the pool, as ``"local"``).
         self.backend = backend
         self.jobs = 1 if backend == "serial" else resolve_jobs(jobs)

@@ -158,3 +158,35 @@ class CacheArray:
     def occupancy(self) -> int:
         """Total resident lines across all sets."""
         return sum(map(len, self._sets.values()))
+
+    # -- snapshots (repro.sim.system.System.snapshot) -------------------
+    def snapshot(self) -> list:
+        """Every non-empty set with its lines in LRU order, and each
+        line's fields and meta contents.  Meta values are saved by
+        reference: a mutable one (the bridge's directory record) is
+        saved by its owner."""
+        return [
+            (index, cache_set, [
+                (line, line.state, line.data, line.dirty, line._meta,
+                 None if line._meta is None else tuple(line._meta.items()))
+                for line in cache_set.values()])
+            for index, cache_set in self._sets.items()
+        ]
+
+    def restore(self, state: list) -> None:
+        """Back to a :meth:`snapshot`: the same set dicts and lines,
+        in the same LRU order."""
+        sets = self._sets
+        sets.clear()
+        for index, cache_set, lines in state:
+            cache_set.clear()
+            for line, line_state, data, dirty, meta, saved_meta in lines:
+                line.state = line_state
+                line.data = data
+                line.dirty = dirty
+                line._meta = meta
+                if meta is not None:
+                    meta.clear()
+                    meta.update(saved_meta)
+                cache_set[line.addr] = line
+            sets[index] = cache_set

@@ -244,6 +244,24 @@ class BatchedEngine:
         """
         return self._posted - self.events_executed - self._cancelled_valid
 
+    # -- snapshots (repro.sim.system.System.snapshot) -------------------
+    def snapshot(self) -> tuple:
+        """Clock and counters of an idle engine.
+
+        Only an empty queue can be saved: queued records hold callbacks
+        whose arguments a snapshot does not copy.
+        """
+        if self._ticks:
+            raise ValueError("cannot snapshot an engine with queued events")
+        return self.now, self.events_executed, self._posted, self._cancelled_valid
+
+    def restore(self, state: tuple) -> None:
+        """Back to a :meth:`snapshot`: its clock and counters, nothing
+        queued (a callback that raised may have left records behind)."""
+        self.now, self.events_executed, self._posted, self._cancelled_valid = state
+        self._buckets.clear()
+        self._ticks.clear()
+
     # -- the run loop --------------------------------------------------
     def run(self, until: int | None = None, max_events: int | None = None) -> int:
         """Run until the queue drains, ``until`` ticks pass, or ``max_events``.

@@ -33,6 +33,14 @@ class MemoryModel:
             self.reads += 1
         return start + self.latency
 
+    def snapshot(self) -> tuple:
+        """Channel occupancy and access counters, for :meth:`restore`."""
+        return self._channel_free_at, self.reads, self.writes
+
+    def restore(self, state: tuple) -> None:
+        """Back to a :meth:`snapshot`."""
+        self._channel_free_at, self.reads, self.writes = state
+
 
 class BackingStore:
     """Value state of the (remote CXL) memory: line address -> value."""
@@ -52,3 +60,8 @@ class BackingStore:
     def snapshot(self) -> dict[int, int]:
         """Copy of all explicitly written lines."""
         return dict(self._values)
+
+    def restore(self, values: dict[int, int]) -> None:
+        """Back to a :meth:`snapshot`, in the same dict."""
+        self._values.clear()
+        self._values.update(values)

@@ -130,6 +130,18 @@ class NetworkStats:
         self.per_vnet[VNET_NAMES[msg.vnet]] += 1
         self.per_kind[msg.kind] = self.per_kind.get(msg.kind, 0) + 1
 
+    def snapshot(self) -> tuple:
+        """Every counter, for :meth:`restore`."""
+        return (self.messages, self.bytes, tuple(self.per_vnet.values()),
+                tuple(self.per_kind.items()))
+
+    def restore(self, state: tuple) -> None:
+        """Back to a :meth:`snapshot`, in the same dicts."""
+        self.messages, self.bytes, per_vnet, per_kind = state
+        self.per_vnet.update(zip(self.per_vnet, per_vnet))  # fixed keys
+        self.per_kind.clear()
+        self.per_kind.update(per_kind)
+
 
 class Network:
     """Message router with per-channel FIFO delivery."""

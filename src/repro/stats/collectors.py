@@ -63,6 +63,21 @@ class OpStats:
         entry[0] += 1
         entry[1] += latency
 
+    def snapshot(self) -> tuple:
+        """Every counter, for :meth:`restore`."""
+        return (self.ops, self.hits, self.misses, self.total_latency,
+                tuple([(key, entry, tuple(entry))
+                       for key, entry in self.miss_bins.items()]))
+
+    def restore(self, state: tuple) -> None:
+        """Back to a :meth:`snapshot`, in the same dict and bin lists."""
+        self.ops, self.hits, self.misses, self.total_latency, bins = state
+        miss_bins = self.miss_bins
+        miss_bins.clear()
+        for key, entry, counts in bins:
+            entry[:] = counts
+            miss_bins[key] = entry
+
     def merge(self, other: "OpStats") -> None:
         """Fold another collector's counts into this one."""
         self.ops += other.ops

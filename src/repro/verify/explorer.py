@@ -6,7 +6,8 @@ pieces it builds on:
 
 - :class:`InterceptNetwork` parks every sent message in an outbox
   instead of scheduling it, so the checker chooses delivery orders
-  explicitly (respecting per-channel FIFO, exactly like the real fabric);
+  explicitly (respecting per-channel FIFO, exactly like the real fabric),
+  and saves that outbox for :meth:`repro.sim.system.System.snapshot`;
 - :func:`system_config` and :func:`build_intercepted` construct the
   two-cluster system under test on that network;
 - :func:`state_parts` flattens one (system, outbox) state into the
@@ -14,6 +15,10 @@ pieces it builds on:
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import Any
 
 from repro.protocols.messages import Message
 from repro.sim.config import ClusterConfig, SystemConfig
@@ -51,6 +56,18 @@ class InterceptNetwork(Network):
         msg = self.outbox.pop(index)
         self.nodes[msg.dst].handle_message(msg)
 
+    def snapshot(self) -> tuple:
+        """The outbox (messages are shared, never copied) and the
+        traffic counters.  Sends never reach the wires here, so there
+        is no wire or jitter state to save."""
+        return list(self.outbox), self.stats.snapshot()
+
+    def restore(self, state: tuple) -> None:
+        """Back to a :meth:`snapshot`, in the same outbox list."""
+        outbox, stats = state
+        self.outbox[:] = outbox
+        self.stats.restore(stats)
+
 
 def system_config(combo: tuple[str, str, str], mcms: tuple[str, str],
                   threads: int) -> SystemConfig:
@@ -84,6 +101,8 @@ def build_intercepted(config: SystemConfig, violate_atomicity: bool):
 
 #: The digest of a line with no directory record: that of an empty one.
 _EMPTY_REC = (None, "", (), None)
+#: What a message without protocol extras reads as.
+_NO_EXTRA: Mapping[str, Any] = MappingProxyType({})
 
 
 def _rec_fp(rec):
@@ -190,7 +209,10 @@ def state_parts(system, network) -> tuple:
     # within the channel (order across channels is immaterial).
     channels: dict = {}
     for msg in network.outbox:
-        extra = msg.extra
+        # ``_extra``, not ``extra``: the property would give every
+        # message without one a new dict, and messages are shared with
+        # the search's snapshots.
+        extra = msg._extra or _NO_EXTRA
         entry = (msg.kind, msg.addr, msg.meta, msg.data, msg.acks,
                  extra.get("req"), extra.get("inv", False),
                  extra.get("kept"), extra.get("dirty", False))

@@ -10,6 +10,13 @@ A successor owned elsewhere is *punted*: the ``(path, fingerprint)``
 pair is handed to the owner, which can reject already-visited states
 without replaying them.
 
+Within a shard's drain the search keeps one live system: the first
+successor of an expanded state is a live delivery step, each later
+sibling restores the parent's in-place snapshot and delivers one
+message, and only the root and punted paths are replayed from the
+model (see :func:`explore_shard`).  Snapshots never leave the drain;
+punts carry paths.
+
 The search proceeds in waves over one
 :class:`~repro.harness.sweep.SweepRunner` (serial loop or local process
 pool): each wave fans one :class:`~repro.harness.sweep.SweepCell` per
@@ -31,12 +38,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.errors import ConsistencyViolation
 from repro.harness.sweep import (
     CellFailure,
     SweepCell,
     SweepRunner,
+    check_backend,
     resolve_jobs,
 )
 from repro.obs.flight import FlightRecorder
@@ -78,14 +87,20 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
 
     Successors are pushed in reverse, so the pop right after an
     expansion is always the expanded state's first successor.  It is
-    reached by :meth:`CheckModel.advance` on the parent's still-live
-    system, since expansion only reads a state; every other pop is a
-    :meth:`CheckModel.replay` from the root.  Each replay closes the
-    system it replaces (:meth:`~repro.sim.system.System.close`), once
-    the replay has returned: an observer wrapping ``build_system`` may
-    read the previous system while the next one is built.  The last
-    system stays open for the caller's observers.  Every fingerprint
-    of the drain goes through one part memo
+    reached by :meth:`CheckModel.advance` on the still-live system,
+    since expansion only reads a state.  An expansion with two or more
+    choices first takes one :meth:`~repro.sim.system.System.snapshot`,
+    which every later sibling carries on the stack: popping a sibling
+    restores that snapshot in place on the same system and delivers one
+    message.  Only the root and punted work items are rebuilt by
+    :meth:`CheckModel.replay`.  Work items sit below every pushed
+    successor, so no snapshot is left on the stack when a replay
+    replaces the drain's system; the replay closes the system it
+    replaces (:meth:`~repro.sim.system.System.close`) once it has
+    returned, since an observer wrapping ``build_system`` may read the
+    previous system while the next one is built.  The last system
+    stays open for the caller's observers.  Every fingerprint of the
+    drain goes through one part memo
     (:func:`~repro.verify.mc.fingerprint.state_bytes`), dropped on
     return.
 
@@ -94,39 +109,51 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
     ``outcomes`` (``[(outcome, path)]`` with the minimal path per
     outcome), ``violations`` (``[(path, kind, message, fp, flight)]``
     where ``flight`` is the shard's flight-recorder dump for crashes
-    and ``()`` otherwise), ``max_depth``, ``replays`` (root rebuilds;
-    live steps are not counted) and ``truncated``.
+    and ``()`` otherwise), ``max_depth``, ``replays`` (root rebuilds),
+    ``restores`` (siblings reached from a snapshot; live steps count in
+    neither) and ``truncated``.
     """
     seen = set(visited)
-    # Reversed so list.pop() explores the first work item's subtree first.
-    stack = [(tuple(path), fp) for path, fp in reversed(list(work))]
+    # Stack items are (path, fingerprint-or-None, snapshot-or-None): a
+    # sibling carries the snapshot of its parent.  Reversed so
+    # list.pop() explores the first work item's subtree first.
+    stack = [(tuple(path), fp, None) for path, fp in reversed(list(work))]
     new_fps: list[int] = []
     emit: dict[int, list] = {}
     outcomes: dict[tuple, tuple] = {}
     violations: list[tuple] = []
-    states = terminals = replays = deepest = 0
+    states = terminals = replays = restores = deepest = 0
     truncated = False
-    # Last-N replay events; a crashing interleaving ships what the
-    # search was doing just before it, for the postmortem.
+    # Last-N steps, each recorded as a "replay" event whichever way it
+    # reached its state; a crashing interleaving ships what the search
+    # was doing just before it, for the postmortem.
     flight = FlightRecorder(64)
-    # The (system, network) of the state expanded last, whose first
-    # successor is on top of the stack.
-    live = None
-    # The system the last replay built; live steps keep advancing it.
-    current = None
+    # True while the top of the stack is the first successor of the
+    # state the live system was just expanded at.
+    live = False
+    # The drain's one live (system, network), built by the last replay.
+    system: Any = None
+    network: Any = None
     memo: dict[bytes, bytes] = {}
     while stack:
-        path, fp = stack.pop()
-        parent, live = live, None
+        path, fp, saved = stack.pop()
+        step, live = live, False
         if fp is not None and fp in seen:
             continue
         flight.record("replay", depth=len(path), states=states)
         try:
-            if parent is None:
-                replays += 1
-                system, network = model.replay(path)
+            if step:
+                model.advance(system, network, path[-1])
+            elif saved is not None:
+                restores += 1
+                system.restore(saved)
+                model.advance(system, network, path[-1])
             else:
-                system, network = model.advance(*parent, path[-1])
+                replays += 1
+                built = model.replay(path)
+                if system is not None:
+                    system.close()
+                system, network = built
         except ConsistencyViolation as exc:
             # A runtime monitor fired mid-delivery: no end state exists
             # to fingerprint, so the exception identity stands in.
@@ -142,11 +169,6 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
                 (path, KIND_CRASH, f"{type(exc).__name__}: {exc}",
                  crash_fingerprint(exc), tuple(flight.dump())))
             continue
-        if system is not current:
-            # A replay built it: the system it replaces is done.
-            if current is not None:
-                current.close()
-            current = system
         if fp is None:
             fp = canonical_fingerprint(system, network, memo)
         owner = fp % n_shards
@@ -185,9 +207,12 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
         if max_depth and len(path) >= max_depth:
             truncated = True
             continue
-        for choice in reversed(choices):
-            stack.append((path + (choice,), None))
-        live = system, network
+        if len(choices) > 1:
+            saved = system.snapshot()
+            for choice in reversed(choices[1:]):
+                stack.append((path + (choice,), None, saved))
+        stack.append((path + (choices[0],), None, None))
+        live = True
     return {
         "shard": shard,
         "new_fps": new_fps,
@@ -198,6 +223,7 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
         "violations": violations,
         "max_depth": deepest,
         "replays": replays,
+        "restores": restores,
         "truncated": truncated,
     }
 
@@ -217,8 +243,10 @@ class CheckResult:
     max_depth: int = 0
     truncated: bool = False
     rounds: int = 0
-    #: States rebuilt from the root; live steps on a parent not counted.
+    #: States rebuilt from the root: the root and punted work items.
     replays: int = 0
+    #: Siblings reached by restoring their parent's snapshot in place.
+    restores: int = 0
     elapsed: float = 0.0
     counterexamples: list = field(default_factory=list)
 
@@ -236,6 +264,7 @@ class CheckResult:
         return (f"{'-'.join(self.model.combo)}: {mark} "
                 f"({self.states} states, {self.terminals} terminals, "
                 f"{len(self.outcomes)} outcomes, depth {self.max_depth}, "
+                f"{self.replays} replays, {self.restores} restores, "
                 f"{self.rounds} rounds, {self.shards} shard(s), "
                 f"{self.elapsed:.2f}s)")
 
@@ -254,6 +283,7 @@ class CheckResult:
             "truncated": self.truncated,
             "rounds": self.rounds,
             "replays": self.replays,
+            "restores": self.restores,
             "elapsed": self.elapsed,
             "counterexamples": [ce.to_dict() for ce in self.counterexamples],
         }
@@ -265,11 +295,13 @@ class ModelChecker:
     ``shards=1`` degenerates to a single inline drain (the sharded
     engine's serial mode -- still process-stable fingerprints, still
     counterexample objects) and builds no runner.  ``backend`` is
-    ``"serial"`` or ``"local"`` (the process pool); ``jobs`` sizes that
-    pool as ``min(jobs, shards)``, with ``jobs`` resolved like every
-    runner's (``REPRO_JOBS``, then the CPU count).  ``metrics`` is an
-    optional :class:`~repro.obs.metrics.MetricsRegistry` that receives
-    the ``mc.*`` counters.
+    ``"serial"`` or ``"local"`` (the process pool), checked here even
+    when no runner is built; any other spelling raises the runner's
+    ``ValueError``.  ``jobs`` sizes that pool as ``min(jobs, shards)``,
+    with ``jobs`` resolved like every runner's (``REPRO_JOBS``, then
+    the CPU count).  ``metrics`` is an optional
+    :class:`~repro.obs.metrics.MetricsRegistry` that receives the
+    ``mc.*`` counters.
     """
 
     def __init__(self, model: CheckModel, shards: int = 1,
@@ -281,7 +313,8 @@ class ModelChecker:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.model = model
         self.shards = shards
-        self.backend = backend
+        # Checked here, not by the runner: a one-shard check builds none.
+        self.backend = check_backend(backend)
         self.jobs = jobs
         self.max_states = max_states
         self.max_depth = max_depth
@@ -326,6 +359,7 @@ class ModelChecker:
                 result.terminals += out["terminals"]
                 result.max_depth = max(result.max_depth, out["max_depth"])
                 result.replays += out["replays"]
+                result.restores += out["restores"]
                 result.truncated = result.truncated or out["truncated"]
                 raw_violations.extend(out["violations"])
                 for outcome, path in out["outcomes"]:
@@ -347,6 +381,7 @@ class ModelChecker:
         result.elapsed = time.monotonic() - started
         self._count("states", result.states)
         self._count("replays", result.replays)
+        self._count("restores", result.restores)
         self._count("terminals", result.terminals)
         result.counterexamples = self._build_counterexamples(raw_violations)
         self._count("violations", len(result.counterexamples))

@@ -2,18 +2,20 @@
 
 A :class:`CheckModel` is everything a worker needs to rebuild the
 system under test from nothing: the protocol combo, the thread
-programs, the MCMs, placement and the observed addresses.  States are
+programs, the MCMs, placement and the observed addresses.  States hold
 closures inside controller objects and cannot cross a process
 boundary; the *model* can, so sharded exploration ships models plus
-delivery paths and every worker reconstructs states by replay --
-stateless model checking, distributed.
+delivery paths, and a worker rebuilds a shipped state by replay.
 
-Two ways reach a state.  :meth:`CheckModel.replay` rebuilds it from
-the root, and :meth:`CheckModel.advance` takes one delivery step on a
-live system.  The search uses ``advance`` to turn the state it just
-expanded into that state's first successor, which is the next state it
-pops, and replays every other state.  Expanding a state only reads
-it, so both ways give the same state.
+:meth:`CheckModel.replay` rebuilds a state from the root, and
+:meth:`CheckModel.advance` takes one delivery step on a live system.
+Within one process the search replays only its work items and moves
+one live system around: ``advance`` turns the state it just expanded
+into that state's first successor, and every later sibling restores
+the parent's in-place snapshot
+(:meth:`~repro.sim.system.System.snapshot`) before its ``advance``.
+Expanding a state only reads it, so all three ways give the same
+state.
 
 ``violate_atomicity`` switches off the bridge's Rule-II enforcement --
 the paper's Fig. 4 failure injection -- so tests can demand that the

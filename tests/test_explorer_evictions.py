@@ -28,8 +28,22 @@ class TinyModel(CheckModel):
             for cluster in config.clusters))
 
 
-def _check(combo, programs, mcms=("SC", "SC"), observed_addrs=()):
-    model = TinyModel(combo, tuple(programs), mcms=mcms,
+class TwoWayModel(CheckModel):
+    """Clusters whose L1s and CXL caches are one set of two ways: three
+    lines contend, so LRU order picks every victim."""
+
+    def system_config(self):
+        config = super().system_config()
+        tiny = dict(l1_bytes=2 * LINE_BYTES, l1_assoc=2,
+                    llc_bytes=2 * LINE_BYTES, llc_assoc=2)
+        return dataclasses.replace(config, clusters=tuple(
+            dataclasses.replace(cluster, **tiny)
+            for cluster in config.clusters))
+
+
+def _check(combo, programs, mcms=("SC", "SC"), observed_addrs=(),
+           model_cls=TinyModel):
+    model = model_cls(combo, tuple(programs), mcms=mcms,
                       observed_addrs=observed_addrs)
     return check_model(model, max_states=6_000)
 
@@ -37,6 +51,13 @@ def _check(combo, programs, mcms=("SC", "SC"), observed_addrs=()):
 # Two conflicting lines (same set in every 2-set, 1-way structure) force
 # evictions mid-protocol.
 A, B = 0x10, 0x12
+#: A third line for :class:`TwoWayModel`: the re-read of A makes B the
+#: LRU way, so storing C must evict B, not A.
+C = 0x11
+LRU_PROGRAMS = (
+    ThreadProgram("w", [store(A, 1), store(B, 2), load(A, "ra"), store(C, 3)]),
+    ThreadProgram("r", [load(B, "rb")]),
+)
 
 #: Exhaustive eviction-pressure state counts per combo (3 terminals and
 #: 2 outcomes each).
@@ -91,3 +112,15 @@ def test_rcc_cluster_exhaustive():
     assert (result.states, result.terminals, len(result.outcomes)) == (56, 2, 2)
     for outcome in result.outcomes:
         assert dict(outcome)["r0"] in (0, 3)
+
+
+def test_lru_victims_exhaustive():
+    result = _check(("MESI", "CXL", "MESI"), LRU_PROGRAMS,
+                    observed_addrs=(A, B, C), model_cls=TwoWayModel)
+    assert result.ok, [ce.describe() for ce in result.counterexamples[:1]]
+    assert (result.states, result.terminals, len(result.outcomes)) == (273, 2, 2)
+    for outcome in result.outcomes:
+        values = dict(outcome)
+        assert values["ra"] == 1
+        assert (values[f"[{A}]"], values[f"[{B}]"], values[f"[{C}]"]) == (1, 2, 3)
+        assert values["rb"] in (0, 2)
