@@ -1,10 +1,9 @@
 """Engine-core throughput: legacy heapq loop vs the batched engine.
 
 Not a paper figure: this is the performance contract of the slotted/
-batched event core (``repro.sim.engine``).  Four schedule/cancel/drain
-churn scenarios -- bulk posting over a wide horizon, deep same-tick
-fans, strictly sparse singleton ticks, and cancel-heavy handle churn --
-are timed against both engines with rounds interleaved (so
+batched event core (``repro.sim.engine``).  Three post/drain churn
+scenarios -- bulk posting over a wide horizon, deep same-tick fans and
+strictly sparse singleton ticks -- are timed against both engines with rounds interleaved (so
 thermal/load drift hits both equally) and medians compared.  The gate:
 the batched core must run >= 2x the legacy object-at-a-time loop.
 
@@ -70,21 +69,10 @@ def _churn_sparse(engine):
     engine.run()
 
 
-def _churn_cancel(engine):
-    """schedule() handles for everything, cancel half, then drain."""
-    sink = []
-    handles = [engine.schedule(i & 255, sink.append, i)
-               for i in range(N_EVENTS)]
-    for handle in handles[::2]:
-        handle.cancel()
-    engine.run()
-
-
 SCENARIOS = (
     ("bulk", _churn_bulk),
     ("sametick", _churn_sametick),
     ("sparse", _churn_sparse),
-    ("cancel", _churn_cancel),
 )
 
 

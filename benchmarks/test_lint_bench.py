@@ -4,9 +4,9 @@ The linter's reason to exist is gating sweeps: every sweep cell can
 afford a static lint of its protocol pairing only if the lint is orders
 of magnitude cheaper than the simulation it guards.  This benchmark
 times the full five-pass lint of every registered pairing (synthesis
-excluded -- pairings are pre-generated, as in a warmed sweep), times
-one small reference workload simulation, and asserts the *total* lint
-wall time stays well under that single simulation.
+excluded -- pairings are pre-generated, as after a sweep's first
+cell), times one small reference workload simulation, and asserts the
+*total* lint wall time stays well under that single simulation.
 
 Per-pair timings are appended to ``BENCH_lint.json`` at the repo root
 so linter cost across environments accumulates over time.

@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from repro.core.generator import FSM_CACHE_ENV, clear_fsm_cache
+from repro.core.generator import clear_fsm_cache
 from repro.verify.mc.engine import ModelChecker
 from repro.verify.mc.model import litmus_model
 
@@ -46,9 +46,7 @@ def _mc_rate(shards: int, backend: str):
 
 
 @pytest.mark.mc_bench
-def test_sharded_exploration_throughput(benchmark, save_result, tmp_path,
-                                        monkeypatch):
-    monkeypatch.setenv(FSM_CACHE_ENV, str(tmp_path / "fsm"))
+def test_sharded_exploration_throughput(benchmark, save_result):
     clear_fsm_cache()
 
     def run():

@@ -16,9 +16,9 @@ def test_engine_event_throughput(benchmark):
         def tick():
             count["n"] += 1
             if count["n"] < 20_000:
-                engine.schedule(1, tick)
+                engine.post(1, tick)
 
-        engine.schedule(0, tick)
+        engine.post(0, tick)
         engine.run()
         return count["n"]
 

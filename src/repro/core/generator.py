@@ -25,11 +25,7 @@ cross-checked.
 from __future__ import annotations
 
 import functools
-import hashlib
-import os
-import pickle
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.core.policy import BridgePolicy, X_LOAD, X_STORE
 from repro.core.spec import (
@@ -149,14 +145,11 @@ def _request_class(request: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Generation (with per-process and optional on-disk memoization).
+# Generation (memoized per process).
 # ---------------------------------------------------------------------------
 
 #: Number of actual synthesis runs (not cache hits) in this process.
-#: Sweep workers assert "at most once per distinct pair" against this.
 _synthesis_runs = 0
-
-FSM_CACHE_ENV = "REPRO_FSM_CACHE"
 
 
 def synthesis_runs() -> int:
@@ -164,61 +157,9 @@ def synthesis_runs() -> int:
     return _synthesis_runs
 
 
-def _disk_cache_dir() -> Path | None:
-    """On-disk cache directory, or None when the cache is disabled.
-
-    ``REPRO_FSM_CACHE`` gates the cache: unset/``0``/``off`` disables
-    it, ``1``/``on`` selects ``$XDG_CACHE_HOME/repro-c3/fsm`` (or
-    ``~/.cache/repro-c3/fsm``), anything else is used as the directory.
-    """
-    env = os.environ.get(FSM_CACHE_ENV, "").strip()
-    if env.lower() in ("", "0", "off", "no", "false"):
-        return None
-    if env.lower() in ("1", "on", "yes", "true", "default"):
-        base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-            os.path.expanduser("~"), ".cache")
-        return Path(base) / "repro-c3" / "fsm"
-    return Path(env)
-
-
-@functools.lru_cache(maxsize=1)
-def _source_fingerprint() -> str:
-    """Hash of the synthesis inputs' source, salting disk-cache names.
-
-    A cached pickle from an older version of the generator, the specs
-    or the variant descriptors must never be served for current code.
-    """
-    import repro.core.spec as spec_mod
-    import repro.protocols.variants as variants_mod
-
-    digest = hashlib.sha1()
-    for module in (None, spec_mod, variants_mod):
-        path = __file__ if module is None else module.__file__
-        digest.update(Path(path).read_bytes())
-    return digest.hexdigest()[:12]
-
-
-def _disk_cache_path(local_name: str, global_name: str) -> Path | None:
-    directory = _disk_cache_dir()
-    if directory is None:
-        return None
-    return directory / (
-        f"{local_name}-{global_name}-{_source_fingerprint()}.pickle")
-
-
-def clear_fsm_cache(disk: bool = False) -> None:
-    """Drop the per-process memo (and the on-disk pickles if ``disk``)."""
+def clear_fsm_cache() -> None:
+    """Drop the per-process memo."""
     _generate_cached.cache_clear()
-    if not disk:
-        return
-    directory = _disk_cache_dir()
-    if directory is None or not directory.is_dir():
-        return
-    for path in directory.glob("*.pickle"):
-        try:
-            path.unlink()
-        except OSError:  # pragma: no cover - concurrent cleanup
-            pass
 
 
 def generate(local_name: str, global_name: str) -> CompoundProtocol:
@@ -228,13 +169,9 @@ def generate(local_name: str, global_name: str) -> CompoundProtocol:
     (``generate("mesi", "cxl")`` works) and an unknown name raises
     :class:`repro.errors.UnknownProtocolError` listing the options.
 
-    Memoization is two-level: an in-process ``functools.lru_cache``
-    (keyed on the *canonical* spec names, so case variants share one
-    entry) so each (local, global) pair is synthesized at most once per
-    process, plus an optional on-disk pickle cache (``REPRO_FSM_CACHE``)
-    so sweep worker processes can load a pairing instead of re-running
-    the traversal.  Disk entries are salted with a source fingerprint
-    and any unreadable/stale pickle falls through to a fresh synthesis.
+    Memoization is an in-process ``functools.lru_cache`` keyed on the
+    *canonical* spec names, so case variants share one entry and each
+    (local, global) pair is synthesized at most once per process.
     """
     return _generate_cached(canonical_local_name(local_name),
                             canonical_global_name(global_name))
@@ -242,28 +179,7 @@ def generate(local_name: str, global_name: str) -> CompoundProtocol:
 
 @functools.lru_cache(maxsize=None)
 def _generate_cached(local_name: str, global_name: str) -> CompoundProtocol:
-    local = local_spec(local_name)
-    global_ = global_spec(global_name)
-    path = _disk_cache_path(local_name, global_name)
-    if path is not None and path.is_file():
-        try:
-            with open(path, "rb") as handle:
-                compound = pickle.load(handle)
-            if isinstance(compound, CompoundProtocol):
-                return compound
-        except Exception:  # corrupted/partial pickle: regenerate below
-            pass
-    compound = _generate(local, global_)
-    if path is not None:
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            with open(tmp, "wb") as handle:
-                pickle.dump(compound, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)  # atomic: concurrent workers can race
-        except OSError:  # read-only cache dir: memoize in-process only
-            pass
-    return compound
+    return _generate(local_spec(local_name), global_spec(global_name))
 
 
 def generated_policy_factory(local_variant, global_variant) -> GeneratedPolicy:
@@ -274,11 +190,8 @@ def generated_policy_factory(local_variant, global_variant) -> GeneratedPolicy:
 
 
 def warm_fsm_cache(pairs) -> None:
-    """Pre-synthesize (or disk-load) the given (local, global) pairs.
-
-    Used as a sweep-pool initializer so every worker pays the generator
-    cost once up front instead of on its first cell.
-    """
+    """Pre-synthesize the given (local, global) pairs, so a caller can
+    time the generator apart from what it builds next."""
     for local_name, global_name in pairs:
         generate(local_name, global_name)
 
@@ -423,9 +336,6 @@ def _translation_rows(compound: CompoundProtocol) -> list:
     lwire = local.wire
     rows = []
     pairs = sorted(compound.reachable_pairs())
-
-    def pair_states(l, g, stale=False):
-        return [(l, g)] if (l, g, stale) in compound.reachable else []
 
     # Incoming CXL-directory messages (the paper's Table II fragment).
     for l, g in pairs:

@@ -36,10 +36,6 @@ class ProtocolSpec:
     #: concrete message names for abstract roles (display/emission only).
     wire: dict = field(default_factory=dict)
 
-    def request_permission(self, request: str) -> int:
-        """Permission level the request class must end up with."""
-        return self.requests[request]
-
     #: Local-directory summary alphabet the compound machine tracks.
     def summaries(self) -> tuple[str, ...]:
         """Local-directory summary alphabet the compound machine tracks."""

@@ -22,7 +22,6 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from repro.core.generator import warm_fsm_cache
 from repro.harness.sweep import CellOutput, SweepCell, SweepRunner, split_metrics
 from repro.sim.config import two_cluster_config
 from repro.sim.system import build_system
@@ -146,28 +145,15 @@ def _workload_stats_obs(**kwargs) -> CellOutput:
     return CellOutput(result.stats, result.extra["obs"])
 
 
-def _fsm_pairs(combos) -> tuple:
-    """Distinct (local, global) generator pairs a set of combos needs."""
-    return tuple(sorted({
-        (local, combo[1])
-        for combo in combos
-        for local in (combo[0], combo[2])
-    }))
-
-
-def _sweep(cells, combos, jobs: int | None, progress=None,
-           backend=None) -> dict:
-    """Run figure cells through a SweepRunner warmed for ``combos``.
+def _sweep(cells, jobs: int | None, progress=None, backend=None) -> dict:
+    """Run figure cells through a :class:`SweepRunner`.
 
     ``backend`` is ``"serial"`` or ``"local"`` (None: the local pool,
     see :class:`SweepRunner`) -- results are keyed by cell either way,
     so both regenerate the figure bit-identically.
     """
-    runner = SweepRunner(
-        jobs=jobs, initializer=warm_fsm_cache, initargs=(_fsm_pairs(combos),),
-        progress=progress, backend=backend,
-    )
-    return runner.map(cells)
+    return SweepRunner(jobs=jobs, progress=progress,
+                       backend=backend).map(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +222,7 @@ def figure10(workloads=None, cores_per_cluster=2, scale=None,
         for combo in combos
         for seed in seeds
     ]
-    runs, rollups = split_metrics(_sweep(cells, combos, jobs, progress,
-                                         backend))
+    runs, rollups = split_metrics(_sweep(cells, jobs, progress, backend))
     times = {
         (workload, combo_name(combo)): geomean(
             runs[(workload, combo_name(combo), seed)] for seed in seeds)
@@ -313,8 +298,7 @@ def figure9(workloads_per_suite=None, cores_per_cluster=2, scale=None, seed=1,
         for name in suite_names[suite]
         for run_seed in seeds
     ]
-    runs, rollups = split_metrics(_sweep(cells, combos, jobs, progress,
-                                         backend))
+    runs, rollups = split_metrics(_sweep(cells, jobs, progress, backend))
     times = {
         (combo_name(combo), label, suite): geomean(
             runs[(combo_name(combo), label, suite, name, run_seed)]
@@ -399,8 +383,7 @@ def figure11(workloads=FIG11_WORKLOADS, cores_per_cluster=2, scale=None,
         for workload in workloads
         for combo in combos
     ]
-    stats, rollups = split_metrics(_sweep(cells, combos, jobs, progress,
-                                          backend))
+    stats, rollups = split_metrics(_sweep(cells, jobs, progress, backend))
     return Figure11Result(tuple(workloads), stats, cell_metrics=rollups)
 
 
@@ -464,5 +447,4 @@ def table4(runs: int | None = None, seed: int = 0,
         for combo in TABLE4_PROTOCOLS
         for label, mcms in TABLE4_MCMS
     ]
-    return Table4Result(results=_sweep(cells, TABLE4_PROTOCOLS, jobs,
-                                       progress, backend))
+    return Table4Result(results=_sweep(cells, jobs, progress, backend))

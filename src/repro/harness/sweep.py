@@ -225,8 +225,6 @@ class SweepRunner:
         self,
         jobs: int | None = None,
         start_method: str | None = None,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
         progress: Callable[[int, int, Hashable, float], None] | None = None,
         backend: str | None = None,
         capture_errors: bool = False,
@@ -241,8 +239,6 @@ class SweepRunner:
             or os.environ.get(START_METHOD_ENV, "").strip()
             or None
         )
-        self.initializer = initializer
-        self.initargs = initargs
         #: Optional callback ``progress(done, total, key, wall_seconds)``
         #: fired as each cell completes (in completion order).
         self.progress = progress
@@ -308,13 +304,11 @@ class SweepRunner:
 
     # ------------------------------------------------------------------
     def _preflight(self, cells) -> list[bytes] | None:
-        """Pickle every cell (and the initializer) once; None if any
-        cannot cross a process boundary."""
+        """Pickle every cell once; None if any cannot cross a process
+        boundary."""
         try:
             payloads = [pickle.dumps((i, cell.fn, dict(cell.kwargs)))
                         for i, cell in enumerate(cells)]
-            if self.initializer is not None:
-                pickle.dumps((self.initializer, self.initargs))
         except Exception as exc:  # PicklingError, AttributeError, TypeError
             self.last_fallback = exc
             return None
@@ -323,8 +317,6 @@ class SweepRunner:
     def _map_serial(self, cells) -> dict:
         """The in-process loop."""
         self.last_mode = "serial"
-        if self.initializer is not None:
-            self.initializer(*self.initargs)
         results: dict = {}
         for done, cell in enumerate(cells, start=1):
             wall, results[cell.key] = _run_cell(cell.fn, cell.kwargs)
@@ -341,8 +333,6 @@ class SweepRunner:
             pool = multiprocessing.get_context(self.start_method).Pool(
                 processes=(self.jobs if self._keep_pool
                            else min(self.jobs, len(cells))),
-                initializer=self.initializer,
-                initargs=self.initargs,
             )
             if self._keep_pool:
                 self._pool = pool

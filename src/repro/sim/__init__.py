@@ -11,7 +11,7 @@ that both cycle counts (500 000 ticks at 2 GHz) and nanosecond link
 latencies compose without rounding.
 """
 
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
 from repro.sim.config import SystemConfig, ClusterConfig
 
-__all__ = ["Engine", "Event", "SystemConfig", "ClusterConfig"]
+__all__ = ["Engine", "SystemConfig", "ClusterConfig"]

@@ -16,7 +16,7 @@ CXL memory     DDR5-4400, 1 channel, 10 ns device latency
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 #: One tick is one picosecond.
 TICKS_PER_NS = 1000
@@ -121,10 +121,6 @@ class SystemConfig:
         """Human-readable protocol combination, e.g. ``MESI-CXL-MOESI``."""
         locals_ = [c.protocol for c in self.clusters]
         return "-".join([locals_[0], self.global_protocol, *locals_[1:]])
-
-    def with_clusters(self, *clusters: ClusterConfig) -> "SystemConfig":
-        """Copy of this config with the given cluster tuple."""
-        return replace(self, clusters=tuple(clusters))
 
 
 def two_cluster_config(

@@ -5,32 +5,23 @@ tick = 1 ps, giving exact representations of both CPU cycles and
 nanosecond-scale link latencies (see :class:`repro.sim.config.SystemConfig`).
 
 Events are ordered by ``(time, insertion order)``: FIFO among same-tick
-events, with lazy cancellation.  Two classes implement that contract
-and produce bit-identical simulations:
+events.  Callers schedule through ``post`` (relative delay),
+``post_at`` (absolute tick) and ``post_many`` (a batch of absolute
+ticks); none returns a handle, and a queued event always fires.  Two
+classes implement that contract and produce bit-identical simulations:
 
 - :class:`BatchedEngine`, bound as ``Engine`` and the one engine every
   simulation runs on: a slotted calendar queue.  Events live in
-  per-tick buckets (records in flat ``[callback, args]`` /
-  ``(callback, args)`` cells); the heap orders only the *distinct
-  pending ticks* (plain ints, so heap comparisons never touch Python
-  objects), and ``run()`` drains each tick's bucket in one inner loop
-  with the ``until`` check hoisted per batch.  Steady-state scheduling
-  allocates one record cell and nothing else -- no per-event handle
-  object unless the caller asks for one.  The bucket layout is private
-  to this module: callers schedule through ``post``/``post_at``/
-  ``post_many``/``schedule``.
+  per-tick buckets of ``(callback, args)`` records; the heap orders
+  only the *distinct pending ticks* (plain ints, so heap comparisons
+  never touch Python objects), and ``run()`` drains each tick's bucket
+  in one inner loop with the ``until`` check hoisted per batch.
+  Scheduling allocates one record tuple and nothing else.  The bucket
+  layout is private to this module.
 - :class:`LegacyEngine`: the original object-at-a-time heapq loop.  It
   is the reference implementation the parity tests
   (``tests/test_engine_parity.py``) compare against; nothing selects it
   at run time.
-
-**The facade contract for handles:** ``schedule()`` returns an
-:class:`Event` view over the queued record.  ``event.cancel()`` is
-idempotent, O(1), and only suppresses the callback if it has not fired
-yet; ``event.cancelled`` reports whether *cancel was called*, never
-whether the event fired.  ``post()`` is the allocation-lean hot-path
-spelling used by the simulator's own components: identical scheduling
-semantics, but no handle is created and the event cannot be cancelled.
 """
 
 from __future__ import annotations
@@ -58,66 +49,14 @@ class SimulationLimitError(RuntimeError):
     """Raised when a run exceeds its event budget (deadlock watchdog)."""
 
 
-class SimulationDeadlockError(RuntimeError):
-    """Raised when the event queue drains while work is still outstanding."""
-
-
-class Event:
-    """A cancellable handle over one scheduled callback.
-
-    The handle is a lightweight view over the engine's queued record:
-    it holds the record cell (``[callback, args]``) plus the absolute
-    ``time``, and cancellation flips the record's callback to ``None``
-    so the drain loop skips it -- O(1), no queue surgery.
-    """
-
-    __slots__ = ("_engine", "_record", "time", "_cancelled")
-
-    def __init__(self, engine: "BatchedEngine", time: int, record: list) -> None:
-        self._engine = engine
-        self._record = record
-        self.time = time
-        self._cancelled = False
-
-    @property
-    def cancelled(self) -> bool:
-        """True once :meth:`cancel` has been called (even post-fire)."""
-        return self._cancelled
-
-    @property
-    def callback(self):
-        rec = self._record
-        return rec[2] if rec[0] is None else rec[0]
-
-    @property
-    def args(self) -> tuple:
-        return self._record[1]
-
-    def cancel(self) -> None:
-        """Mark the event so the engine skips it when its tick drains."""
-        if self._cancelled:
-            return
-        self._cancelled = True
-        record = self._record
-        if record[0] is not None:
-            # Still pending: neutralize the record and keep the live
-            # counter exact.  A fired record was already neutralized by
-            # the drain loop, so a late cancel is a no-op here.
-            record[0] = None
-            self._engine._cancelled_valid += 1
-
-
 class BatchedEngine:
     """Deterministic discrete-event engine over a slotted calendar queue.
 
     ``_buckets`` maps an absolute tick to either a single ``(callback,
     args)`` tuple (the common sparse case: one event on that tick) or a
-    list of record cells in insertion order.  ``_ticks`` is a heap of
+    list of such tuples in insertion order.  ``_ticks`` is a heap of
     the distinct pending tick values, so every heap operation compares
-    plain ints.  Records created by :meth:`schedule` are 3-slot lists
-    ``[callback, args, args_backup]`` so a handle can cancel them (and
-    still report callback/args afterwards); records created by
-    :meth:`post` are immutable tuples with no handle overhead.
+    plain ints.
     """
 
     def __init__(self) -> None:
@@ -125,8 +64,6 @@ class BatchedEngine:
         self._buckets: dict = {}
         self._ticks: list[int] = []
         self.events_executed: int = 0
-        self._posted: int = 0
-        self._cancelled_valid: int = 0
         self._running = False
         # Observability attachments (repro.obs); None keeps the hot run
         # loop untouched -- run() checks them exactly once per call.
@@ -135,12 +72,7 @@ class BatchedEngine:
 
     # -- scheduling ----------------------------------------------------
     def post(self, delay: int, callback: Callable[..., None], *args: Any) -> None:
-        """Schedule ``callback(*args)`` in ``delay`` ticks; no handle.
-
-        The allocation-lean hot path: semantics identical to
-        :meth:`schedule` but nothing is returned, so the event cannot
-        be cancelled.  This is what the simulator's own components use.
-        """
+        """Schedule ``callback(*args)`` to run ``delay`` ticks from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         t = self.now + delay
@@ -153,10 +85,9 @@ class BatchedEngine:
             bucket.append((callback, args))
         else:
             buckets[t] = [bucket, (callback, args)]
-        self._posted += 1
 
     def post_at(self, time: int, callback: Callable[..., None], *args: Any) -> None:
-        """Schedule at absolute tick ``time``; no handle (hot path)."""
+        """Schedule ``callback(*args)`` at absolute tick ``time``."""
         if time < self.now:
             raise ValueError(
                 f"cannot schedule into the past (t={time} < now={self.now})")
@@ -169,7 +100,6 @@ class BatchedEngine:
             bucket.append((callback, args))
         else:
             buckets[time] = [bucket, (callback, args)]
-        self._posted += 1
 
     def post_many(self, items) -> None:
         """Schedule a batch of ``(time, callback, args)`` records at once.
@@ -186,7 +116,6 @@ class BatchedEngine:
         buckets = self._buckets
         ticks = self._ticks
         heappush = _heappush
-        n = 0
         for time, callback, args in items:
             if time < now:
                 raise ValueError(
@@ -199,66 +128,28 @@ class BatchedEngine:
                 bucket.append((callback, args))
             else:
                 buckets[time] = [bucket, (callback, args)]
-            n += 1
-        self._posted += n
-
-    def schedule(self, delay: int, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` to run ``delay`` ticks from now.
-
-        Returns the :class:`Event`, which may be cancelled before it fires.
-        """
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        t = self.now + delay
-        record = [callback, args, callback]
-        buckets = self._buckets
-        bucket = buckets.get(t)
-        if bucket is None:
-            # Handle-bearing records always live in a list bucket so a
-            # 3-slot record cell is never mistaken for a bucket.
-            buckets[t] = [record]
-            _heappush(self._ticks, t)
-        elif bucket.__class__ is list:
-            bucket.append(record)
-        else:
-            buckets[t] = [bucket, record]
-        self._posted += 1
-        return Event(self, t, record)
-
-    def schedule_at(self, time: int, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at absolute tick ``time``."""
-        return self.schedule(time - self.now, callback, *args)
 
     # -- introspection -------------------------------------------------
     def pending(self) -> int:
-        """Number of events still in the queue (including cancelled)."""
+        """Number of events still in the queue."""
         return sum(len(b) if b.__class__ is list else 1
                    for b in self._buckets.values())
 
-    def pending_live(self) -> int:
-        """Number of queued events that will actually fire (not cancelled).
-
-        O(1): maintained from the posted / executed / cancelled
-        counters instead of scanning the queue -- the watchdog digest
-        calls this exactly when the queue is huge.
-        """
-        return self._posted - self.events_executed - self._cancelled_valid
-
     # -- snapshots (repro.sim.system.System.snapshot) -------------------
     def snapshot(self) -> tuple:
-        """Clock and counters of an idle engine.
+        """Clock and executed counter of an idle engine.
 
         Only an empty queue can be saved: queued records hold callbacks
         whose arguments a snapshot does not copy.
         """
         if self._ticks:
             raise ValueError("cannot snapshot an engine with queued events")
-        return self.now, self.events_executed, self._posted, self._cancelled_valid
+        return self.now, self.events_executed
 
     def restore(self, state: tuple) -> None:
-        """Back to a :meth:`snapshot`: its clock and counters, nothing
+        """Back to a :meth:`snapshot`: its clock and counter, nothing
         queued (a callback that raised may have left records behind)."""
-        self.now, self.events_executed, self._posted, self._cancelled_valid = state
+        self.now, self.events_executed = state
         self._buckets.clear()
         self._ticks.clear()
 
@@ -319,25 +210,13 @@ class BatchedEngine:
                 record = None
                 try:
                     for record in batch:
-                        # Budget check first, even for cancelled
-                        # records: the legacy watchdog raises whenever
-                        # the queue is non-empty at the budget, live or
-                        # not, and backends must agree exactly.
                         if executed >= budget:
                             self._requeue_from(batch, t, record, consumed=False)
                             executed = self._fold(executed)
                             raise SimulationLimitError(
                                 self.stall_digest(max_events))
-                        cb = record[0]
-                        if cb is None:
-                            continue
-                        if record.__class__ is list:
-                            # Neutralize handle records *before* the
-                            # call so a reentrant cancel of the firing
-                            # event cannot skew the live counter.
-                            record[0] = None
                         self.now = t
-                        cb(*record[1])
+                        record[0](*record[1])
                         executed += 1
                 except SimulationLimitError:
                     raise
@@ -397,10 +276,6 @@ class BatchedEngine:
                             raise SimulationLimitError(
                                 self.stall_digest(max_events))
                         cb = record[0]
-                        if cb is None:
-                            continue
-                        if record.__class__ is list:
-                            record[0] = None
                         self.now = t
                         t0 = perf()
                         cb(*record[1])
@@ -468,17 +343,13 @@ class BatchedEngine:
         usually point straight at the stuck transaction.  Assembled
         only on the stall branch: a clean run never calls this.
         """
-        pending = 0
-        live: list[tuple[int, int, Callable]] = []
-        order = 0
-        for t, record in self._queued_records():
-            pending += 1
-            if record[0] is not None:
-                live.append((t, order, record[0]))
-            order += 1
+        live = [(t, order, record[0]) for order, (t, record)
+                in enumerate(self._queued_records())]
+        # Every queued event fires, so the two counts agree; the first
+        # line keeps the historical watchdog format all the same.
         lines = [
             f"exceeded {max_events} events at t={self.now} "
-            f"({pending} pending, {len(live)} live); "
+            f"({len(live)} pending, {len(live)} live); "
             "likely livelock or deadlock retry storm"
         ]
         if live:
@@ -503,7 +374,7 @@ class BatchedEngine:
 class LegacyEvent:
     """A scheduled callback (legacy object-per-event engine)."""
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled")
+    __slots__ = ("time", "seq", "callback", "args")
 
     def __init__(self, time: int, seq: int, callback: Callable[..., None],
                  args: tuple = ()) -> None:
@@ -511,11 +382,6 @@ class LegacyEvent:
         self.seq = seq
         self.callback = callback
         self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Mark the event so the engine skips it when popped."""
-        self.cancelled = True
 
 
 class LegacyEngine:
@@ -535,29 +401,18 @@ class LegacyEngine:
         self.sampler = None
         self.span_recorder = None
 
-    def schedule(self, delay: int, callback: Callable[..., None], *args: Any) -> LegacyEvent:
+    def post(self, delay: int, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` ticks from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         seq = self._seq
-        event = LegacyEvent(self.now + delay, seq, callback, args)
-        _heappush(self._queue, (event.time, seq, event))
+        time = self.now + delay
+        _heappush(self._queue, (time, seq, LegacyEvent(time, seq, callback, args)))
         self._seq = seq + 1
-        return event
-
-    def schedule_at(self, time: int, callback: Callable[..., None], *args: Any) -> LegacyEvent:
-        """Schedule ``callback(*args)`` at absolute tick ``time``."""
-        return self.schedule(time - self.now, callback, *args)
-
-    # The hot-path spellings resolve to plain scheduling here, so the
-    # legacy engine stays a drop-in backend for parity runs.
-    def post(self, delay: int, callback: Callable[..., None], *args: Any) -> None:
-        """Schedule ``callback(*args)`` in ``delay`` ticks, discarding the handle."""
-        self.schedule(delay, callback, *args)
 
     def post_at(self, time: int, callback: Callable[..., None], *args: Any) -> None:
-        """Schedule at absolute tick ``time``, discarding the handle."""
-        self.schedule(time - self.now, callback, *args)
+        """Schedule ``callback(*args)`` at absolute tick ``time``."""
+        self.post(time - self.now, callback, *args)
 
     def post_many(self, items) -> None:
         """Batch spelling of :meth:`post_at`: N sequential schedules."""
@@ -574,13 +429,8 @@ class LegacyEngine:
         self._seq = seq
 
     def pending(self) -> int:
-        """Number of events still in the queue (including cancelled)."""
+        """Number of events still in the queue."""
         return len(self._queue)
-
-    def pending_live(self) -> int:
-        """Number of queued events that will actually fire (O(n) scan)."""
-        return sum(1 for _time, _seq, event in self._queue
-                   if not event.cancelled)
 
     def run(self, until: int | None = None, max_events: int | None = None) -> int:
         """Run until the queue drains, ``until`` ticks pass, or ``max_events``."""
@@ -603,8 +453,6 @@ class LegacyEngine:
                     executed = 0
                     raise SimulationLimitError(self.stall_digest(max_events))
                 time, _seq, event = heappop(queue)
-                if event.cancelled:
-                    continue
                 self.now = time
                 event.callback(*event.args)
                 executed += 1
@@ -636,8 +484,6 @@ class LegacyEngine:
                     executed = 0
                     raise SimulationLimitError(self.stall_digest(max_events))
                 time, _seq, event = heappop(queue)
-                if event.cancelled:
-                    continue
                 self.now = time
                 t0 = perf()
                 event.callback(*event.args)
@@ -654,13 +500,12 @@ class LegacyEngine:
 
     def stall_digest(self, max_events: int | None = None) -> str:
         """Multi-line diagnosis of a stalled/livelocked run."""
+        live = self._queue
         lines = [
             f"exceeded {max_events} events at t={self.now} "
-            f"({self.pending()} pending, {self.pending_live()} live); "
+            f"({len(live)} pending, {len(live)} live); "
             "likely livelock or deadlock retry storm"
         ]
-        live = [(time, seq, event) for time, seq, event in self._queue
-                if not event.cancelled]
         if live:
             counts: dict[str, int] = {}
             for _time, _seq, event in live:

@@ -116,11 +116,6 @@ class OpStats:
         """(kind group, bin) -> (miss count, miss ticks)."""
         return {key: tuple(value) for key, value in self.miss_bins.items()}
 
-    @property
-    def mpki_proxy(self) -> float:
-        """Misses per op (the calibration knob standing in for MPKI)."""
-        return self.misses / self.ops if self.ops else 0.0
-
     def register_metrics(self, registry, path: str) -> None:
         """Publish these counts into a `repro.obs` metrics registry.
 

@@ -119,10 +119,11 @@ def state_parts(system, network) -> tuple:
     Everything observable that distinguishes two protocol states is
     flattened to primitives (ints, strings, bools, None) in a fixed
     order: cache lines, MSHRs, bridge transactions, port pending sets,
-    home directory, core registers/store buffers, and the in-flight
-    messages grouped per FIFO channel *preserving order* within the
-    channel, as the last part.  The model checker's process-stable
-    fingerprint (:mod:`repro.verify.mc.fingerprint`) is derived from
+    a hybrid bridge's local DRAM store, home directory, core
+    registers/store buffers, and the in-flight messages grouped per
+    FIFO channel *preserving order* within the channel, as the last
+    part.  The model checker's process-stable fingerprint
+    (:mod:`repro.verify.mc.fingerprint`) is derived from
     these parts.  The walk only reads: it changes no line's meta.
     """
     parts = []
@@ -179,8 +180,12 @@ def state_parts(system, network) -> tuple:
         conflict = tuple(sorted([
             (addr, state["snoop"].kind, state["granted"])
             for addr, state in conflict.items()])) if conflict else ()
-        parts.append((bridge.node_id, tuple(lines), busy, recalls, pq,
-                      evicting, pending, wbs, snoops, active, conflict))
+        part = (bridge.node_id, tuple(lines), busy, recalls, pq,
+                evicting, pending, wbs, snoops, active, conflict)
+        local = bridge.local_backing
+        if local is not None:  # hybrid memory: the bridge's own DRAM
+            part += (tuple(sorted(local.snapshot().items())),)
+        parts.append(part)
     home = system.home
     home_lines = tuple(sorted([
         (addr, line.state, line.owner, tuple(sorted(line.sharers)),

@@ -43,7 +43,7 @@ class FakeL1:
             latency = self.load_latency
         else:
             latency = self.store_latency
-        self.engine.schedule(latency, self._perform, kind, addr, value, callback)
+        self.engine.post(latency, self._perform, kind, addr, value, callback)
 
     def _perform(self, kind, addr, value, callback):
         if kind in ("LOAD", "LOAD_ACQ"):
@@ -149,7 +149,7 @@ def test_weak_load_may_overtake_older_load():
     class SkewedL1(FakeL1):
         def _request(self, kind, addr, value, callback):
             latency = 100 * CYCLE if addr == 1 else 5 * CYCLE
-            self.engine.schedule(latency, self._perform, kind, addr, value, callback)
+            self.engine.post(latency, self._perform, kind, addr, value, callback)
 
     l1 = SkewedL1(engine)
     core = Core(engine, "c0", "WEAK", cycle=CYCLE)
@@ -167,7 +167,7 @@ def test_weak_dependency_orders_ops():
     class SkewedL1(FakeL1):
         def _request(self, kind, addr, value, callback):
             latency = 100 * CYCLE if addr == 1 else 5 * CYCLE
-            self.engine.schedule(latency, self._perform, kind, addr, value, callback)
+            self.engine.post(latency, self._perform, kind, addr, value, callback)
 
     l1 = SkewedL1(engine)
     core = Core(engine, "c0", "WEAK", cycle=CYCLE)
@@ -241,7 +241,7 @@ def test_window_limits_inflight_ops():
                 inflight["now"] -= 1
                 callback(v)
 
-            self.engine.schedule(20 * CYCLE, self._perform, kind, addr, value, done)
+            self.engine.post(20 * CYCLE, self._perform, kind, addr, value, done)
 
     l1 = CountingL1(engine)
     core = Core(engine, "c0", "WEAK", window=4, cycle=CYCLE)

@@ -126,22 +126,14 @@ def test_cell_failure_roundtrips_through_pickle():
 # Cross-backend determinism.
 # ---------------------------------------------------------------------------
 
-def test_backends_are_byte_identical_on_a_figure_grid(tmp_path, monkeypatch):
+def test_backends_are_byte_identical_on_a_figure_grid():
     """The same Fig. 10 grid through the serial loop and the process
-    pool must produce byte-identical result dicts.  A shared
-    on-disk FSM cache keeps the pool workers from re-synthesizing
-    compound FSMs."""
-    from repro.core import generator
+    pool must produce byte-identical result dicts."""
     from repro.harness.experiments import FIG10_COMBOS, figure10
 
-    monkeypatch.setenv(generator.FSM_CACHE_ENV, str(tmp_path / "fsm"))
-    generator.clear_fsm_cache()
     grid = dict(workloads=["vips", "histogram"], combos=FIG10_COMBOS[:2],
                 scale=0.3, seeds=(1,))
-    try:
-        serial = figure10(backend="serial", **grid)
-        pool = figure10(jobs=2, backend="local", **grid)
-    finally:
-        generator.clear_fsm_cache()
+    serial = figure10(backend="serial", **grid)
+    pool = figure10(jobs=2, backend="local", **grid)
     assert serial.times == pool.times
     assert pickle.dumps(serial.times) == pickle.dumps(pool.times)

@@ -8,9 +8,9 @@ from repro.sim.engine import Engine, SimulationLimitError
 def test_events_run_in_time_order():
     engine = Engine()
     order = []
-    engine.schedule(30, order.append, "c")
-    engine.schedule(10, order.append, "a")
-    engine.schedule(20, order.append, "b")
+    engine.post(30, order.append, "c")
+    engine.post(10, order.append, "a")
+    engine.post(20, order.append, "b")
     engine.run()
     assert order == ["a", "b", "c"]
     assert engine.now == 30
@@ -20,7 +20,7 @@ def test_same_tick_events_are_fifo():
     engine = Engine()
     order = []
     for name in "abcde":
-        engine.schedule(5, order.append, name)
+        engine.post(5, order.append, name)
     engine.run()
     assert order == list("abcde")
 
@@ -31,31 +31,21 @@ def test_nested_scheduling_advances_time():
 
     def first():
         seen.append(engine.now)
-        engine.schedule(7, second)
+        engine.post(7, second)
 
     def second():
         seen.append(engine.now)
 
-    engine.schedule(3, first)
+    engine.post(3, first)
     engine.run()
     assert seen == [3, 10]
-
-
-def test_cancelled_event_does_not_fire():
-    engine = Engine()
-    fired = []
-    event = engine.schedule(5, fired.append, "x")
-    event.cancel()
-    engine.schedule(6, fired.append, "y")
-    engine.run()
-    assert fired == ["y"]
 
 
 def test_run_until_stops_at_boundary():
     engine = Engine()
     fired = []
-    engine.schedule(5, fired.append, "a")
-    engine.schedule(50, fired.append, "b")
+    engine.post(5, fired.append, "a")
+    engine.post(50, fired.append, "b")
     engine.run(until=10)
     assert fired == ["a"]
     assert engine.now == 10
@@ -66,16 +56,16 @@ def test_run_until_stops_at_boundary():
 def test_negative_delay_rejected():
     engine = Engine()
     with pytest.raises(ValueError):
-        engine.schedule(-1, lambda: None)
+        engine.post(-1, lambda: None)
 
 
 def test_max_events_watchdog_detects_livelock():
     engine = Engine()
 
     def spin():
-        engine.schedule(1, spin)
+        engine.post(1, spin)
 
-    engine.schedule(0, spin)
+    engine.post(0, spin)
     with pytest.raises(SimulationLimitError):
         engine.run(max_events=100)
 
@@ -84,17 +74,15 @@ def test_watchdog_message_reports_pending_queue():
     engine = Engine()
 
     def spin():
-        engine.schedule(1, spin)
+        engine.post(1, spin)
 
-    engine.schedule(0, spin)
-    cancelled = engine.schedule(10_000, lambda: None)
-    cancelled.cancel()
+    engine.post(0, spin)
+    engine.post(10_000, lambda: None)
     with pytest.raises(SimulationLimitError) as exc:
         engine.run(max_events=50)
     message = str(exc.value)
     # Actionable livelock report: how much is queued and how much is live.
-    assert "2 pending" in message
-    assert "1 live" in message
+    assert "2 pending, 2 live" in message
     assert "t=" in message
 
 
@@ -102,13 +90,13 @@ def test_stall_digest_breaks_down_pending_callbacks():
     engine = Engine()
 
     def spin():
-        engine.schedule(1, spin)
+        engine.post(1, spin)
 
     def other():
         pass
 
-    engine.schedule(0, spin)
-    engine.schedule(9_000, other)
+    engine.post(0, spin)
+    engine.post(9_000, other)
     with pytest.raises(SimulationLimitError) as exc:
         engine.run(max_events=40)
     message = str(exc.value)
@@ -121,37 +109,22 @@ def test_stall_digest_breaks_down_pending_callbacks():
 
 def test_stall_digest_without_watchdog_context():
     engine = Engine()
-    engine.schedule(5, lambda: None)
+    engine.post(5, lambda: None)
     digest = engine.stall_digest()
     assert "2 pending" not in digest  # one event queued
     assert "1 pending, 1 live" in digest
     assert "top pending callbacks:" in digest
 
 
-def test_pending_live_excludes_cancelled():
-    engine = Engine()
-    keep = engine.schedule(5, lambda: None)
-    drop = engine.schedule(6, lambda: None)
-    assert engine.pending() == 2
-    assert engine.pending_live() == 2
-    drop.cancel()
-    assert engine.pending() == 2  # still physically queued
-    assert engine.pending_live() == 1
-    engine.run()
-    assert engine.pending() == 0
-    assert engine.pending_live() == 0
-    assert keep.cancelled is False
-
-
 def test_event_counter_accumulates():
     engine = Engine()
     for i in range(10):
-        engine.schedule(i, lambda: None)
+        engine.post(i, lambda: None)
     engine.run()
     assert engine.events_executed == 10
 
 # ---------------------------------------------------------------------------
-# Batched-core additions: post(), O(1) pending_live, watchdog cold path.
+# Batched-core additions: post(), post_at(), watchdog cold path.
 # ---------------------------------------------------------------------------
 
 def test_post_is_schedule_without_a_handle():
@@ -159,7 +132,7 @@ def test_post_is_schedule_without_a_handle():
     order = []
     assert engine.post(20, order.append, "b") is None
     engine.post(10, order.append, "a")
-    engine.schedule(15, order.append, "mid")
+    engine.post_at(15, order.append, "mid")
     engine.run()
     assert order == ["a", "mid", "b"]
     with pytest.raises(ValueError):
@@ -182,41 +155,11 @@ def test_post_and_schedule_interleave_fifo_on_same_tick():
     engine = Engine()
     order = []
     engine.post(5, order.append, 0)
-    engine.schedule(5, order.append, 1)
+    engine.post_at(5, order.append, 1)
     engine.post(5, order.append, 2)
-    engine.schedule(5, order.append, 3)
+    engine.post_at(5, order.append, 3)
     engine.run()
     assert order == [0, 1, 2, 3]
-
-
-def test_cancel_is_idempotent_and_late_cancel_is_a_noop():
-    engine = Engine()
-    fired = []
-    event = engine.schedule(5, fired.append, "x")
-    event.cancel()
-    event.cancel()  # double-cancel must not skew the live counter
-    assert engine.pending_live() == 0
-    engine.run()
-    assert fired == []
-    done = engine.schedule(5, fired.append, "y")
-    engine.run()
-    assert fired == ["y"]
-    done.cancel()  # already fired: flag only, no counter change
-    assert done.cancelled is True
-    assert engine.pending_live() == 0
-
-
-def test_pending_live_is_counter_based_not_a_scan():
-    """pending_live() must stay O(1): constant work at any queue depth."""
-    engine = Engine()
-    handles = [engine.schedule(i + 1, lambda: None) for i in range(2_000)]
-    for handle in handles[::2]:
-        handle.cancel()
-    assert engine.pending() == 2_000
-    assert engine.pending_live() == 1_000
-    engine.run()
-    assert engine.pending_live() == 0
-    assert engine.events_executed == 1_000
 
 
 def test_callback_exception_leaves_queue_consistent():

@@ -5,7 +5,7 @@ run on) must be *indistinguishable* from
 :class:`~repro.sim.engine.LegacyEngine`: same event order, same results
 bit for bit, same watchdog behavior, same observability rollups.  These
 tests drive both through the same scenarios -- randomized
-schedule/cancel scripts, real figure cells (Fig. 9 MCM pairings,
+post/post_at scripts, real figure cells (Fig. 9 MCM pairings,
 Fig. 10 protocol combos), faulted message bursts and runs, and the
 ``violate_atomicity`` audit path -- and require identical outcomes.
 """
@@ -56,7 +56,6 @@ def _run_script(engine_cls, seed: int):
     def fire(label):
         trace.append((engine.now, label))
 
-    handles = []
     next_label = [0]
 
     def reschedule(label, fanout):
@@ -70,23 +69,20 @@ def _run_script(engine_cls, seed: int):
         if op < 0.45:
             engine.post(rng.randrange(0, 50), fire, f"p{step}")
         elif op < 0.70:
-            handles.append(engine.schedule(rng.randrange(0, 50), fire,
-                                           f"s{step}"))
+            engine.post(rng.randrange(0, 50), fire, f"s{step}")
         elif op < 0.80:
-            engine.schedule_at(engine.now + rng.randrange(0, 50), fire,
-                               f"a{step}")
-        elif op < 0.90 and handles:
-            handles.pop(rng.randrange(len(handles))).cancel()
+            engine.post_at(engine.now + rng.randrange(0, 50), fire,
+                           f"a{step}")
         else:
             engine.post(rng.randrange(0, 8), reschedule, f"c{step}",
                         rng.randrange(0, 3))
         if step % 60 == 59:
             engine.run(until=engine.now + rng.randrange(0, 40))
             trace.append(("segment", engine.now, engine.pending(),
-                          engine.pending_live(), engine.events_executed))
+                          engine.events_executed))
     engine.run()
     trace.append(("final", engine.now, engine.pending(),
-                  engine.pending_live(), engine.events_executed))
+                  engine.events_executed))
     return trace
 
 
@@ -121,7 +117,7 @@ def test_watchdog_budget_counts_match_legacy(engine_cls):
         engine.run(max_events=500)
     assert engine.events_executed == reference.events_executed == 500
     assert engine.now == reference.now
-    assert engine.pending_live() == reference.pending_live()
+    assert engine.pending() == reference.pending()
     assert "exceeded 500 events" in str(err.value)
 
 

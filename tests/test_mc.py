@@ -540,6 +540,20 @@ def test_live_step_equals_replay(make_model, max_popped, expanded_at_least):
         assert fanned_out
 
 
+def test_hybrid_local_store_is_part_of_the_fingerprint():
+    """A hybrid bridge's local DRAM store is protocol state: two states
+    of :func:`_hybrid_model` that differ only in a written-back local
+    line must not merge in the search."""
+    model = _hybrid_model()
+    system, network = model.replay(())
+    bridge = system.clusters[0].bridge
+    assert bridge.local_backing is not None
+    before = canonical_fingerprint(system, network)
+    bridge.local_backing.write(LOCAL, 1)
+    assert canonical_fingerprint(system, network) != before
+    assert fingerprint_parts(state_parts(system, network)) != before
+
+
 def test_fan_out_order_survives_restores_under_any_hash_seed():
     """A restore refills a sharer set from its members, so the set's
     hash layout -- and with it its iteration order -- can differ from

@@ -188,6 +188,6 @@ def test_send_many_delivers_prefix_before_missing_link():
     assert network.stats.messages == 2
     assert network.stats.bytes == 8 + 72
     assert network.stats.per_kind == {GETS: 1, DATA: 1}
-    assert engine.pending_live() == 2
+    assert engine.pending() == 2
     engine.run()
     assert [m.addr for _t, m in b.received] == [0x10, 0x20]

@@ -330,9 +330,9 @@ def test_watchdog_digest_names_open_spans():
     assert span is not None
 
     def spin():
-        engine.schedule(1, spin)
+        engine.post(1, spin)
 
-    engine.schedule(0, spin)
+    engine.post(0, spin)
     with pytest.raises(Exception) as exc:
         engine.run(max_events=30)
     message = str(exc.value)

@@ -65,7 +65,7 @@ def test_engine_executes_in_time_order(delays):
     engine = Engine()
     fired = []
     for i, delay in enumerate(delays):
-        engine.schedule(delay, lambda i=i, d=delay: fired.append((engine.now, d, i)))
+        engine.post(delay, lambda i=i, d=delay: fired.append((engine.now, d, i)))
     engine.run()
     times = [t for t, _d, _i in fired]
     assert times == sorted(times)

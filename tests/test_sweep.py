@@ -182,35 +182,15 @@ def test_memoized_compound_matches_fresh_synthesis():
     assert fresh.rows == cached.rows
 
 
-def test_disk_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv(generator.FSM_CACHE_ENV, str(tmp_path))
+def test_generator_writes_nothing_to_disk(tmp_path, monkeypatch):
+    """Memoization is in-process only: the retired ``REPRO_FSM_CACHE``
+    knob no longer makes the generator pickle a pairing anywhere."""
+    monkeypatch.setenv("REPRO_FSM_CACHE", str(tmp_path))
     generator.clear_fsm_cache()
     before = generator.synthesis_runs()
-    first = generator.generate("MESIF", "CXL")
+    generator.generate("MESIF", "CXL")
     assert generator.synthesis_runs() - before == 1
-    assert list(tmp_path.glob("MESIF-CXL-*.pickle"))
-    # A new "process": drop the in-memory memo, reload from disk.
-    generator.clear_fsm_cache()
-    reloaded = generator.generate("MESIF", "CXL")
-    assert generator.synthesis_runs() - before == 1  # no re-synthesis
-    assert reloaded.up_table == first.up_table
-    assert reloaded.down_table == first.down_table
-    assert reloaded.reachable == first.reachable
-    generator.clear_fsm_cache(disk=True)
-    assert not list(tmp_path.glob("*.pickle"))
-
-
-def test_corrupt_disk_cache_regenerates(tmp_path, monkeypatch):
-    monkeypatch.setenv(generator.FSM_CACHE_ENV, str(tmp_path))
-    generator.clear_fsm_cache()
-    generator.generate("MESI", "CXL")
-    (path,) = tmp_path.glob("MESI-CXL-*.pickle")
-    path.write_bytes(b"not a pickle")
-    generator.clear_fsm_cache()
-    before = generator.synthesis_runs()
-    compound = generator.generate("MESI", "CXL")
-    assert generator.synthesis_runs() - before == 1  # fell through to synthesis
-    assert compound.name == "MESI-CXL"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_warm_fsm_cache_preloads_pairs():
