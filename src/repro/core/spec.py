@@ -2,9 +2,8 @@
 
 Progen-style machine-readable protocol summaries: the stable states with
 their permission semantics (via :class:`~repro.protocols.variants.
-ProtocolVariant`), the request classes a cache controller can issue, the
-snoop classes a directory can deliver, and the concrete wire-message
-names used for the Table II dump and the SLICC-like emitter.
+ProtocolVariant`) and the concrete wire-message names used for the
+Table II dump and the SLICC-like emitter.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from repro.protocols.variants import (
     MOESI,
     RCC,
     ProtocolVariant,
-    READ,
-    WRITE,
 )
 
 
@@ -31,8 +28,6 @@ class ProtocolSpec:
 
     name: str
     variant: ProtocolVariant
-    #: request class -> permission it must end up with.
-    requests: dict = field(default_factory=dict)
     #: concrete message names for abstract roles (display/emission only).
     wire: dict = field(default_factory=dict)
 
@@ -57,25 +52,21 @@ _LOCAL_WIRE = {
 
 MESI_SPEC = ProtocolSpec(
     "MESI", MESI,
-    requests={"GetS": READ, "GetM": WRITE},
     wire=dict(_LOCAL_WIRE),
 )
 
 MESIF_SPEC = ProtocolSpec(
     "MESIF", MESIF,
-    requests={"GetS": READ, "GetM": WRITE},
     wire=dict(_LOCAL_WIRE),
 )
 
 MOESI_SPEC = ProtocolSpec(
     "MOESI", MOESI,
-    requests={"GetS": READ, "GetM": WRITE},
     wire=dict(_LOCAL_WIRE),
 )
 
 RCC_SPEC = ProtocolSpec(
     "RCC", RCC,
-    requests={"RCC_READ": READ, "RCC_WRITE": WRITE},
     wire={
         "GetS": "RccRead",
         "GetM": "RccWrite",
@@ -89,7 +80,6 @@ RCC_SPEC = ProtocolSpec(
 
 CXL_SPEC = ProtocolSpec(
     "CXL", CXL,
-    requests={"GetS": READ, "GetM": WRITE},
     wire={
         "GetS": "MemRd,S",
         "GetM": "MemRd,A",
@@ -104,7 +94,6 @@ CXL_SPEC = ProtocolSpec(
 
 GMESI_SPEC = ProtocolSpec(
     "GMESI", GLOBAL_MESI,
-    requests={"GetS": READ, "GetM": WRITE},
     wire={
         "GetS": "GetS",
         "GetM": "GetM",

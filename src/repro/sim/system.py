@@ -17,6 +17,8 @@ an explicit placement), runs to completion and returns a
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.core.bridge import C3Bridge
 from repro.core.global_port import CxlPort, MesiPort
 from repro.cpu.core import Core
@@ -59,6 +61,8 @@ class System:
         self.cores: list[Core] = [core for c in clusters for core in c.cores]
         self.l1s = [l1 for c in clusters for l1 in c.l1s]
         self.monitors = []  # verification hooks called on quiescence checks
+        self.domains = self._domains()
+        self.node_domains = self._node_domains()
         # Host churn (repro.scenario): cluster index per core position,
         # deferred program starts, and join/leave counters for metrics.
         self._core_cluster = [c.index for c in clusters for _ in c.cores]
@@ -158,19 +162,43 @@ class System:
         return self.clusters[cluster].bridge.compound_state(addr)
 
     # ------------------------------------------------------------------
-    def _stateful_parts(self) -> list:
-        """Every component whose state changes as the system runs."""
-        parts = [self.engine, self.network, self.home, self.backing]
+    def _domains(self) -> list[list]:
+        """``domains``: the stateful components of each domain, one
+        domain per cluster, in cluster order, then one for the home.
+
+        A cluster's domain holds its bridge, the bridge's global port
+        and hybrid local store (if any), its L1s and its cores; the
+        home's holds the home directory and the backing store.  The
+        engine and the network belong to every domain and are in none
+        of these lists.  Components of different domains reach each
+        other only through :meth:`Network.send`, so on a network that
+        parks sent messages (the model checker's
+        :class:`~repro.verify.explorer.InterceptNetwork`) delivering a
+        message to an idle system changes only the destination's
+        domain (``node_domains``), the engine and the network.
+        """
+        domains = []
         for cluster in self.clusters:
             bridge = cluster.bridge
-            parts += (bridge, bridge.port)
+            parts = [bridge, bridge.port]
             if bridge.local_backing is not None:  # hybrid memory
                 parts.append(bridge.local_backing)
             parts += cluster.l1s
             parts += cluster.cores
-        return parts
+            domains.append(parts)
+        domains.append([self.home, self.backing])
+        return domains
 
-    def snapshot(self) -> list:
+    def _node_domains(self) -> dict[str, int]:
+        """``node_domains``: the ``domains`` index of every network node."""
+        nodes = {self.home.node_id: len(self.clusters)}
+        for index, cluster in enumerate(self.clusters):
+            nodes[cluster.bridge.node_id] = index
+            for l1 in cluster.l1s:
+                nodes[l1.node_id] = index
+        return nodes
+
+    def snapshot(self, base: Sequence = (), clean=()) -> list:
         """Save the state of an idle system for :meth:`restore`.
 
         Every stateful component saves its field values and container
@@ -184,19 +212,40 @@ class System:
         network must keep sent messages in an outbox (the model
         checker's :class:`~repro.verify.explorer.InterceptNetwork`):
         a plain network's wires and queued arrivals are not saved.
-        """
-        return [part.snapshot() for part in self._stateful_parts()]
 
-    def restore(self, state: list) -> None:
+        The saved state is the engine's, the network's, then one entry
+        per domain (``domains``).  ``base`` is an earlier snapshot
+        of this system and ``clean`` the indices of the domains that
+        are unchanged since the live system last matched ``base``:
+        their entries are ``base``'s, shared rather than saved again.
+        Sharing is safe because a restore copies saved data into the
+        live containers and never aliases it.
+        """
+        saved = [self.engine.snapshot(), self.network.snapshot()]
+        for index, parts in enumerate(self.domains):
+            if index in clean:
+                saved.append(base[index + 2])
+            else:
+                saved.append([part.snapshot() for part in parts])
+        return saved
+
+    def restore(self, state: list, dirty=None) -> None:
         """Put a :meth:`snapshot` back into this same system, in place.
 
         Any number of restores may use one snapshot.  Objects made
         since the snapshot are dropped with the containers that held
         them; events left queued by a callback that raised are
-        discarded.
+        discarded.  The engine and the network are always restored;
+        of the domains, only those whose indices are in ``dirty``, or
+        every one when it is None.  A domain left out must be unchanged
+        since the live system last matched ``state``.
         """
-        for part, saved in zip(self._stateful_parts(), state):
-            part.restore(saved)
+        self.engine.restore(state[0])
+        self.network.restore(state[1])
+        for index, parts in enumerate(self.domains):
+            if dirty is None or index in dirty:
+                for part, saved in zip(parts, state[index + 2]):
+                    part.restore(saved)
 
     def close(self) -> None:
         """Kill this system so reference counting frees it when dropped.

@@ -113,80 +113,74 @@ def _rec_fp(rec):
             tuple(sorted(sharers)) if sharers else (), rec.f_holder)
 
 
-def state_parts(system, network) -> tuple:
-    """Canonical nested-tuple digest of one (system, outbox) state.
+def _l1_part(l1) -> tuple:
+    """An L1's lines and MSHRs."""
+    lines = sorted([(line.addr, line.state, line.data, line.dirty)
+                    for line in l1.cache.lines()])
+    mshrs = getattr(l1, "mshrs", None)
+    mshrs = tuple(sorted([
+        (addr, mshr.txn, mshr.have_data, mshr.have_grant,
+         mshr.grant_state, mshr.data, len(mshr.ops))
+        for addr, mshr in mshrs.items()])) if mshrs else ()
+    return (l1.node_id, tuple(lines), mshrs)
 
-    Everything observable that distinguishes two protocol states is
-    flattened to primitives (ints, strings, bools, None) in a fixed
-    order: cache lines, MSHRs, bridge transactions, port pending sets,
-    a hybrid bridge's local DRAM store, home directory, core
-    registers/store buffers, and the in-flight messages grouped per
-    FIFO channel *preserving order* within the channel, as the last
-    part.  The model checker's process-stable fingerprint
-    (:mod:`repro.verify.mc.fingerprint`) is derived from
-    these parts.  The walk only reads: it changes no line's meta.
-    """
-    parts = []
-    for cluster in system.clusters:
-        for l1 in cluster.l1s:
-            lines = sorted([(line.addr, line.state, line.data, line.dirty)
-                            for line in l1.cache.lines()])
-            mshrs = getattr(l1, "mshrs", None)
-            mshrs = tuple(sorted([
-                (addr, mshr.txn, mshr.have_data, mshr.have_grant,
-                 mshr.grant_state, mshr.data, len(mshr.ops))
-                for addr, mshr in mshrs.items()])) if mshrs else ()
-            parts.append((l1.node_id, tuple(lines), mshrs))
-        bridge = cluster.bridge
-        # Read-only: ``peek_meta`` creates neither a meta dict nor a
-        # directory record on the lines it reads.
-        lines = sorted([
-            (line.addr, line.state, line.data, line.dirty,
-             line.peek_meta("stale", False), _rec_fp(line.peek_meta("dir")))
-            for line in bridge.cache.lines()])
-        busy = bridge.busy
-        busy = tuple(sorted([
-            (addr, txn.kind, txn.requester, txn.phase, txn.acks_needed,
-             txn.acks_got, txn.owner_forwarded, txn.was_sharer)
-            for addr, txn in busy.items()])) if busy else ()
-        recalls = bridge.recalls
-        recalls = tuple(sorted([
-            (addr, recall.mode, recall.acks_needed, recall.acks_got)
-            for addr, recall in recalls.items()])) if recalls else ()
-        pq = bridge.pq_local
-        pq = tuple(sorted([
-            (addr, tuple([m.kind for m in queue]))
-            for addr, queue in pq.items()])) if pq else ()
-        evicting = bridge.evicting
-        evicting = tuple(sorted(evicting)) if evicting else ()
-        port = bridge.port
-        pending = port.pending
-        pending = tuple(sorted([
-            (addr, p.want, p.grant_seen, p.grant_state, p.data,
-             p.acks_needed, p.acks_got)
-            for addr, p in pending.items()])) if pending else ()
-        wbs = port.wb
-        wbs = tuple(sorted([
-            (addr, w.held_snoop.kind if w.held_snoop else None)
-            for addr, w in wbs.items()])) if wbs else ()
-        snoops = port.snoop_q
-        snoops = tuple(sorted([
-            (addr, tuple([m.kind for m in queue]))
-            for addr, queue in snoops.items()])) if snoops else ()
-        active = port.active_snoop
-        active = tuple(sorted([
-            (addr, msg.kind) for addr, msg in active.items()])) if active else ()
-        conflict = getattr(port, "conflict_state", None)
-        conflict = tuple(sorted([
-            (addr, state["snoop"].kind, state["granted"])
-            for addr, state in conflict.items()])) if conflict else ()
-        part = (bridge.node_id, tuple(lines), busy, recalls, pq,
-                evicting, pending, wbs, snoops, active, conflict)
-        local = bridge.local_backing
-        if local is not None:  # hybrid memory: the bridge's own DRAM
-            part += (tuple(sorted(local.snapshot().items())),)
-        parts.append(part)
-    home = system.home
+
+def _bridge_part(bridge) -> tuple:
+    """A bridge's lines, transactions and queues, its global port's
+    pending sets, and a hybrid bridge's local DRAM store."""
+    # Read-only: ``peek_meta`` creates neither a meta dict nor a
+    # directory record on the lines it reads.
+    lines = sorted([
+        (line.addr, line.state, line.data, line.dirty,
+         line.peek_meta("stale", False), _rec_fp(line.peek_meta("dir")))
+        for line in bridge.cache.lines()])
+    busy = bridge.busy
+    busy = tuple(sorted([
+        (addr, txn.kind, txn.requester, txn.phase, txn.acks_needed,
+         txn.acks_got, txn.owner_forwarded, txn.was_sharer)
+        for addr, txn in busy.items()])) if busy else ()
+    recalls = bridge.recalls
+    recalls = tuple(sorted([
+        (addr, recall.mode, recall.acks_needed, recall.acks_got)
+        for addr, recall in recalls.items()])) if recalls else ()
+    pq = bridge.pq_local
+    pq = tuple(sorted([
+        (addr, tuple([m.kind for m in queue]))
+        for addr, queue in pq.items()])) if pq else ()
+    evicting = bridge.evicting
+    evicting = tuple(sorted(evicting)) if evicting else ()
+    port = bridge.port
+    pending = port.pending
+    pending = tuple(sorted([
+        (addr, p.want, p.grant_seen, p.grant_state, p.data,
+         p.acks_needed, p.acks_got)
+        for addr, p in pending.items()])) if pending else ()
+    wbs = port.wb
+    wbs = tuple(sorted([
+        (addr, w.held_snoop.kind if w.held_snoop else None)
+        for addr, w in wbs.items()])) if wbs else ()
+    snoops = port.snoop_q
+    snoops = tuple(sorted([
+        (addr, tuple([m.kind for m in queue]))
+        for addr, queue in snoops.items()])) if snoops else ()
+    active = port.active_snoop
+    active = tuple(sorted([
+        (addr, msg.kind) for addr, msg in active.items()])) if active else ()
+    conflict = getattr(port, "conflict_state", None)
+    conflict = tuple(sorted([
+        (addr, state["snoop"].kind, state["granted"])
+        for addr, state in conflict.items()])) if conflict else ()
+    part = (bridge.node_id, tuple(lines), busy, recalls, pq,
+            evicting, pending, wbs, snoops, active, conflict)
+    local = bridge.local_backing
+    if local is not None:  # hybrid memory: the bridge's own DRAM
+        part += (tuple(sorted(local.snapshot().items())),)
+    return part
+
+
+def _home_part(home) -> tuple:
+    """The home directory's lines, transactions and queues, and its
+    backing store."""
     home_lines = tuple(sorted([
         (addr, line.state, line.owner, tuple(sorted(line.sharers)),
          getattr(line, "data_pending", False))
@@ -200,18 +194,36 @@ def state_parts(system, network) -> tuple:
         (addr, tuple([entry[0].kind if isinstance(entry, tuple) else entry.kind
                       for entry in queue]))
         for addr, queue in home_queue.items()])) if home_queue else ()
-    backing = system.backing.snapshot()
+    backing = home.backing.snapshot()
     backing = tuple(sorted(backing.items())) if backing else ()
-    parts.append(("home", home_lines, home_busy, home_queue, backing))
-    for core in system.cores:
-        parts.append((
-            core.core_id, tuple(core.status),
+    return ("home", home_lines, home_busy, home_queue, backing)
+
+
+def _core_part(core) -> tuple:
+    """A core's op statuses, store buffer and registers."""
+    return (core.core_id, tuple(core.status),
             tuple([(e.op_index, e.addr, e.value, e.draining)
                    for e in core.sb]),
-            tuple(sorted(core.regs.items())),
-        ))
-    # In-flight messages, grouped per FIFO channel *preserving order*
-    # within the channel (order across channels is immaterial).
+            tuple(sorted(core.regs.items())))
+
+
+def component_parts(system) -> list[tuple]:
+    """``(encode, component)`` for each component part of
+    :func:`state_parts`, in its order: each cluster's L1s and bridge,
+    the home, then every core.  ``encode(component)`` is the part."""
+    layout = []
+    for cluster in system.clusters:
+        layout += [(_l1_part, l1) for l1 in cluster.l1s]
+        layout.append((_bridge_part, cluster.bridge))
+    layout.append((_home_part, system.home))
+    layout += [(_core_part, core) for core in system.cores]
+    return layout
+
+
+def flight_part(network) -> tuple:
+    """The last part of :func:`state_parts`: the in-flight messages,
+    grouped per FIFO channel *preserving order* within the channel
+    (order across channels is immaterial)."""
     channels: dict = {}
     for msg in network.outbox:
         # ``_extra``, not ``extra``: the property would give every
@@ -227,6 +239,25 @@ def state_parts(system, network) -> tuple:
             channels[key] = [entry]
         else:
             queue.append(entry)
-    parts.append(tuple(sorted([
-        (key, tuple(entries)) for key, entries in channels.items()])))
+    return tuple(sorted([
+        (key, tuple(entries)) for key, entries in channels.items()]))
+
+
+def state_parts(system, network) -> tuple:
+    """Canonical nested-tuple digest of one (system, outbox) state.
+
+    Everything observable that distinguishes two protocol states is
+    flattened to primitives (ints, strings, bools, None) in a fixed
+    order: cache lines, MSHRs, bridge transactions, port pending sets,
+    a hybrid bridge's local DRAM store, home directory, core
+    registers/store buffers (one part per component,
+    :func:`component_parts`), and the in-flight messages grouped per
+    FIFO channel *preserving order* within the channel, as the last
+    part (:func:`flight_part`).  The model checker's process-stable
+    fingerprint (:mod:`repro.verify.mc.fingerprint`) is derived from
+    these parts.  The walk only reads: it changes no line's meta.
+    """
+    parts = [encode(component)
+             for encode, component in component_parts(system)]
+    parts.append(flight_part(network))
     return tuple(parts)

@@ -14,8 +14,10 @@ Within a shard's drain the search keeps one live system: the first
 successor of an expanded state is a live delivery step, each later
 sibling restores the parent's in-place snapshot and delivers one
 message, and only the root and punted paths are replayed from the
-model (see :func:`explore_shard`).  Snapshots never leave the drain;
-punts carry paths.
+model (see :func:`explore_shard`).  A :class:`LiveSystem` records which
+domain -- a cluster or the home -- each step touched, so fingerprints,
+restores and snapshots handle only those.  Snapshots never leave the
+drain; punts carry paths.
 
 The search proceeds in waves over one
 :class:`~repro.harness.sweep.SweepRunner` (serial loop or local process
@@ -59,13 +61,105 @@ from repro.verify.mc.counterexample import (
     crash_fingerprint,
     dedup,
 )
-from repro.verify.mc.fingerprint import canonical_fingerprint
+from repro.verify.mc.fingerprint import PartBytes, canonical_fingerprint
 from repro.verify.mc.model import CheckModel
 
 #: Waves with fewer work items than this are drained inline in the
 #: coordinator: each fanned-out wave pickles every shard's visited set
 #: to its worker and back, a cost a handful of replays never repays.
 INLINE_WAVE = 24
+
+
+class Snapshot:
+    """One :meth:`LiveSystem.snapshot`: the saved system, the part bytes
+    of the state it saved, and the tick at which the live system last
+    matched it."""
+
+    __slots__ = ("saved", "encoded", "synced")
+
+    def __init__(self, saved: list, encoded: tuple, synced: int) -> None:
+        self.saved = saved
+        self.encoded = encoded
+        self.synced = synced
+
+
+class LiveSystem:
+    """A drain's one live ``(system, network)``, and the domains each
+    change to it touched.
+
+    A delivery to an idle system changes only its destination's domain
+    (:attr:`~repro.sim.system.System.domains`), the engine and the
+    outbox; snapshots and restores always handle the latter two whole.
+    Every change stamps the domains it touched with a tick of a private
+    clock: a delivery its destination's (before delivering, so one
+    that raises has touched it too), a restore the domains it rewrote.
+    A :class:`Snapshot` records the tick at which the live system last
+    matched it, so any domain stamped no later than that still holds
+    the snapshot's state.  That record serves three operations:
+
+    - :meth:`touched` names the domains to re-encode for
+      :func:`~repro.verify.mc.fingerprint.canonical_fingerprint`, whose
+      other parts keep the bytes in :attr:`parts`;
+    - :meth:`restore` rewrites only the domains changed since the
+      snapshot last matched, and puts back the snapshot's part bytes;
+    - :meth:`snapshot` shares with the previous snapshot the saved
+      state of every domain unchanged since it was taken.
+    """
+
+    def __init__(self, system, network) -> None:
+        self.system = system
+        self.network = network
+        self.parts = PartBytes(system)
+        self._domain_of = system.node_domains
+        self._tick = 0
+        #: Per domain, the tick of its last change.
+        self._changed = [0] * len(system.domains)
+        #: Tick at which :attr:`parts` was last filled; None: never.
+        self._encoded: int | None = None
+        self._base: Snapshot | None = None
+
+    def advance(self, model, choice: int) -> None:
+        """Deliver outbox message ``choice`` (:meth:`CheckModel.advance`)."""
+        self._tick += 1
+        self._changed[self._domain_of[self.network.outbox[choice].dst]] = (
+            self._tick)
+        model.advance(self.system, self.network, choice)
+
+    def touched(self) -> list | None:
+        """The domains changed since :attr:`parts` was last filled (None
+        for all), for a fingerprint that fills it now."""
+        encoded, self._encoded = self._encoded, self._tick
+        if encoded is None:
+            return None
+        return [index for index, tick in enumerate(self._changed)
+                if tick > encoded]
+
+    def snapshot(self) -> Snapshot:
+        """Save the live state (:meth:`~repro.sim.system.System.snapshot`)
+        with its part bytes; the state must have been fingerprinted
+        since its last change."""
+        base = self._base
+        clean = () if base is None else [
+            index for index, tick in enumerate(self._changed)
+            if tick <= base.synced]
+        snapshot = Snapshot(
+            self.system.snapshot(() if base is None else base.saved, clean),
+            tuple(self.parts.encoded), self._tick)
+        self._base = snapshot
+        return snapshot
+
+    def restore(self, snapshot: Snapshot) -> None:
+        """Put ``snapshot`` back (:meth:`~repro.sim.system.System.restore`)."""
+        changed = self._changed
+        dirty = [index for index, tick in enumerate(changed)
+                 if tick > snapshot.synced]
+        self.system.restore(snapshot.saved, dirty)
+        self._tick += 1
+        for index in dirty:
+            changed[index] = self._tick
+        snapshot.synced = self._tick
+        self.parts.encoded[:] = snapshot.encoded
+        self._encoded = self._tick
 
 
 def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
@@ -87,22 +181,29 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
 
     Successors are pushed in reverse, so the pop right after an
     expansion is always the expanded state's first successor.  It is
-    reached by :meth:`CheckModel.advance` on the still-live system,
-    since expansion only reads a state.  An expansion with two or more
-    choices first takes one :meth:`~repro.sim.system.System.snapshot`,
-    which every later sibling carries on the stack: popping a sibling
-    restores that snapshot in place on the same system and delivers one
-    message.  Only the root and punted work items are rebuilt by
-    :meth:`CheckModel.replay`.  Work items sit below every pushed
-    successor, so no snapshot is left on the stack when a replay
-    replaces the drain's system; the replay closes the system it
-    replaces (:meth:`~repro.sim.system.System.close`) once it has
-    returned, since an observer wrapping ``build_system`` may read the
-    previous system while the next one is built.  The last system
-    stays open for the caller's observers.  Every fingerprint of the
-    drain goes through one part memo
-    (:func:`~repro.verify.mc.fingerprint.state_bytes`), dropped on
-    return.
+    reached by one delivery on the still-live system, since expansion
+    only reads a state.  An expansion with two or more choices first
+    takes one snapshot, which every later sibling carries on the stack:
+    popping a sibling restores that snapshot in place on the same
+    system and delivers one message.  Only the root and punted work
+    items are rebuilt by :meth:`CheckModel.replay`.  Work items sit
+    below every pushed successor, so no snapshot is left on the stack
+    when a replay replaces the drain's system; the replay closes the
+    system it replaces (:meth:`~repro.sim.system.System.close`) once
+    it has returned, since an observer wrapping ``build_system`` may
+    read the previous system while the next one is built.  The last
+    system stays open for the caller's observers.
+
+    Every step goes through one :class:`LiveSystem`, which records the
+    domains each delivery and restore touched: a fingerprint re-encodes
+    only the touched domains' parts and the in-flight part, a restore
+    rewrites only the domains touched since its snapshot, and a
+    snapshot shares the saved state of untouched domains with the
+    previous one.  A replayed state, punted ones included, is
+    fingerprinted with one full walk, which seeds the part bytes its
+    successors reuse.  Every fingerprint of the drain goes through one
+    part memo (:func:`~repro.verify.mc.fingerprint.part_bytes`),
+    dropped on return.
 
     Returns a plain picklable dict: ``new_fps`` (discovery order),
     ``emit`` (``{owner: [(path, fp)]}``), ``states``, ``terminals``,
@@ -131,9 +232,8 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
     # True while the top of the stack is the first successor of the
     # state the live system was just expanded at.
     live = False
-    # The drain's one live (system, network), built by the last replay.
-    system: Any = None
-    network: Any = None
+    # The drain's one live system, built by the last replay.
+    cursor: Any = None
     memo: dict[bytes, bytes] = {}
     while stack:
         path, fp, saved = stack.pop()
@@ -143,17 +243,17 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
         flight.record("replay", depth=len(path), states=states)
         try:
             if step:
-                model.advance(system, network, path[-1])
+                cursor.advance(model, path[-1])
             elif saved is not None:
                 restores += 1
-                system.restore(saved)
-                model.advance(system, network, path[-1])
+                cursor.restore(saved)
+                cursor.advance(model, path[-1])
             else:
                 replays += 1
-                built = model.replay(path)
-                if system is not None:
-                    system.close()
-                system, network = built
+                built = LiveSystem(*model.replay(path))
+                if cursor is not None:
+                    cursor.system.close()
+                cursor = built
         except ConsistencyViolation as exc:
             # A runtime monitor fired mid-delivery: no end state exists
             # to fingerprint, so the exception identity stands in.
@@ -169,8 +269,13 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
                 (path, KIND_CRASH, f"{type(exc).__name__}: {exc}",
                  crash_fingerprint(exc), tuple(flight.dump())))
             continue
+        system, network = cursor.system, cursor.network
+        # A replayed state, punted ones too, is fingerprinted in full:
+        # that seeds the part bytes its successors start from.
+        found = canonical_fingerprint(system, network, memo, cursor.parts,
+                                      cursor.touched())
         if fp is None:
-            fp = canonical_fingerprint(system, network, memo)
+            fp = found
         owner = fp % n_shards
         if owner != shard:
             emit.setdefault(owner, []).append((path, fp))
@@ -208,7 +313,7 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
             truncated = True
             continue
         if len(choices) > 1:
-            saved = system.snapshot()
+            saved = cursor.snapshot()
             for choice in reversed(choices[1:]):
                 stack.append((path + (choice,), None, saved))
         stack.append((path + (choices[0],), None, None))

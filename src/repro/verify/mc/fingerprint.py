@@ -20,8 +20,15 @@ BLAKE2b over a deterministic byte encoding.  Guarantees:
 
 :func:`canonical_bytes` and :func:`fingerprint_parts` are the
 specification.  A search fingerprints through
-:func:`canonical_fingerprint` with a per-search memo of encoded parts
-(:func:`state_bytes`), which gives the same fingerprint bit for bit.
+:func:`canonical_fingerprint`, which gives the same fingerprint bit for
+bit.  It encodes a state part by part, through a per-search memo of
+encoded parts (:func:`part_bytes`), and keeps each part's bytes in a
+:class:`PartBytes`.  A part's component belongs to one domain -- a
+cluster or the home (:attr:`repro.sim.system.System.domains`) -- and a
+delivery changes only its destination's domain and the in-flight
+messages, so after a step only the touched domains' parts and the
+in-flight part are encoded again; the search's
+:class:`~repro.verify.mc.engine.LiveSystem` names them.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import marshal
 
-from repro.verify.explorer import state_parts
+from repro.verify.explorer import component_parts, flight_part
 
 #: Fingerprint width in bytes (64-bit: birthday-safe to ~10^9 states).
 DIGEST_BYTES = 8
@@ -171,8 +178,8 @@ def fingerprint_parts(parts) -> int:
 MEMO_LIMIT = 1 << 14
 
 
-def state_bytes(parts, memo: dict) -> bytes:
-    """:func:`canonical_bytes` of a :func:`state_parts` tree, by parts.
+def part_bytes(part, memo: dict) -> bytes:
+    """:func:`canonical_bytes` of one part, through ``memo``.
 
     A state's component parts (one per L1, bridge, home and core) and
     the entries of its last part, the in-flight channels, take few
@@ -185,39 +192,68 @@ def state_bytes(parts, memo: dict) -> bytes:
     ``IntEnum`` member, is encoded without the memo.  (``marshal``
     writes a ``bytearray`` as ``bytes``; the state walk emits neither.)
     """
-    *components, flight = parts
-    out = [b"("]
-    _encode_parts(components, memo, out)
-    out.append(b"(")
-    _encode_parts(flight, memo, out)
-    out.append(b"))")
-    return b"".join(out)
+    try:
+        key = marshal.dumps(part, 2)
+    except ValueError:
+        return canonical_bytes(part)
+    data = memo.get(key)
+    if data is None:
+        data = canonical_bytes(part)
+        if len(memo) < MEMO_LIMIT:
+            memo[key] = data
+    return data
 
 
-def _encode_parts(parts, memo: dict, out: list) -> None:
-    """Append each part's canonical bytes to ``out``, through ``memo``."""
-    append = out.append
-    dumps = marshal.dumps
-    for part in parts:
-        try:
-            key = dumps(part, 2)
-        except ValueError:
-            append(canonical_bytes(part))
-            continue
-        data = memo.get(key)
-        if data is None:
-            data = canonical_bytes(part)
-            if len(memo) < MEMO_LIMIT:
-                memo[key] = data
-        append(data)
+class PartBytes:
+    """The encoded component parts of one live system's last
+    fingerprinted state, for :func:`canonical_fingerprint`.
+
+    ``encoded`` holds one :func:`part_bytes` string per component part
+    of :func:`~repro.verify.explorer.state_parts`, in its order, and
+    ``by_domain`` the ``(position, encode, component)`` of each part,
+    grouped by the domain (:attr:`repro.sim.system.System.domains`)
+    its component belongs to.
+    """
+
+    def __init__(self, system) -> None:
+        domain_of = {id(component): index
+                     for index, components in enumerate(system.domains)
+                     for component in components}
+        layout = component_parts(system)
+        self.by_domain: list[list] = [[] for _ in system.domains]
+        for position, (encode, component) in enumerate(layout):
+            self.by_domain[domain_of[id(component)]].append(
+                (position, encode, component))
+        self.encoded: list[bytes] = [b""] * len(layout)
 
 
-def canonical_fingerprint(system, network, memo: dict | None = None) -> int:
+def canonical_fingerprint(system, network, memo: dict | None = None,
+                          parts: PartBytes | None = None,
+                          touched=None) -> int:
     """Fingerprint one live (system, intercepted network) state.
 
     Equal to ``fingerprint_parts(state_parts(system, network))``, bit
     for bit.  A search passes one ``memo`` dict for its whole drain
-    (see :func:`state_bytes`); without one, a fresh dict is used.
+    (see :func:`part_bytes`); without one, a fresh dict is used.
+
+    ``parts`` is the :class:`PartBytes` of ``system``, and ``touched``
+    the indices of the domains changed since ``parts`` was last
+    filled, or None for all.  Only the parts of those domains are
+    re-encoded (into ``parts``); the others keep their bytes.  The
+    in-flight part is encoded every time.  Without ``parts``, every
+    part is encoded into a fresh one.
     """
-    return _digest(state_bytes(state_parts(system, network),
-                               {} if memo is None else memo))
+    if memo is None:
+        memo = {}
+    if parts is None:
+        parts, touched = PartBytes(system), None
+    by_domain = parts.by_domain
+    encoded = parts.encoded
+    for domain in (by_domain if touched is None
+                   else [by_domain[index] for index in touched]):
+        for position, encode, component in domain:
+            encoded[position] = part_bytes(encode(component), memo)
+    out = [b"(", *encoded, b"("]
+    out += [part_bytes(entry, memo) for entry in flight_part(network)]
+    out.append(b"))")
+    return _digest(b"".join(out))

@@ -93,7 +93,7 @@ def test_fingerprint_rejects_non_primitive_parts():
     with pytest.raises(TypeError):
         fingerprint_parts((object(),))
     with pytest.raises(TypeError):  # marshal rejects it too: no memo
-        fingerprint_module.state_bytes(((object(),), ()), {})
+        fingerprint_module.part_bytes((object(),), {})
 
 
 class _Level(enum.IntEnum):
@@ -167,27 +167,43 @@ def test_fingerprints_stable_across_hash_seeds():
 # The per-search part memo: never changes a fingerprint.
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name,broken,count", [
-    ("SB", False, 1659), ("MP", True, 1255),
-], ids=["SB", "MP-violate-atomicity"])
-def test_memoized_fingerprints_match_the_specification(monkeypatch, name,
-                                                       broken, count):
-    """Every state a drain fingerprints, through the drain's one memo,
-    fingerprints as ``fingerprint_parts(state_parts(...))`` says."""
-    model = litmus_model(name, COMBO)
-    model.violate_atomicity = broken
-    memos = []
+def _wrc_moesi():
+    """A three-thread fan-out model: two cores per cluster."""
+    return litmus_model("WRC", ("MOESI", "MESI", "MOESI"))
 
-    def checked(system, network, memo):
-        fp = fingerprint_module.canonical_fingerprint(system, network, memo)
+
+@pytest.mark.parametrize("make_model,count", [
+    (lambda: litmus_model("SB", COMBO), 1659),
+    (lambda: _broken_mp(), 1255),
+    (_wrc_moesi, 3730),
+    (lambda: litmus_model("MP", ("MESIF", "CXL", "RCC")), 326),
+    (lambda: _hybrid_model(), 225),
+    (lambda: _eviction_model(), 273),
+], ids=["SB", "MP-violate-atomicity", "WRC-MOESI-MESI-MOESI",
+        "MP-MESIF-CXL-RCC", "hybrid-memory", "evictions"])
+def test_memoized_fingerprints_match_the_specification(monkeypatch,
+                                                       make_model, count):
+    """Every state a drain fingerprints, through the drain's one memo
+    and re-encoding only the domains its step touched, fingerprints as
+    ``fingerprint_parts(state_parts(...))`` says.  Only a replayed
+    state is encoded in full."""
+    model = make_model()
+    memos = []
+    full = []
+
+    def checked(system, network, memo, parts, touched):
+        fp = fingerprint_module.canonical_fingerprint(system, network, memo,
+                                                      parts, touched)
         assert fp == fingerprint_parts(state_parts(system, network))
         memos.append(memo)
+        full.append(touched is None)
         return fp
 
     monkeypatch.setattr(mc_engine, "canonical_fingerprint", checked)
-    fps = explore_shard(model, 0, 1, [((), None)], set())["new_fps"]
-    assert len(fps) == count  # the pinned discovery count
+    out = explore_shard(model, 0, 1, [((), None)], set())
+    assert len(out["new_fps"]) == count  # the pinned discovery count
     assert len(memos) >= count
+    assert sum(full) == out["replays"] == 1
     assert all(memo is memos[0] for memo in memos)
     assert 0 < len(memos[0]) <= fingerprint_module.MEMO_LIMIT
 
@@ -210,8 +226,14 @@ _TYPED_TREES = [
 
 
 def _memo_fingerprint(tree, memo) -> int:
-    return fingerprint_module._digest(
-        fingerprint_module.state_bytes(tree, memo))
+    """:func:`canonical_fingerprint`'s assembly of a ``state_parts``
+    tree, each part through ``memo``."""
+    *components, flight = tree
+    return fingerprint_module._digest(b"".join([
+        b"(", *[fingerprint_module.part_bytes(part, memo)
+                for part in components],
+        b"(", *[fingerprint_module.part_bytes(entry, memo)
+                for entry in flight], b"))"]))
 
 
 def test_memo_keys_tell_equal_parts_of_different_types_apart():
@@ -227,15 +249,16 @@ def test_memo_keys_tell_equal_parts_of_different_types_apart():
 def test_memo_encodes_unmarshallable_parts_as_canonical_bytes():
     """An ``IntEnum`` member is no plain int: a part holding one skips
     the memo, even when the equal plain-int part is memoized."""
-    plain = ((7, "x"), ())
-    member = ((_Level.HIGH, "x"), ())
+    plain = (7, "x")
+    member = (_Level.HIGH, "x")
     memo: dict = {}
-    assert (fingerprint_module.state_bytes(plain, memo)
+    assert (fingerprint_module.part_bytes(plain, memo)
             == canonical_bytes(plain))
-    assert (fingerprint_module.state_bytes(member, memo)
+    assert (fingerprint_module.part_bytes(member, memo)
             == canonical_bytes(member) != canonical_bytes(plain))
     assert len(memo) == 1
-    assert _memo_fingerprint(member, memo) == fingerprint_parts(member)
+    assert (_memo_fingerprint((member, ()), memo)
+            == fingerprint_parts((member, ())))
 
 
 def test_memo_bound_changes_no_fingerprint(monkeypatch):
@@ -454,44 +477,54 @@ def _fans_out(network) -> bool:
 
 
 def _walk_like_the_search(model, max_popped=None) -> tuple:
-    """Reach every popped state as :func:`explore_shard` reaches it --
-    a live step on the state just expanded, or a restore of the
-    parent's snapshot and one delivery -- and check it against a fresh
-    replay of its path, field for field: clocks, counters, stats, cache
-    sets in LRU order, line meta, directory records, transactions,
-    closures, cores and the outbox (so the order of every fan-out).  A
-    restore alone must give back exactly the dump taken with the
-    snapshot, and any expansion read that mutated a state would show
-    up as a difference.  Stops after ``max_popped`` pops; returns
-    ``(expanded, restores, fanned_out)``."""
+    """Reach every popped state as :func:`explore_shard` reaches it,
+    through the same :class:`~repro.verify.mc.engine.LiveSystem` -- a
+    live step on the state just expanded, or a restore of the parent's
+    snapshot and one delivery, each touching only some domains -- and
+    check it against a fresh replay of its path, field for field:
+    clocks, counters, stats, cache sets in LRU order, line meta,
+    directory records, transactions, closures, cores and the outbox (so
+    the order of every fan-out).  A restore alone must give back
+    exactly the dump taken with the snapshot, and any expansion read
+    that mutated a state would show up as a difference.  Each state's
+    touched-domain fingerprint must equal the full walk's.  Stops after
+    ``max_popped`` pops; returns ``(expanded, restores, fanned_out)``."""
     seen = set()
     # (path, None) or (path, (parent's snapshot, parent's dump)).
     stack = [((), None)]
-    system = network = None
+    cursor = None
+    memo: dict = {}
     live = fanned_out = False
     expanded = restores = popped = 0
+
+    def deliver():
+        cursor.advance(model, path[-1])
+        return cursor.system, cursor.network
+
     while stack and popped != max_popped:
         path, saved = stack.pop()
         popped += 1
         step, live = live, False
         if not path:
             state, observed = _attempt(lambda: model.replay(path))
+            if state is not None:
+                cursor = mc_engine.LiveSystem(*state)
         elif step:
-            state, observed = _attempt(
-                lambda: model.advance(system, network, path[-1]))
+            state, observed = _attempt(deliver)
         else:
             snapshot, dumped = saved
-            system.restore(snapshot)
-            assert _dump(system, network) == dumped, path
+            cursor.restore(snapshot)
+            assert _dump(cursor.system, cursor.network) == dumped, path
             restores += 1
-            state, observed = _attempt(
-                lambda: model.advance(system, network, path[-1]))
+            state, observed = _attempt(deliver)
         if path:
             assert observed == _attempt(lambda: model.replay(path))[1], path
         if state is None:
             continue
         system, network = state
         fp = observed[0]
+        assert canonical_fingerprint(system, network, memo, cursor.parts,
+                                     cursor.touched()) == fp, path
         if fp in seen:
             continue
         seen.add(fp)
@@ -508,7 +541,7 @@ def _walk_like_the_search(model, max_popped=None) -> tuple:
         fanned_out = fanned_out or _fans_out(network)
         if len(choices) > 1:
             # The dump taken on arrival: expansion must not change it.
-            saved = system.snapshot(), observed[1]
+            saved = cursor.snapshot(), observed[1]
             stack.extend((path + (choice,), saved)
                          for choice in reversed(choices[1:]))
         stack.append((path + (choices[0],), None))

@@ -7,6 +7,8 @@ engine can be saved.
 """
 
 import dataclasses
+import types
+import weakref
 from collections import deque
 
 import pytest
@@ -19,8 +21,11 @@ from repro.protocols.global_mesi import GLine
 from repro.protocols.messages import Message
 from repro.sim.engine import Engine
 from repro.sim.l1 import Mshr
+from repro.sim.network import Link
+from repro.verify.explorer import component_parts, state_parts
 from repro.verify.mc import litmus_model
 from repro.verify.mc.fingerprint import canonical_fingerprint
+from tests.test_mc import _LEAVES, _SHARED_MODULES, _field_names, _hybrid_model
 
 COMBO = ("MESI", "CXL", "MESI")
 MSG = Message("GetS", 0x10, "l1.0.0", "c3.0")
@@ -107,3 +112,133 @@ def test_one_snapshot_serves_every_sibling():
     assert system.engine.pending() == 0
     assert canonical_fingerprint(system, network) == before
     assert len(reached) == len(choices)
+
+
+# ---------------------------------------------------------------------------
+# Domains: the soundness of touched-domain snapshots, restores and
+# fingerprints (repro.verify.mc.engine.LiveSystem).
+# ---------------------------------------------------------------------------
+
+def _proxy_target(proxy) -> int:
+    """``id`` of a weak proxy's referent (CPython spells it in the repr)."""
+    return int(repr(proxy).rsplit(" at ", 1)[1].rstrip(">"), 16)
+
+
+def _reach(roots, stops) -> tuple[dict, set]:
+    """Every object reachable from ``roots`` -- through fields,
+    containers, closures and bound methods -- without entering
+    ``stops`` (ids), messages, weak proxies or shared objects, by id;
+    and the referent ids of the weak proxies met."""
+    reached: dict = {}
+    proxied: set = set()
+    todo = list(roots)
+    while todo:
+        obj = todo.pop()
+        cls = type(obj)
+        if cls in _LEAVES or id(obj) in stops:
+            continue
+        if cls is weakref.ProxyType:
+            proxied.add(_proxy_target(obj))
+            continue
+        if (cls is Message or cls is Link
+                or cls.__module__ in _SHARED_MODULES or id(obj) in reached):
+            continue
+        reached[id(obj)] = obj
+        if isinstance(obj, (tuple, list, deque, set, frozenset)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.keys())
+            todo.extend(obj.values())
+        elif cls is types.FunctionType:
+            todo.extend(obj.__defaults__ or ())
+            todo.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        elif cls is types.MethodType:
+            todo.append(obj.__self__)
+        else:
+            todo.extend(getattr(obj, name) for name in _field_names(cls)
+                        if hasattr(obj, name))
+            todo.extend(getattr(obj, "__dict__", {}).values())
+    return reached, proxied
+
+
+_DOMAIN_MODELS = [
+    lambda: litmus_model("SB", COMBO),
+    lambda: litmus_model("WRC", ("MOESI", "MESI", "MOESI")),
+    lambda: litmus_model("MP", ("RCC", "MESI", "MESIF")),
+    _hybrid_model,
+]
+_DOMAIN_IDS = ["SB-MESI-CXL-MESI", "WRC-MOESI-MESI-MOESI",
+               "MP-RCC-MESI-MESIF", "hybrid-memory"]
+
+
+def _states(model, steps: int = 12):
+    """The root and the states along a few delivery paths from it."""
+    for turn in range(3):
+        system, network = model.replay(())
+        yield system, network
+        for step in range(steps):
+            choices = network.deliverable()
+            if not choices:
+                break
+            model.advance(system, network,
+                          choices[(step + turn) % len(choices)])
+            yield system, network
+
+
+@pytest.mark.parametrize("make_model", _DOMAIN_MODELS, ids=_DOMAIN_IDS)
+def test_every_component_and_state_part_has_one_domain(make_model):
+    """The snapshot saves the engine, the network and each domain's
+    components; every component in a domain, every network node and
+    the component of every ``state_parts`` part is in exactly one."""
+    system, network = make_model().replay(())
+    domains = system.domains
+    assert len(domains) == len(system.clusters) + 1
+    owner: dict = {}
+    for index, components in enumerate(domains):
+        for component in components:
+            assert component not in (system.engine, network)
+            assert id(component) not in owner, component
+            owner[id(component)] = index
+    for cluster in system.clusters:
+        bridge = cluster.bridge
+        members = [bridge, bridge.port, *cluster.l1s, *cluster.cores]
+        if bridge.local_backing is not None:
+            members.append(bridge.local_backing)
+        assert {owner[id(c)] for c in members} == {cluster.index}
+    assert {owner[id(system.home)], owner[id(system.backing)]} == {
+        len(system.clusters)}
+    assert system.home.backing is system.backing
+    state = system.snapshot()
+    assert len(state) == 2 + len(domains)
+    assert [len(saved) for saved in state[2:]] == list(map(len, domains))
+    for node_id, node in network.nodes.items():
+        assert owner[id(node)] == system.node_domains[node_id]
+    layout = component_parts(system)
+    assert len(layout) == len(state_parts(system, network)) - 1
+    assert all(id(component) in owner for _, component in layout)
+
+
+@pytest.mark.parametrize("make_model", _DOMAIN_MODELS, ids=_DOMAIN_IDS)
+def test_no_component_reaches_into_another_domain(make_model):
+    """What a delivery to one domain can change: every object reachable
+    from a domain's components -- fields, containers, records, pending
+    closures -- other than the engine, the network, messages and shared
+    configuration belongs to that domain alone.  So a delivery, which
+    runs only its destination's controllers, writes no other domain,
+    and every stateful object is saved by exactly one domain."""
+    for system, network in _states(make_model()):
+        stops = {id(system.engine), id(network)}
+        reach = []
+        for components in system.domains:
+            reached, proxied = _reach(components, stops)
+            assert proxied <= reached.keys() | stops
+            reach.append(reached)
+        for index, reached in enumerate(reach):
+            for other in reach[index + 1:]:
+                assert not reached.keys() & other.keys()
+        everything, _ = _reach([system], stops)
+        stateful = [obj for obj in everything.values()
+                    if obj is not system and hasattr(obj, "snapshot")]
+        assert len(stateful) > 3 * len(reach)
+        for obj in stateful:
+            assert sum(id(obj) in reached for reached in reach) == 1, obj
