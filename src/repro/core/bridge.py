@@ -168,7 +168,7 @@ class C3Bridge(Node):
         the directory record on each of its lines.  The global port
         saves itself."""
         records = []
-        for line in self.cache.lines():
+        for line in self.cache.index.values():
             rec = line.peek_meta("dir")
             if rec is not None:
                 records.append((rec, rec.snapshot()))

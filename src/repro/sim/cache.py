@@ -61,6 +61,22 @@ class CacheArray:
     transaction) are never chosen as victims; ``victim_for`` returns
     ``None`` when every way of the target set is pinned, in which case
     the controller must retry after an outstanding transaction drains.
+
+    Two views of the same line objects are kept current by ``insert``,
+    ``remove``, ``clear`` and ``restore``:
+
+    - ``_sets``: each non-empty set's LRU-ordered dict (oldest first),
+      which victim choice and :meth:`lines` read;
+    - ``index``: one flat ``{addr: line}`` dict in insertion order.
+      ``peek`` and ``lookup`` are one ``get`` on it (a ``lookup`` hit
+      also moves the line within its set), and every reader that does
+      not depend on order iterates it: the invariant walk, the
+      fingerprint parts, the bridge snapshot, quiescence.  It is
+      read-only outside this class.
+
+    :meth:`lines` is the one documented order: set order, LRU within.
+    :meth:`first` picks the address of a few that :meth:`lines` lists
+    first without building that list.
     """
 
     def __init__(self, size_bytes: int, assoc: int) -> None:
@@ -74,22 +90,20 @@ class CacheArray:
         # while a litmus-scale run touches a handful of lines, so
         # building an array allocates nothing per set.
         self._sets: dict[int, dict[int, CacheLine]] = {}
+        self.index: dict[int, CacheLine] = {}
 
     def lookup(self, addr: int, touch: bool = True) -> CacheLine | None:
         """Return the line if present; optionally refresh its LRU position."""
-        cache_set = self._sets.get(addr % self.num_sets)
-        if cache_set is None:
-            return None
-        line = cache_set.get(addr)
+        line = self.index.get(addr)
         if line is not None and touch:
+            cache_set = self._sets[addr % self.num_sets]
             del cache_set[addr]
             cache_set[addr] = line
         return line
 
     def peek(self, addr: int) -> CacheLine | None:
         """Lookup without LRU side effects."""
-        cache_set = self._sets.get(addr % self.num_sets)
-        return None if cache_set is None else cache_set.get(addr)
+        return self.index.get(addr)
 
     def has_room(self, addr: int) -> bool:
         """Whether ``addr``'s set has a free way."""
@@ -114,71 +128,76 @@ class CacheArray:
 
     def insert(self, addr: int, state: str = "I", data: int | None = None) -> CacheLine:
         """Allocate a line; the caller must have made room first."""
+        if addr in self.index:
+            raise ValueError(f"line 0x{addr:x} already present")
         index = addr % self.num_sets
         cache_set = self._sets.get(index)
         if cache_set is None:
             cache_set = self._sets[index] = {}
-        elif addr in cache_set:
-            raise ValueError(f"line 0x{addr:x} already present")
         elif len(cache_set) >= self.assoc:
             raise ValueError(f"set for 0x{addr:x} is full; evict first")
         line = CacheLine(addr, state, data)
         cache_set[addr] = line
+        self.index[addr] = line
         return line
 
     def remove(self, addr: int) -> CacheLine:
         """Remove and return the line; KeyError if absent."""
-        index = addr % self.num_sets
-        cache_set = self._sets.get(index)
-        line = None if cache_set is None else cache_set.pop(addr, None)
+        line = self.index.pop(addr, None)
         if line is None:
             raise KeyError(f"line 0x{addr:x} not present")
+        index = addr % self.num_sets
+        cache_set = self._sets[index]
+        del cache_set[addr]
         if not cache_set:
             del self._sets[index]
         return line
+
+    def clear(self) -> None:
+        """Remove every line."""
+        self._sets.clear()
+        self.index.clear()
 
     def lines(self) -> list[CacheLine]:
         """Every resident line (set order, LRU within)."""
         sets = self._sets
         return [line for index in sorted(sets) for line in sets[index].values()]
 
-    def line_map(self) -> dict[int, CacheLine]:
-        """Every resident line keyed by address, in :meth:`lines` order."""
-        by_addr: dict[int, CacheLine] = {}
-        sets = self._sets
-        for index in sorted(sets):
-            by_addr.update(sets[index])
-        return by_addr
+    def first(self, addrs) -> int:
+        """The address of ``addrs`` (a non-empty container of resident
+        addresses) whose line :meth:`lines` lists first."""
+        num_sets = self.num_sets
+        for addr in self._sets[min(addr % num_sets for addr in addrs)]:
+            if addr in addrs:
+                return addr
+        raise KeyError("no resident address given")
 
     def set_addrs(self, set_idx: int) -> list[int]:
         """Resident line addresses of one set, LRU order (oldest first)."""
         cache_set = self._sets.get(set_idx)
         return [] if cache_set is None else list(cache_set)
 
-    def occupancy(self) -> int:
-        """Total resident lines across all sets."""
-        return sum(map(len, self._sets.values()))
-
     # -- snapshots (repro.sim.system.System.snapshot) -------------------
-    def snapshot(self) -> list:
-        """Every non-empty set with its lines in LRU order, and each
-        line's fields and meta contents.  Meta values are saved by
-        reference: a mutable one (the bridge's directory record) is
-        saved by its owner."""
-        return [
+    def snapshot(self) -> tuple:
+        """Every non-empty set with its lines in LRU order, each line's
+        fields and meta contents, and the index's order as a tuple of
+        its lines.  Meta values are saved by reference: a mutable one
+        (the bridge's directory record) is saved by its owner."""
+        return ([
             (index, cache_set, [
                 (line, line.state, line.data, line.dirty, line._meta,
                  None if line._meta is None else tuple(line._meta.items()))
                 for line in cache_set.values()])
             for index, cache_set in self._sets.items()
-        ]
+        ], tuple(self.index.values()))
 
-    def restore(self, state: list) -> None:
+    def restore(self, state: tuple) -> None:
         """Back to a :meth:`snapshot`: the same set dicts and lines,
-        in the same LRU order."""
+        in the same LRU order, and the index in its saved order."""
+        saved_sets, order = state
         sets = self._sets
         sets.clear()
-        for index, cache_set, lines in state:
+        for index, cache_set, lines in saved_sets:
             cache_set.clear()
             for line, line_state, data, dirty, meta, saved_meta in lines:
                 line.state = line_state
@@ -190,3 +209,7 @@ class CacheArray:
                     meta.update(saved_meta)
                 cache_set[line.addr] = line
             sets[index] = cache_set
+        by_addr = self.index
+        by_addr.clear()
+        for line in order:
+            by_addr[line.addr] = line

@@ -537,7 +537,7 @@ class L1Controller(Node):
     def quiescent(self) -> bool:
         """No MSHR, room waiter or transient line outstanding."""
         return not self.mshrs and not self._room_waiters and all(
-            line.state not in TRANSIENTS for line in self.cache.lines()
+            line.state not in TRANSIENTS for line in self.cache.index.values()
         )
 
 
@@ -601,7 +601,7 @@ class RccL1(Node):
         if obs is not None and not getattr(callback, "_obs_close", False):
             callback = obs.op_wrapper(self.node_id, kind, addr, callback, t0)
         if kind == "LOAD_ACQ":
-            self._self_invalidate()
+            self.cache.clear()  # self-invalidate
             kind = "LOAD"
         if kind == "LOAD":
             line = self.cache.lookup(addr)
@@ -630,10 +630,6 @@ class RccL1(Node):
     def would_hit(self, kind: str, addr: int) -> bool:
         """Prefetch probe: always True (write-through has no RFO)."""
         return True
-
-    def _self_invalidate(self) -> None:
-        for line in self.cache.lines():
-            self.cache.remove(line.addr)
 
     def _record(self, kind, t0, hit) -> None:
         if self.stats is not None:

@@ -116,7 +116,7 @@ def _rec_fp(rec):
 def _l1_part(l1) -> tuple:
     """An L1's lines and MSHRs."""
     lines = sorted([(line.addr, line.state, line.data, line.dirty)
-                    for line in l1.cache.lines()])
+                    for line in l1.cache.index.values()])
     mshrs = getattr(l1, "mshrs", None)
     mshrs = tuple(sorted([
         (addr, mshr.txn, mshr.have_data, mshr.have_grant,
@@ -133,7 +133,7 @@ def _bridge_part(bridge) -> tuple:
     lines = sorted([
         (line.addr, line.state, line.data, line.dirty,
          line.peek_meta("stale", False), _rec_fp(line.peek_meta("dir")))
-        for line in bridge.cache.lines()])
+        for line in bridge.cache.index.values()])
     busy = bridge.busy
     busy = tuple(sorted([
         (addr, txn.kind, txn.requester, txn.phase, txn.acks_needed,

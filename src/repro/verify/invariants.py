@@ -26,10 +26,12 @@ within a check the lowest address (inclusion, compound: first line) wins.
 
 The walk's data layout:
 
-- ``maps``: one ``{addr: line}`` dict per cluster's bridge, in cluster
-  order, built by ``CacheArray.line_map`` in ``lines()`` order.  A
-  bridge holds at most one line per address, so an address's bridge
-  lines are one ``get`` per map, made only where a check needs them.
+- ``maps``: each cluster's bridge address index (``CacheArray.index``,
+  ``{addr: line}`` kept current by the array itself), in cluster order;
+  the walk builds no map.  A bridge holds at most one line per address,
+  so an address's bridge lines are one ``get`` per map, made only where
+  a check needs them.  The walk reads the bridge and L1 indexes in
+  their own (insertion) order; no check depends on it.
 - ``shared``: addresses that two or more non-RCC L1 lines in S/E/M/O/F
   hold; ``unowned``: addresses whose first such holder (cluster, then
   L1 order) is not an owner (M/O/E).  No per-line tuple or per-address
@@ -43,7 +45,10 @@ own authoritative value.  Inclusion and compound legality are decided
 during the walk.  A bridge line can be compound-illegal only if its
 global state is in ``policy.forbidden_globals`` (forbidden under some
 local summary), so no other line has its blocking or directory record
-read, and a bridge's scan stops at its first hit.
+read.  Compound legality collects one bridge's hits, inclusion one
+L1's, and each reports the hit ``CacheArray.lines()`` lists first
+(``CacheArray.first``: lowest set index, then LRU position), so only
+hits pay for the order.
 
 The walk is read-only and keeps these behaviours:
 
@@ -110,7 +115,7 @@ class _Walk:
 
     def __init__(self, system) -> None:
         clusters = self.clusters = system.clusters
-        maps = self.maps = [cluster.bridge.cache.line_map() for cluster in clusters]
+        maps = self.maps = [cluster.bridge.cache.index for cluster in clusters]
         held: set[int] = set()
         shared: set[int] = set()
         unowned: set[int] = set()
@@ -121,6 +126,7 @@ class _Walk:
             policy = bridge.policy
             risky = policy.forbidden_globals
             if compound is None and risky:
+                hits: dict[int, str] = {}
                 for addr, line in bridge_lines.items():
                     state = line.state
                     if state not in risky:
@@ -128,20 +134,22 @@ class _Walk:
                     record = line.peek_meta("dir")
                     local = "I" if record is None else record.summary()
                     if policy.forbidden(local, state) and not bridge.blocked(addr):
-                        compound = (f"compound: {bridge.node_id} line 0x{addr:x} in "
-                                    f"forbidden state ({local}, {state})")
-                        break  # the first hit in lines() order wins
+                        hits[addr] = f"({local}, {state})"
+                if hits:  # the first hit in lines() order wins
+                    addr = bridge.cache.first(hits)
+                    compound = (f"compound: {bridge.node_id} line 0x{addr:x} in "
+                                f"forbidden state {hits[addr]}")
             # RCC relaxes inclusion (paper footnote 5).
             inclusive = not bridge.variant.self_invalidating
             for l1 in cluster.l1s:
                 rcc = isinstance(l1, RccL1)  # stale-until-acquire by design
                 if rcc and not inclusive:
                     continue  # neither a holder nor an inclusion suspect
-                for line in l1.cache.lines():
+                absent: dict[int, str] = {}
+                for addr, line in l1.cache.index.items():
                     state = line.state
                     if state not in _HOLDER_STATES:
                         continue
-                    addr = line.addr
                     if not rcc:
                         if addr in held:
                             shared.add(addr)
@@ -150,8 +158,11 @@ class _Walk:
                             if state not in _OWNER_STATES:
                                 unowned.add(addr)
                     if inclusive and inclusion is None and addr not in bridge_lines:
-                        inclusion = (f"inclusion: {l1.node_id} holds 0x{addr:x} "
-                                     f"({state}) absent from {bridge.node_id}")
+                        absent[addr] = state
+                if absent:  # the first miss in lines() order wins
+                    addr = l1.cache.first(absent)
+                    inclusion = (f"inclusion: {l1.node_id} holds 0x{addr:x} "
+                                 f"({absent[addr]}) absent from {bridge.node_id}")
         self.shared = shared
         self.unowned = unowned
         self.inclusion = inclusion

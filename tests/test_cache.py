@@ -84,7 +84,7 @@ def test_set_mapping_isolates_addresses():
     cache = small_cache(sets=4, assoc=1)
     cache.insert(0)  # set 0
     cache.insert(1)  # set 1
-    assert cache.occupancy() == 2
+    assert len(cache.index) == 2
     assert cache.victim_for(4) is not None  # set 0 full (assoc 1)
     assert cache.victim_for(2) is None  # set 2 empty
 
@@ -99,33 +99,41 @@ def test_peek_does_not_touch_lru():
 
 
 def test_line_order_survives_remove_and_reinsert():
-    """lines() and line_map() walk sets in index order, LRU order within
-    a set, through a set emptying and being created again."""
+    """lines() walks sets in index order, LRU order within a set,
+    through a set emptying and being created again; the address index
+    holds the same line objects in insertion order."""
     cache = small_cache(sets=4, assoc=4)
-    for addr in (0x8, 0x4, 0x1, 0x0):  # sets 0, 0, 1, 0
+    inserted = [0x8, 0x4, 0x1, 0x0]  # sets 0, 0, 1, 0
+    for addr in inserted:
         cache.insert(addr)
 
     def order():
-        addrs = [line.addr for line in cache.lines()]
-        assert list(cache.line_map()) == addrs
-        assert all(line.addr == addr
-                   for addr, line in cache.line_map().items())
-        return addrs
+        lines = cache.lines()
+        assert list(cache.index) == inserted
+        assert sorted(cache.index.values(), key=lines.index) == lines
+        assert all(line.addr == addr and cache.peek(addr) is line
+                   for addr, line in cache.index.items())
+        return [line.addr for line in lines]
 
     assert order() == [0x8, 0x4, 0x0, 0x1]
     cache.remove(0x4)
+    inserted.remove(0x4)
     assert order() == [0x8, 0x0, 0x1]
     cache.remove(0x8)
     cache.remove(0x0)  # set 0 is empty now
+    inserted[:] = [0x1]
     assert order() == [0x1]
     cache.insert(0x3)  # set 3, created before set 0 is created again
     cache.insert(0x4)
     cache.insert(0x0)
+    inserted += [0x3, 0x4, 0x0]
     assert order() == [0x4, 0x0, 0x1, 0x3]
-    cache.lookup(0x4)  # LRU refresh moves 0x4 behind 0x0
+    cache.lookup(0x4)  # LRU refresh moves 0x4 behind 0x0, not in the index
     assert order() == [0x0, 0x4, 0x1, 0x3]
+    assert cache.first({0x1, 0x4, 0x3}) == 0x4
+    assert cache.first({0x3, 0x1}) == 0x1
     assert cache.set_addrs(0) == [0x0, 0x4] and cache.set_addrs(2) == []
-    assert cache.occupancy() == 4
+    assert len(cache.index) == 4
 
 
 def test_large_array_allocates_no_sets_before_first_insert():
@@ -146,4 +154,15 @@ def test_large_array_allocates_no_sets_before_first_insert():
     cache.insert(0x1234)
     assert list(cache._sets) == [0x1234 % 8192]
     cache.remove(0x1234)
-    assert cache._sets == {} and cache.occupancy() == 0
+    assert cache._sets == {} and cache.index == {}
+
+
+def test_clear_drops_every_set_and_index_entry():
+    cache = small_cache(sets=4, assoc=2)
+    for addr in (0x0, 0x4, 0x1):
+        cache.insert(addr)
+    cache.clear()
+    assert cache._sets == {} and cache.index == {} and cache.lines() == []
+    assert cache.peek(0x4) is None and cache.lookup(0x4) is None
+    cache.insert(0x4)
+    assert [line.addr for line in cache.lines()] == [0x4]

@@ -243,17 +243,66 @@ _POLICY_FACTORIES = pytest.mark.parametrize(
     "policy_factory", [None, PermissionPolicy], ids=["generated", "permission"])
 
 
-@_POLICY_FACTORIES
-def test_first_forbidden_line_in_lines_order_wins(policy_factory):
+def _plant_two_lines(cache, plant, case) -> int:
+    """Plant two lines of ``cache`` by ``plant(addr)`` and return the
+    address ``lines()`` lists first.
+
+    - ``same-set``: LRU order, oldest first;
+    - ``higher-set-first``: the line in the higher set is inserted first
+      and has the lower address;
+    - ``touched``: a ``lookup`` moves the older line of one set behind
+      the newer one.
+
+    In the last two cases neither insertion (index) order nor address
+    order gives the ``lines()`` order, so a walk that reports the first
+    hit in either fails them.
+    """
+    n = cache.num_sets
+    if case == "same-set":
+        order, first = (0x4 + n, 0x4), 0x4 + n
+    elif case == "higher-set-first":
+        order, first = (0x5, 0x4 + n), 0x4 + n
+    else:
+        order, first = (0x4, 0x4 + n), 0x4 + n
+    for addr in order:
+        plant(addr)
+    if case == "touched":
+        cache.lookup(0x4)
+    assert cache.lines()[0].addr == first
+    if case != "same-set":
+        assert next(iter(cache.index)) != first and min(cache.index) != first
+    return first
+
+
+_ORDER_CASES = [
+    pytest.param(None, "same-set", id="generated"),
+    pytest.param(PermissionPolicy, "same-set", id="permission"),
+    *(pytest.param(factory, case, id=f"{name}-{case}")
+      for case in ("higher-set-first", "touched")
+      for factory, name in ((None, "generated"), (PermissionPolicy, "permission"))),
+]
+
+
+@pytest.mark.parametrize("policy_factory,case", _ORDER_CASES)
+def test_first_forbidden_line_in_lines_order_wins(policy_factory, case):
     system = _plant_system(policy_factory)
     cache = system.clusters[0].bridge.cache
-    high, low = 0x4 + cache.num_sets, 0x4  # same set: LRU order, oldest first
-    _plant_forbidden_compound(system, high)
-    _plant_forbidden_compound(system, low)
-    assert [line.addr for line in cache.lines()] == [high, low]
+    first = _plant_two_lines(
+        cache, lambda addr: _plant_forbidden_compound(system, addr), case)
     with pytest.raises(ConsistencyViolation) as exc:
         invariants.check_compound_states(system)
-    assert str(exc.value) == f"compound: c3.0 line 0x{high:x} in forbidden state (S, I)"
+    assert str(exc.value) == f"compound: c3.0 line 0x{first:x} in forbidden state (S, I)"
+
+
+@pytest.mark.parametrize("case", ["same-set", "higher-set-first", "touched"])
+def test_first_absent_l1_line_in_lines_order_wins(case):
+    system = _plant_system(None)
+    cache = system.clusters[0].l1s[0].cache
+    first = _plant_two_lines(
+        cache, lambda addr: cache.insert(addr, state="S", data=0), case)
+    with pytest.raises(ConsistencyViolation) as exc:
+        invariants.check_inclusion(system)
+    assert str(exc.value) == f"inclusion: l1.0.0 holds 0x{first:x} (S) absent from c3.0"
 
 
 @_POLICY_FACTORIES

@@ -47,11 +47,25 @@ def test_cache_capacity_invariants(ops, assoc):
             cache.remove(addr)
             present.discard(addr)
         # Invariants: per-set occupancy bound, global consistency.
+        in_sets = {}
         for index, s in cache._sets.items():  # only non-empty sets exist
             assert 0 < len(s) <= assoc
             assert all(addr % cache.num_sets == index for addr in s)
-        assert cache.occupancy() == len(present)
+            in_sets.update(s)
+        # The address index holds exactly the sets' line objects.
+        assert cache.index.keys() == in_sets.keys() == present
+        assert all(cache.index[addr] is line for addr, line in in_sets.items())
+        assert all(cache.peek(addr) is cache.index.get(addr) for addr in range(64))
         assert sorted(line.addr for line in cache.lines()) == sorted(present)
+    # A snapshot round trip gives back the lines, their LRU order and
+    # the index's contents and order.
+    saved = cache.snapshot()
+    lines, index = cache.lines(), list(cache.index.items())
+    cache.clear()
+    for addr in (1, 2, 3):
+        cache.insert(addr)
+    cache.restore(saved)
+    assert cache.lines() == lines and list(cache.index.items()) == index
 
 
 # ---------------------------------------------------------------------------
