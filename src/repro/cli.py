@@ -163,9 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--addr", type=lambda t: int(t, 0), default=None,
                    help="also record per-message trace events for this "
                         "line address (hex ok)")
-    p.add_argument("--sample-engine", action="store_true",
-                   help="profile the event loop (events/sec, time per "
-                        "callback kind); costs wall time")
 
     p = sub.add_parser("fig9", help="regenerate Figure 9")
     p.add_argument("--per-suite", type=int, default=None,
@@ -483,7 +480,7 @@ def _cmd_trace(args) -> int:
         cores_per_cluster=args.cores, seed=args.seed,
     )
     system = build_system(config)
-    obs = Observability(sample_engine=args.sample_engine).attach(system)
+    obs = Observability().attach(system)
     tracer = None
     if args.addr is not None:
         tracer = MessageTracer(system.network, addrs=[args.addr])

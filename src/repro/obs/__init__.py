@@ -8,9 +8,10 @@ The :class:`Observability` facade is the one entry point: build it,
 :func:`repro.stats.export.merge_obs`).
 
 Design constraint carried through every hook: with observability off,
-instrumented components hold ``obs = None`` as a *class* attribute and
-the hot paths pay exactly one ``is None`` test -- no allocation, no
-indirection.  See ``docs/OBSERVABILITY.md`` for the measured overhead.
+the L1s and bridges hold ``obs = None`` as a *class* attribute and pay
+exactly one ``is None`` test, and the network's ``observers`` tuple is
+empty -- no allocation, no indirection.  See ``docs/OBSERVABILITY.md``
+for the measured overhead.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import (
     Counter,
     Distribution,
-    EngineSampler,
     Histogram,
     MetricsRegistry,
     collect_system_metrics,
@@ -46,7 +46,6 @@ __all__ = [
     "Distribution",
     "Histogram",
     "MetricsRegistry",
-    "EngineSampler",
     "collect_system_metrics",
     "chrome_trace",
     "write_chrome_trace",
@@ -60,19 +59,15 @@ __all__ = [
 
 
 class Observability:
-    """Bundle of span recording, metrics and engine sampling for one run."""
+    """Bundle of span recording and metrics for one run."""
 
     def __init__(self, spans: bool = True, metrics: bool = True,
-                 sample_engine: bool = False, span_capacity: int = 250_000,
-                 sample_every: int = 1024) -> None:
+                 span_capacity: int = 250_000) -> None:
         self.want_spans = spans
         self.want_metrics = metrics
-        self.want_sampling = sample_engine
         self.span_capacity = span_capacity
-        self.sample_every = sample_every
         self.recorder: SpanRecorder | None = None
         self.registry: MetricsRegistry | None = None
-        self.sampler: EngineSampler | None = None
         self.system = None
         self._dump: dict | None = None
 
@@ -83,16 +78,13 @@ class Observability:
         if self.want_spans:
             self.recorder = SpanRecorder(engine, capacity=self.span_capacity)
             engine.span_recorder = self.recorder
-            system.network.obs = self.recorder
+            system.network.add_observer(self.recorder)
             for l1 in system.l1s:
                 l1.obs = self.recorder
             for cluster in system.clusters:
                 cluster.bridge.obs = self.recorder
         if self.want_metrics:
             self.registry = MetricsRegistry()
-        if self.want_sampling:
-            self.sampler = EngineSampler(sample_every=self.sample_every)
-            engine.sampler = self.sampler
         return self
 
     def detach(self) -> None:
@@ -107,8 +99,7 @@ class Observability:
         if system is None:
             return
         system.engine.span_recorder = None
-        system.engine.sampler = None
-        system.network.obs = None
+        system.network.remove_observer(self.recorder)
         for l1 in system.l1s:
             l1.obs = None
         for cluster in system.clusters:
@@ -129,8 +120,6 @@ class Observability:
             if self.system is not None:
                 collect_system_metrics(self.system, self.registry)
             dump["metrics"] = self.registry.to_dict()
-        if self.sampler is not None:
-            dump["engine"] = self.sampler.profile()
         self._dump = dump
         return dump
 

@@ -196,15 +196,6 @@ def summarize_obs(dump: dict) -> str:
                              f"0x{detail['addr']:x}: {detail['detail']}")
         else:
             lines.append("rule-II audit: clean (no nesting violations)")
-    engine = dump.get("engine")
-    if engine:
-        lines.append(f"engine: {engine['events']} events, "
-                     f"{engine['events_per_sec']:.0f} events/sec, "
-                     f"queue depth mean {engine['queue_depth']['mean']:.1f}")
-        top = list(engine["by_callback"].items())[:3]
-        for name, cell in top:
-            lines.append(f"  {name}: {cell['count']} calls, "
-                         f"{cell['mean_us']:.1f} us/call")
     metrics = dump.get("metrics")
     if metrics is not None:
         lines.append(f"metrics: {len(metrics)} registered "

@@ -1,4 +1,4 @@
-"""Hierarchical metrics registry + engine-level sampling.
+"""Hierarchical metrics registry.
 
 gem5-style statistics: every metric has a dotted component path
 (``system.cluster0.l1_2.misses``) and a unit, and the registry is the
@@ -6,18 +6,12 @@ single flat namespace they live in.  Components do not hold metric
 objects in their hot paths -- everything here is *pull-based*:
 :func:`collect_system_metrics` walks a finished :class:`repro.sim.system.System`
 once and publishes whatever the components already count, so enabling
-metrics adds zero per-event cost to the simulation itself.
-
-The one push-based piece is :class:`EngineSampler`, an opt-in profiler
-the engine consults per callback (events/sec, queue depth, wall time
-per callback kind).  It is only active when explicitly requested
-(``sample_engine=True`` / ``--sample-engine``), because timing every
-callback with ``perf_counter`` costs real wall time.
+metrics adds zero per-event cost to the simulation itself.  Time per
+callback is a profiler's question: ``repro workload --profile`` runs a
+cell under cProfile.
 """
 
 from __future__ import annotations
-
-import time
 
 
 class Counter:
@@ -189,54 +183,6 @@ class MetricsRegistry:
             else:
                 lines.append(f"{path:<56} buckets={metric.buckets}")
         return lines
-
-
-class EngineSampler:
-    """Opt-in engine profiler: per-callback wall time and queue depth.
-
-    The engine's sampled run loop calls :meth:`record` once per executed
-    event; queue depth is subsampled every ``sample_every`` events to
-    keep overhead bounded.
-    """
-
-    def __init__(self, sample_every: int = 1024) -> None:
-        self.sample_every = sample_every
-        self.events = 0
-        self.wall_seconds = 0.0
-        self.depth = Distribution("engine.queue_depth", unit="events")
-        self.by_callback: dict[str, list] = {}  # name -> [count, seconds]
-        self._t_start = time.perf_counter()
-
-    def record(self, name: str, seconds: float, depth: int | None) -> None:
-        """Fold one executed callback into the profile."""
-        self.events += 1
-        self.wall_seconds += seconds
-        cell = self.by_callback.get(name)
-        if cell is None:
-            self.by_callback[name] = [1, seconds]
-        else:
-            cell[0] += 1
-            cell[1] += seconds
-        if depth is not None:
-            self.depth.record(depth)
-
-    def profile(self) -> dict:
-        """JSON-ready profile: rates, queue depth, per-callback split."""
-        elapsed = time.perf_counter() - self._t_start
-        per_kind = {
-            name: {"count": count, "seconds": seconds,
-                   "mean_us": (seconds / count) * 1e6 if count else 0.0}
-            for name, (count, seconds) in sorted(
-                self.by_callback.items(), key=lambda kv: -kv[1][1])
-        }
-        return {
-            "events": self.events,
-            "wall_seconds": elapsed,
-            "callback_seconds": self.wall_seconds,
-            "events_per_sec": self.events / elapsed if elapsed > 0 else 0.0,
-            "queue_depth": self.depth.to_dict(),
-            "by_callback": per_kind,
-        }
 
 
 def collect_system_metrics(system, registry: MetricsRegistry) -> MetricsRegistry:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import gc as _gc
 import heapq
 import sys
-import time as _time_mod
 from typing import Any, Callable
 
 _heappush = heapq.heappush
@@ -38,7 +37,7 @@ _UNBOUNDED = sys.maxsize
 
 
 def _callback_name(callback: Callable) -> str:
-    """Stable short name for a scheduled callback (digests, profiles)."""
+    """Stable short name for a scheduled callback (stall digests)."""
     name = getattr(callback, "__qualname__", None)
     if name is None:
         name = getattr(type(callback), "__qualname__", repr(callback))
@@ -65,9 +64,8 @@ class BatchedEngine:
         self._ticks: list[int] = []
         self.events_executed: int = 0
         self._running = False
-        # Observability attachments (repro.obs); None keeps the hot run
-        # loop untouched -- run() checks them exactly once per call.
-        self.sampler = None
+        # Span recorder (repro.obs) or None: read only by stall_digest,
+        # never by the run loop.
         self.span_recorder = None
 
     # -- scheduling ----------------------------------------------------
@@ -175,8 +173,6 @@ class BatchedEngine:
             # Nothing queued: what the loop below would return, minus
             # the gc toggle.  About half the model checker's runs.
             return self.now
-        if self.sampler is not None:
-            return self._run_sampled(until, max_events)
         self._running = True
         gc_enabled = _gc.isenabled()
         if gc_enabled:
@@ -223,69 +219,6 @@ class BatchedEngine:
                 except BaseException:
                     # A callback raised mid-batch: keep the unconsumed
                     # suffix queued so the engine state stays exact.
-                    self._requeue_from(batch, t, record, consumed=True)
-                    raise
-                del buckets[t]
-        finally:
-            self._running = False
-            self.events_executed += executed
-            if gc_enabled:
-                _gc.enable()
-        return self.now
-
-    def _run_sampled(self, until: int | None, max_events: int | None) -> int:
-        """Instrumented run loop used when an ``EngineSampler`` is attached.
-
-        Times every callback with ``perf_counter`` and subsamples queue
-        depth every ``sampler.sample_every`` events.  Kept separate
-        from :meth:`run` so the uninstrumented loop stays
-        allocation-free; scheduling order is identical, so sampled and
-        unsampled runs produce bit-identical simulations.
-        """
-        sampler = self.sampler
-        perf = _time_mod.perf_counter
-        every = sampler.sample_every
-        self._running = True
-        gc_enabled = _gc.isenabled()
-        if gc_enabled:
-            _gc.disable()
-        ticks = self._ticks
-        buckets = self._buckets
-        heappop = _heappop
-        budget = max_events if max_events is not None else _UNBOUNDED
-        executed = 0
-        try:
-            while ticks:
-                t = ticks[0]
-                if until is not None and t > until:
-                    self.now = until
-                    break
-                heappop(ticks)
-                batch = buckets[t]
-                if batch.__class__ is not list:
-                    # Normalize so the loop below (and any same-tick
-                    # appends from callbacks) sees one live list.
-                    batch = [batch]
-                    buckets[t] = batch
-                record = None
-                try:
-                    for record in batch:
-                        if executed >= budget:
-                            self._requeue_from(batch, t, record, consumed=False)
-                            executed = self._fold(executed)
-                            raise SimulationLimitError(
-                                self.stall_digest(max_events))
-                        cb = record[0]
-                        self.now = t
-                        t0 = perf()
-                        cb(*record[1])
-                        elapsed = perf() - t0
-                        depth = self.pending() if executed % every == 0 else None
-                        sampler.record(_callback_name(cb), elapsed, depth)
-                        executed += 1
-                except SimulationLimitError:
-                    raise
-                except BaseException:
                     self._requeue_from(batch, t, record, consumed=True)
                     raise
                 del buckets[t]
@@ -398,7 +331,6 @@ class LegacyEngine:
         self._seq: int = 0
         self.events_executed: int = 0
         self._running = False
-        self.sampler = None
         self.span_recorder = None
 
     def post(self, delay: int, callback: Callable[..., None], *args: Any) -> None:
@@ -434,8 +366,6 @@ class LegacyEngine:
 
     def run(self, until: int | None = None, max_events: int | None = None) -> int:
         """Run until the queue drains, ``until`` ticks pass, or ``max_events``."""
-        if self.sampler is not None:
-            return self._run_sampled(until, max_events)
         self._running = True
         gc_enabled = _gc.isenabled()
         if gc_enabled:
@@ -455,41 +385,6 @@ class LegacyEngine:
                 time, _seq, event = heappop(queue)
                 self.now = time
                 event.callback(*event.args)
-                executed += 1
-        finally:
-            self._running = False
-            self.events_executed += executed
-            if gc_enabled:
-                _gc.enable()
-        return self.now
-
-    def _run_sampled(self, until: int | None, max_events: int | None) -> int:
-        sampler = self.sampler
-        perf = _time_mod.perf_counter
-        every = sampler.sample_every
-        self._running = True
-        gc_enabled = _gc.isenabled()
-        if gc_enabled:
-            _gc.disable()
-        executed = 0
-        queue = self._queue
-        heappop = _heappop
-        try:
-            while queue:
-                if until is not None and queue[0][0] > until:
-                    self.now = until
-                    break
-                if max_events is not None and executed >= max_events:
-                    self.events_executed += executed
-                    executed = 0
-                    raise SimulationLimitError(self.stall_digest(max_events))
-                time, _seq, event = heappop(queue)
-                self.now = time
-                t0 = perf()
-                event.callback(*event.args)
-                elapsed = perf() - t0
-                depth = len(queue) if executed % every == 0 else None
-                sampler.record(_callback_name(event.callback), elapsed, depth)
                 executed += 1
         finally:
             self._running = False

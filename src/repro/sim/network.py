@@ -20,6 +20,14 @@ loop over it, fault actions apply inside it, and it reaches the engine
 only through ``post_at``/``post_many``, so the event queue's layout is
 private to :mod:`repro.sim.engine`.
 
+Watching the traffic is one hook, :attr:`Network.observers`: every
+member gets ``on_message(msg, delay)`` once per message ``stats``
+counts (see the attribute for where).  The span recorder
+(:class:`repro.obs.spans.SpanRecorder`) and the message tracer
+(:class:`repro.sim.trace.MessageTracer`) subscribe there; nothing
+replaces ``send``.  The fault plan (``faults``) is not an observer: it
+decides the deliveries rather than watching them.
+
 Per direction of a link, everything a send reads or writes sits in one
 :class:`_Wire` record: the link's timing, the time the wire is busy
 until, one FIFO floor per virtual network and the receiving node's
@@ -146,6 +154,15 @@ class NetworkStats:
 class Network:
     """Message router with per-channel FIFO delivery."""
 
+    #: Subscribers told ``on_message(msg, delay)`` once per message
+    #: ``stats`` counts, in subscription order: in the clean tail of
+    #: :meth:`send` (``delay`` = arrival - now), per delivery in
+    #: :meth:`_faulted_deliveries` (a drop with delay 0, a duplicate's
+    #: copy on its own) and in the model checker's interceptor (delay
+    #: 0).  Empty on the class; :meth:`add_observer` gives a network
+    #: its own tuple, so a network nobody watches tests one empty tuple.
+    observers: tuple = ()
+
     def __init__(self, engine: Engine, seed: int = 1) -> None:
         self.engine = engine
         #: Jitter draw stream, seeded with ``seed`` when the first link
@@ -159,11 +176,17 @@ class Network:
         #: ``src -> {dst: _Wire}``, filled by the first send on a pair.
         self._wires: dict[str, dict[str, _Wire]] = {}
         self.stats = NetworkStats()
-        # Span recorder (repro.obs) or None; send() pays one test.
-        self.obs = None
-        # Fault plan (repro.scenario.faults.FaultPlan) or None; like
-        # obs, the fault-free path pays exactly one is-None test.
+        # Fault plan (repro.scenario.faults.FaultPlan) or None: the
+        # fault-free path pays exactly one is-None test.
         self.faults = None
+
+    def add_observer(self, observer) -> None:
+        """Subscribe ``observer`` to :attr:`observers`, after the others."""
+        self.observers = (*self.observers, observer)
+
+    def remove_observer(self, observer) -> None:
+        """Unsubscribe ``observer``; every other subscriber stays."""
+        self.observers = tuple(o for o in self.observers if o is not observer)
 
     def register(self, node: Node) -> None:
         """Register an endpoint (called by Node.__init__)."""
@@ -205,7 +228,8 @@ class Network:
         The one message path: every send, batched or not, faulted or
         not, on any engine, computes its arrival here.  A message the
         fault plan selects leaves through :meth:`_faulted_deliveries`;
-        every other one is counted in place and posted at its arrival.
+        every other one is counted in place, shown to the
+        :attr:`observers` and posted at its arrival.
         """
         try:
             wire = self._wires[msg.src][msg.dst]
@@ -253,9 +277,10 @@ class Network:
         per_kind = stats.per_kind
         kind = msg.kind
         per_kind[kind] = per_kind.get(kind, 0) + 1
-        obs = self.obs
-        if obs is not None:
-            obs.on_message(msg, arrival - now)
+        observers = self.observers
+        if observers:  # skips the loop set-up when nobody watches
+            for observer in observers:
+                observer.on_message(msg, arrival - now)
         engine.post_at(arrival, wire.handler, msg)
 
     def send_many(self, msgs) -> None:
@@ -263,11 +288,11 @@ class Network:
 
         The fan-out spelling used by the L1 forward handlers, the
         bridge invalidation loops and the Dcoh snoop sweep.  It goes
-        through ``self.send``, so an interposer on ``send`` (the
-        :class:`repro.sim.trace.MessageTracer` wrap, the model checker's
-        :class:`~repro.verify.explorer.InterceptNetwork`) sees every
-        message, and a missing link raises after the earlier messages
-        of the batch were delivered and counted.
+        through ``self.send``, so a subclass's ``send`` (the model
+        checker's :class:`~repro.verify.explorer.InterceptNetwork`) and
+        every observer see each message, and a missing link raises
+        after the earlier messages of the batch were delivered and
+        counted.
         """
         send = self.send
         for msg in msgs:
@@ -288,11 +313,11 @@ class Network:
         """
         verb, extra = action
         stats = self.stats
-        obs = self.obs
+        observers = self.observers
         if verb == "drop":
             stats.record(msg)
-            if obs is not None:
-                obs.on_message(msg, 0)
+            for observer in observers:
+                observer.on_message(msg, 0)
             return ()
         vnet = msg.vnet
         last_arrival = wire.last_arrival
@@ -305,8 +330,8 @@ class Network:
                 arrival = last_arrival[vnet] + 1
             last_arrival[vnet] = arrival
         stats.record(msg)
-        if obs is not None:
-            obs.on_message(msg, arrival - now)
+        for observer in observers:
+            observer.on_message(msg, arrival - now)
         handler = wire.handler
         if verb != "duplicate":
             return ((arrival, handler, (msg,)),)
@@ -316,7 +341,7 @@ class Network:
         copy_arrival = arrival + 1
         last_arrival[vnet] = copy_arrival
         stats.record(copy)
-        if obs is not None:
-            obs.on_message(copy, copy_arrival - now)
+        for observer in observers:
+            observer.on_message(copy, copy_arrival - now)
         return ((arrival, handler, (msg,)),
                 (copy_arrival, handler, (copy,)))

@@ -1,7 +1,10 @@
 """Protocol tracing: record and render coherence message flows.
 
-A :class:`MessageTracer` wraps a live network and records every message
-(optionally filtered by line address or message kind).  Two renderers:
+A :class:`MessageTracer` subscribes to a live network's
+:attr:`~repro.sim.network.Network.observers` and records every message
+the network counts -- dropped and duplicated ones included -- at send
+time (optionally filtered by line address or message kind).  Two
+renderers:
 
 - :meth:`MessageTracer.timeline` -- a flat, time-ordered log;
 - :meth:`MessageTracer.lanes` -- an ASCII swim-lane diagram in the
@@ -47,10 +50,10 @@ class MessageTracer:
         self.capacity = capacity
         self.entries: list[TraceEntry] = []
         self.dropped = 0  # matching messages lost to the capacity cap
-        self._original_send = network.send
-        network.send = self._send
+        network.add_observer(self)
 
-    def _send(self, msg: Message) -> None:
+    def on_message(self, msg: Message, delay: int) -> None:
+        """Record one counted message (a network observer)."""
         if self._match(msg):
             if len(self.entries) < self.capacity:
                 self.entries.append(TraceEntry(
@@ -59,7 +62,6 @@ class MessageTracer:
                 ))
             else:
                 self.dropped += 1
-        self._original_send(msg)
 
     def _truncation_note(self) -> str:
         """Warning line appended to renderings when entries were dropped."""
@@ -74,8 +76,8 @@ class MessageTracer:
         return True
 
     def detach(self) -> None:
-        """Stop tracing and restore the network's send method."""
-        self.network.send = self._original_send
+        """Stop tracing; the network's other observers keep theirs."""
+        self.network.remove_observer(self)
 
     # ------------------------------------------------------------------
     def timeline(self, addr: int | None = None, limit: int | None = None) -> str:

@@ -34,7 +34,11 @@ class InterceptNetwork(Network):
         self.outbox: list[Message] = []
 
     def send(self, msg: Message) -> None:
+        """Count ``msg``, show it to the observers (delay 0: it has no
+        arrival until a delivery is chosen) and park it."""
         self.stats.record(msg)
+        for observer in self.observers:
+            observer.on_message(msg, 0)
         self.outbox.append(msg)
 
     def deliverable(self) -> list[int]:

@@ -150,12 +150,6 @@ def test_trace_command_writes_valid_exports(tmp_path, capsys):
                for path in metrics["metrics"])
 
 
-def test_trace_sample_engine_profile(capsys):
-    assert main(["trace", "fft", "--scale", "0.3", "--sample-engine"]) == 0
-    out = capsys.readouterr().out
-    assert "events/sec" in out
-
-
 def test_trace_unknown_workload(capsys):
     assert main(["trace", "nope"]) == 2
     assert "unknown workload" in capsys.readouterr().err

@@ -3,8 +3,8 @@
 Covers the span recorder (per-phase latency attribution, capacity
 bounds), the runtime Rule-II nesting audit (clean on every shipped
 pairing, firing on the injected atomicity violation), the hierarchical
-metrics registry, the engine sampler, and the Chrome trace exporter's
-schema contract.
+metrics registry, the network observer hook the recorder shares with
+the message tracer, and the Chrome trace exporter's schema contract.
 """
 
 import json
@@ -12,12 +12,12 @@ import json
 import pytest
 
 from repro.cpu.isa import ThreadProgram, load, rmw, store
+from repro.errors import InvariantViolation
 from repro.harness.experiments import run_workload
 from repro.obs import (
     CROSSING_CATS,
     Counter,
     Distribution,
-    EngineSampler,
     Histogram,
     MetricsRegistry,
     Observability,
@@ -106,12 +106,11 @@ def test_span_recorder_capacity_bounds_memory():
 
 def test_obs_off_leaves_components_untouched():
     system = contended_system()
-    assert system.network.obs is None
+    assert system.network.observers == ()
     for l1 in system.l1s:
         assert l1.obs is None
     for cluster in system.clusters:
         assert cluster.bridge.obs is None
-    assert system.engine.sampler is None
     result = system.run_threads(contended_programs(rounds=2),
                                 placement=[0, 1, 2, 3])
     assert "obs" not in result.extra
@@ -119,13 +118,12 @@ def test_obs_off_leaves_components_untouched():
 
 def test_detach_unhooks_the_system_and_keeps_the_record():
     system = contended_system()
-    obs = Observability(sample_engine=True).attach(system)
+    obs = Observability().attach(system)
     system.run_threads(contended_programs(rounds=2), placement=[0, 1, 2, 3])
     recorded = len(obs.recorder.spans)
     obs.detach()
     assert system.engine.span_recorder is None
-    assert system.engine.sampler is None
-    assert system.network.obs is None
+    assert system.network.observers == ()
     assert all(l1.obs is None for l1 in system.l1s)
     assert all(c.bridge.obs is None for c in system.clusters)
     assert recorded > 0 and len(obs.recorder.spans) == recorded
@@ -166,6 +164,26 @@ def test_rule2_audit_catches_injected_atomicity_violation():
             detected = True
             break
     assert detected, "runtime audit missed the injected violation in 6 seeds"
+
+
+def test_spans_and_tracer_share_the_observer_hook_on_a_violating_run():
+    """Both subscribers see every counted message of a run that breaks
+    Rule II: the audit still fires, and the tracer logs the very
+    message it flags."""
+    system = contended_system(seed=0, violate=True)
+    obs = Observability().attach(system)
+    tracer = MessageTracer(system.network)
+    assert system.network.observers == (obs.recorder, tracer)
+    with pytest.raises(InvariantViolation):
+        system.run_threads(contended_programs(rounds=12),
+                           placement=[0, 1, 2, 3])
+    details = obs.finalize()["rule2"]["details"]
+    early = [d for d in details if d["rule"] == "R2-EARLY"]
+    assert early, details
+    assert len(tracer.entries) == system.network.stats.messages
+    assert any(e.time == early[0]["time"] and e.src == early[0]["node"]
+               and e.addr == early[0]["addr"] and e.dst == "home"
+               for e in tracer.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -229,19 +247,6 @@ def test_collect_system_metrics_publishes_component_paths():
     assert total_ops == sum(l1.stats.ops for l1 in system.l1s)
     assert "system.cluster0.port.requests" in flat
     assert "system.home.queued_total" in flat
-
-
-def test_engine_sampler_profiles_callbacks():
-    system = contended_system()
-    obs = Observability(sample_engine=True, sample_every=8).attach(system)
-    system.run_threads(contended_programs(rounds=3), placement=[0, 1, 2, 3])
-    profile = obs.finalize()["engine"]
-    assert profile["events"] == system.engine.events_executed
-    assert profile["events_per_sec"] > 0
-    assert profile["by_callback"]
-    assert all({"count", "seconds", "mean_us"} <= set(cell)
-               for cell in profile["by_callback"].values())
-    assert profile["queue_depth"]["count"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from repro.sim.config import two_cluster_config
 from repro.sim.engine import Engine
 from repro.sim.network import Link, Network, Node
 from repro.sim.system import build_system
+from repro.sim.trace import MessageTracer
 
 
 class _Sink(Node):
@@ -133,16 +134,19 @@ def test_clone_message_fresh_uid_same_payload():
 
 def test_drop_counts_but_never_delivers():
     engine, network, sink = _wire()
+    tracer = MessageTracer(network)
     network.faults = FaultPlan([FaultRule("drop", window=(1, 1))])
     _burst(network, 3)
     engine.run()
     assert [seq for _t, seq, _u in sink.seen] == [0, 2]
     assert network.stats.messages == 3  # dropped message still counted
     assert network.faults.counters == {"drop": 1}
+    assert len(tracer.entries) == network.stats.messages
 
 
 def test_delay_stretches_arrival_but_keeps_fifo():
     engine, network, sink = _wire()
+    tracer = MessageTracer(network)
     network.faults = FaultPlan([FaultRule("delay", delay_ticks=5_000,
                                           window=(0, 0))])
     _burst(network, 3)
@@ -152,10 +156,12 @@ def test_delay_stretches_arrival_but_keeps_fifo():
     times = [t for t, _s, _u in sink.seen]
     assert times[0] >= 5_000
     assert times == sorted(times)
+    assert len(tracer.entries) == network.stats.messages
 
 
 def test_reorder_bypasses_channel_fifo():
     engine, network, sink = _wire()
+    tracer = MessageTracer(network)
     network.faults = FaultPlan([FaultRule("reorder", delay_ticks=50_000,
                                           window=(0, 0))])
     _burst(network, 3)
@@ -163,10 +169,12 @@ def test_reorder_bypasses_channel_fifo():
     # The reordered head overtakes nothing ahead of it but is overtaken
     # by everything behind it: 0 arrives last.
     assert [seq for _t, seq, _u in sink.seen] == [1, 2, 0]
+    assert len(tracer.entries) == network.stats.messages
 
 
 def test_duplicate_delivers_twice_with_fresh_uid():
     engine, network, sink = _wire()
+    tracer = MessageTracer(network)
     network.faults = FaultPlan([FaultRule("duplicate", window=(0, 0))])
     _burst(network, 2)
     engine.run()
@@ -175,6 +183,7 @@ def test_duplicate_delivers_twice_with_fresh_uid():
     uids = [u for _t, seq, u in sink.seen if seq == 0]
     assert uids[0] != uids[1]
     assert network.stats.messages == 3  # copy is counted as traffic
+    assert len(tracer.entries) == network.stats.messages
 
 
 def test_faulted_send_respects_channel_independence():

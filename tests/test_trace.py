@@ -58,14 +58,25 @@ def test_timeline_and_lanes_render():
 
 def test_detach_restores_network():
     system = traced_system()
-    original = system.network.send
     tracer = MessageTracer(system.network)
-    assert system.network.send == tracer._send
+    assert tracer in system.network.observers
     tracer.detach()
-    assert system.network.send == original
+    assert tracer not in system.network.observers
     # And traffic after detach is not recorded.
     system.run_threads([ThreadProgram("t", [store(0x10, 1)])], placement=[0])
     assert tracer.entries == []
+
+
+def test_detaching_one_tracer_leaves_the_other_recording():
+    system = traced_system()
+    first = MessageTracer(system.network)
+    second = MessageTracer(system.network)
+    first.detach()
+    system.run_threads([ThreadProgram("t", [store(0x10, 1)])], placement=[0])
+    assert first.entries == []
+    assert system.network.stats.messages > 0
+    assert len(second.entries) == system.network.stats.messages
+    assert system.network.observers == (second,)
 
 
 def test_capacity_overflow_counts_dropped_and_flags_renders():
