@@ -321,14 +321,14 @@ class Core:
 
     def _drain_sb(self) -> None:
         sb = self.sb
-        if not sb:
-            return
-        parallelism = self.mcm.sb_parallelism
-        l1_request = self.l1.core_request
         inflight = 0
         for e in sb:
             if e.draining:
                 inflight += 1
+        if inflight == len(sb):
+            return  # empty, or every entry drains: nothing to issue or prefetch
+        parallelism = self.mcm.sb_parallelism
+        l1_request = self.l1.core_request
         if inflight < parallelism:
             # Addresses of entries *before* the current position; an
             # older same-address store must leave the buffer first.

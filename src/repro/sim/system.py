@@ -164,39 +164,35 @@ class System:
     # ------------------------------------------------------------------
     def _domains(self) -> list[list]:
         """``domains``: the stateful components of each domain, one
-        domain per cluster, in cluster order, then one for the home.
+        domain per network node, in ``network.nodes`` order.
 
-        A cluster's domain holds its bridge, the bridge's global port
-        and hybrid local store (if any), its L1s and its cores; the
-        home's holds the home directory and the backing store.  The
-        engine and the network belong to every domain and are in none
-        of these lists.  Components of different domains reach each
-        other only through :meth:`Network.send`, so on a network that
-        parks sent messages (the model checker's
+        A bridge's domain holds the bridge, its global port and its
+        hybrid local store (if any); an L1's holds the L1 and the core
+        whose ``core.l1`` it is; the home's holds the home directory and
+        the backing store.  The engine and the network belong to every
+        domain and are in none of these lists.  An L1 calls only its
+        own core, a bridge only its port, and every other reach between
+        components goes through :meth:`Network.send`, so on a network
+        that parks sent messages (the model checker's
         :class:`~repro.verify.explorer.InterceptNetwork`) delivering a
         message to an idle system changes only the destination's
         domain (``node_domains``), the engine and the network.
         """
-        domains = []
+        companions = {id(self.home): [self.backing]}
         for cluster in self.clusters:
             bridge = cluster.bridge
-            parts = [bridge, bridge.port]
+            companions[id(bridge)] = [bridge.port]
             if bridge.local_backing is not None:  # hybrid memory
-                parts.append(bridge.local_backing)
-            parts += cluster.l1s
-            parts += cluster.cores
-            domains.append(parts)
-        domains.append([self.home, self.backing])
-        return domains
+                companions[id(bridge)].append(bridge.local_backing)
+        for core in self.cores:
+            companions[id(core.l1)] = [core]
+        return [[node, *companions[id(node)]]
+                for node in self.network.nodes.values()]
 
     def _node_domains(self) -> dict[str, int]:
         """``node_domains``: the ``domains`` index of every network node."""
-        nodes = {self.home.node_id: len(self.clusters)}
-        for index, cluster in enumerate(self.clusters):
-            nodes[cluster.bridge.node_id] = index
-            for l1 in cluster.l1s:
-                nodes[l1.node_id] = index
-        return nodes
+        return {node_id: index
+                for index, node_id in enumerate(self.network.nodes)}
 
     def snapshot(self, base: Sequence = (), clean=()) -> list:
         """Save the state of an idle system for :meth:`restore`.

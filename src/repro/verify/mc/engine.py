@@ -15,9 +15,10 @@ successor of an expanded state is a live delivery step, each later
 sibling restores the parent's in-place snapshot and delivers one
 message, and only the root and punted paths are replayed from the
 model (see :func:`explore_shard`).  A :class:`LiveSystem` records which
-domain -- a cluster or the home -- each step touched, so fingerprints,
-restores and snapshots handle only those.  Snapshots never leave the
-drain; punts carry paths.
+domain -- one network node: an L1 and its core, a bridge and its port,
+or the home -- each step touched, so fingerprints, restores and
+snapshots handle only those.  Snapshots never leave the drain; punts
+carry paths.
 
 The search proceeds in waves over one
 :class:`~repro.harness.sweep.SweepRunner` (serial loop or local process
@@ -87,9 +88,11 @@ class LiveSystem:
     """A drain's one live ``(system, network)``, and the domains each
     change to it touched.
 
-    A delivery to an idle system changes only its destination's domain
-    (:attr:`~repro.sim.system.System.domains`), the engine and the
-    outbox; snapshots and restores always handle the latter two whole.
+    A delivery to an idle system changes only its destination node's
+    domain (:attr:`~repro.sim.system.System.domains`: an L1 and its
+    core, a bridge and its port, or the home and the backing store),
+    the engine and the outbox; snapshots and restores always handle
+    the latter two whole.
     Every change stamps the domains it touched with a tick of a private
     clock: a delivery its destination's (before delivering, so one
     that raises has touched it too), a restore the domains it rewrote.

@@ -23,12 +23,13 @@ specification.  A search fingerprints through
 :func:`canonical_fingerprint`, which gives the same fingerprint bit for
 bit.  It encodes a state part by part, through a per-search memo of
 encoded parts (:func:`part_bytes`), and keeps each part's bytes in a
-:class:`PartBytes`.  A part's component belongs to one domain -- a
-cluster or the home (:attr:`repro.sim.system.System.domains`) -- and a
-delivery changes only its destination's domain and the in-flight
-messages, so after a step only the touched domains' parts and the
-in-flight part are encoded again; the search's
-:class:`~repro.verify.mc.engine.LiveSystem` names them.
+:class:`PartBytes`.  A part's component belongs to one domain -- one
+network node and the components only it calls
+(:attr:`repro.sim.system.System.domains`) -- and a delivery changes
+only its destination's domain and the in-flight messages, so after a
+step only the touched domain's parts and the in-flight part are
+encoded again; the search's :class:`~repro.verify.mc.engine.LiveSystem`
+names them.
 """
 
 from __future__ import annotations

@@ -166,9 +166,10 @@ _DOMAIN_MODELS = [
     lambda: litmus_model("WRC", ("MOESI", "MESI", "MOESI")),
     lambda: litmus_model("MP", ("RCC", "MESI", "MESIF")),
     _hybrid_model,
+    lambda: litmus_model("IRIW", COMBO),
 ]
 _DOMAIN_IDS = ["SB-MESI-CXL-MESI", "WRC-MOESI-MESI-MOESI",
-               "MP-RCC-MESI-MESIF", "hybrid-memory"]
+               "MP-RCC-MESI-MESIF", "hybrid-memory", "IRIW-MESI-CXL-MESI"]
 
 
 def _states(model, steps: int = 12):
@@ -189,24 +190,28 @@ def _states(model, steps: int = 12):
 def test_every_component_and_state_part_has_one_domain(make_model):
     """The snapshot saves the engine, the network and each domain's
     components; every component in a domain, every network node and
-    the component of every ``state_parts`` part is in exactly one."""
+    the component of every ``state_parts`` part is in exactly one.
+    There is one domain per network node: an L1 with its own core, a
+    bridge with its global port and local store, the home with the
+    backing store."""
     system, network = make_model().replay(())
     domains = system.domains
-    assert len(domains) == len(system.clusters) + 1
+    assert len(domains) == len(network.nodes)
     owner: dict = {}
     for index, components in enumerate(domains):
         for component in components:
             assert component not in (system.engine, network)
             assert id(component) not in owner, component
             owner[id(component)] = index
+    for core in system.cores:
+        assert domains[owner[id(core)]] == [core.l1, core]
     for cluster in system.clusters:
         bridge = cluster.bridge
-        members = [bridge, bridge.port, *cluster.l1s, *cluster.cores]
+        members = [bridge, bridge.port]
         if bridge.local_backing is not None:
             members.append(bridge.local_backing)
-        assert {owner[id(c)] for c in members} == {cluster.index}
-    assert {owner[id(system.home)], owner[id(system.backing)]} == {
-        len(system.clusters)}
+        assert domains[owner[id(bridge)]] == members
+    assert domains[owner[id(system.home)]] == [system.home, system.backing]
     assert system.home.backing is system.backing
     state = system.snapshot()
     assert len(state) == 2 + len(domains)
