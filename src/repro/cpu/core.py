@@ -16,6 +16,34 @@ The L1 interface is a single method::
     l1.core_request(kind, addr, value, callback)  # callback(read_value)
 
 which the L1 answers after the appropriate hit/coherence latency.
+
+The issue scan and the store-buffer drain do only the work an ordering
+rule can change.  Three rules, each exact -- every issue decision,
+posted event and message is the same as a scan that asked the engine
+about every window op until nothing moved:
+
+1. **In-order engines test the head only.**  Under an engine with
+   ``in_order`` set (SC, TSO) the scan asks about the head op -- the
+   oldest below RETIRED -- alone.  For any later op the head sits
+   between it and the retired prefix, so the TSO retire rule, "all
+   prior ops DONE" and both fence rules fail; the full window would
+   only collect refusals.
+2. **No idle rescans.**  A scan goes round again only after a fence
+   became DONE, or a gap-0 issue left its op RETIRED or DONE.  The
+   engines read a status only as ``>= RETIRED`` or ``== DONE`` (plus
+   the head pointer and store-buffer room, which such moves do not
+   improve), so a pass that moved ops only to SCHED or ISSUED leaves
+   every refused op refused.
+3. **FIFO store buffer.**  With ``sb_parallelism == 1`` the drain loop
+   runs only when nothing is draining, so its first entry is ``sb[0]``,
+   the oldest store; it drains and the loop stops.  No per-entry
+   "first undrained" test is needed, and one loop serves FIFO and
+   parallel buffers alike.
+
+The weak engines keep the per-op predicate scan over the whole window:
+:mod:`repro.verify.axiomatic` enumerates outcomes with the same
+predicates, so a one-pass restatement of the weak rules would be a
+second implementation of the model.
 """
 
 from __future__ import annotations
@@ -72,7 +100,6 @@ class Core:
         self._on_done: Callable[[int], None] | None = None
         self._scan_pending = False
         self.finish_time: int | None = None
-        self.ops_retired = 0
         self.parked = False  # host left mid-run (repro.scenario churn)
 
     # ------------------------------------------------------------------
@@ -88,7 +115,7 @@ class Core:
                 save_list(self.sb),
                 self._prefetched, tuple(self._prefetched), self._head_ptr,
                 self._done_ptr, self._on_done, self._scan_pending,
-                self.finish_time, self.ops_retired, self.parked)
+                self.finish_time, self.parked)
 
     def restore(self, state: tuple) -> None:
         """Back to a :meth:`snapshot`, in the saved containers and
@@ -96,7 +123,7 @@ class Core:
         (self.ops, status, saved_status, regs, saved_regs, sb, entries,
          prefetched, saved_prefetched, self._head_ptr, self._done_ptr,
          self._on_done, self._scan_pending, self.finish_time,
-         self.ops_retired, self.parked) = state
+         self.parked) = state
         status[:] = saved_status
         self.status = status
         regs.clear()
@@ -189,6 +216,23 @@ class Core:
         return i
 
     def _scan(self) -> None:
+        """Issue every window op the MCM lets go, then prefetch and drain.
+
+        The scan asks the engine only what an ordering rule can change
+        (rules 1-2 of the module docstring):
+
+        - an in-order engine (``mcm.in_order``) is asked about the head
+          op alone, since every later op fails while the head is below
+          RETIRED;
+        - a pass repeats only after a fence became DONE or a gap-0
+          issue left its op RETIRED or DONE.  Every predicate reads a
+          status only as ``>= RETIRED`` or ``== DONE`` (and the store
+          buffer can only have grown), so a pass that merely moved ops
+          to SCHED or ISSUED would be followed by an identical one.
+
+        The drain then follows rule 3: a FIFO buffer sends ``sb[0]``
+        from the same loop a parallel buffer uses.
+        """
         self._scan_pending = False
         ops = self.ops
         status = self.status
@@ -197,6 +241,7 @@ class Core:
         can_issue = mcm.can_issue
         uses_sb = mcm.uses_store_buffer
         sb_entries = self.sb_entries
+        window = 1 if mcm.in_order else self.window
         n = len(ops)
         progress = True
         while progress:
@@ -207,7 +252,7 @@ class Core:
                     if self.finish_time is None:
                         self._finish()
                     return
-            limit = head + self.window
+            limit = head + window
             if limit > n:
                 limit = n
             for i in range(head, limit):
@@ -230,7 +275,8 @@ class Core:
                     self.engine.post(op.gap * self.cycle, self._issue, i)
                 else:
                     self._issue(i)
-                progress = True
+                    if status[i] >= RETIRED:
+                        progress = True
         self._prefetch_window()
         self._drain_sb()
 
@@ -283,7 +329,6 @@ class Core:
             # Retire into the store buffer; globally performed later.
             self.status[i] = RETIRED
             self.sb.append(SBEntry(i, op.addr, op.value, op.kind))
-            self.ops_retired += 1
             self._drain_sb()
             self._request_scan()
             return
@@ -306,8 +351,6 @@ class Core:
         op = self.ops[i]
         if op.reg is not None and value is not None:
             self.regs[op.reg] = value
-        if self.status[i] != RETIRED:
-            self.ops_retired += 1
         self.status[i] = DONE
         self._request_scan()
 
@@ -332,8 +375,10 @@ class Core:
         if inflight < parallelism:
             # Addresses of entries *before* the current position; an
             # older same-address store must leave the buffer first.
+            # With parallelism 1 nothing is draining here, so the first
+            # entry is ``sb[0]``: it drains and the loop stops (rule 3).
             prior_addrs: set[int] = set()
-            for pos, entry in enumerate(sb):
+            for entry in sb:
                 if inflight >= parallelism:
                     break
                 addr = entry.addr
@@ -344,16 +389,8 @@ class Core:
                     prior_addrs.add(addr)
                     continue  # per-address FIFO: wait for the older store
                 prior_addrs.add(addr)
-                if parallelism == 1 and pos != _first_undrained(sb):
-                    continue  # strict FIFO (TSO)
-                entry.draining = True
+                self._drain_entry(entry)
                 inflight += 1
-                l1_request(
-                    entry.kind,
-                    entry.addr,
-                    entry.value,
-                    lambda _v, e=entry: self._store_performed(e),
-                )
         # Overlap upcoming store misses: ownership prefetches for the
         # next few distinct lines (no ordering effect -- commits above
         # still happen strictly in drain order).
@@ -371,22 +408,19 @@ class Core:
             prefetched += 1
             l1_request("PREFETCH_M", entry.addr, 0, lambda _v: None)
 
+    def _drain_entry(self, entry: SBEntry) -> None:
+        """Send one buffered store to the L1; it leaves the buffer when
+        performed."""
+        entry.draining = True
+        self.l1.core_request(entry.kind, entry.addr, entry.value,
+                             lambda _v, e=entry: self._store_performed(e))
+
     def _store_performed(self, entry: SBEntry) -> None:
         self.sb.remove(entry)
         self.status[entry.op_index] = DONE
         self._request_scan()
 
     # ------------------------------------------------------------------
-    def done(self) -> bool:
-        """True once the current program has fully completed."""
-        return self.finish_time is not None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Core {self.core_id} mcm={self.mcm.name}>"
 
-
-def _first_undrained(sb: list[SBEntry]) -> int:
-    for pos, entry in enumerate(sb):
-        if not entry.draining:
-            return pos
-    return -1

@@ -7,7 +7,10 @@ An engine answers two questions for the core model:
   satisfied (a fence completes without touching memory)?
 
 plus two store-buffer parameters (``uses_store_buffer`` and
-``sb_parallelism``).  Op statuses live on the core: ``PEND`` (0),
+``sb_parallelism``) and one fact about the model, ``in_order``: SC and
+TSO let only the head op (the oldest below ``RETIRED``) issue or
+complete a fence, so the core asks them about that op alone.  Op
+statuses live on the core: ``PEND`` (0),
 ``SCHED`` (1, waiting out its compute gap), ``ISSUED`` (2, in the memory
 system), ``RETIRED`` (3, a store sitting in the store buffer) and
 ``DONE`` (4, globally performed).
@@ -65,6 +68,14 @@ class MCMEngine:
     name = "base"
     uses_store_buffer = True
     sb_parallelism = 1
+    #: True when no op after the head (the oldest op below RETIRED) can
+    #: pass its test -- :meth:`can_issue` for a memory op,
+    #: :meth:`fence_done` for a fence -- whatever the statuses: every
+    #: rule of the model waits for all earlier ops to be at least
+    #: RETIRED.  A fixed fact about the model, not a tuning knob: the
+    #: core then asks about the head op alone (``tests/test_cpu.py``
+    #: checks the claim on every engine).
+    in_order = False
 
     def can_issue(self, i: int, core) -> bool:
         """May op ``i`` leave the instruction window now?"""
@@ -120,6 +131,7 @@ class SCEngine(MCMEngine):
 
     name = "SC"
     uses_store_buffer = False
+    in_order = True
 
     def can_issue(self, i: int, core) -> bool:
         return self._all_prior_done(i, core)
@@ -134,6 +146,7 @@ class TSOEngine(MCMEngine):
     name = "TSO"
     uses_store_buffer = True
     sb_parallelism = 1
+    in_order = True
 
     def can_issue(self, i: int, core) -> bool:
         op = core.ops[i]

@@ -52,6 +52,22 @@ def enumerate_outcomes(
     one entry per register plus one ``"[addr]"`` entry per observed
     memory location.
     """
+    opss = [tuple(p.ops) for p in programs]
+    outcomes = set()
+    for state, has_successors in reachable_states(programs, mcms):
+        if not has_successors:
+            outcomes.add(_outcome(state, opss, observed_addrs))
+    return frozenset(outcomes)
+
+
+def reachable_states(programs: list[ThreadProgram], mcms: list[str]):
+    """Yield ``(state, has_successors)`` for every state the enumeration
+    reaches, each once.
+
+    A state is ``(statuses, store_buffers, memory, registers)``, with
+    one status tuple per thread; every fence whose condition holds is
+    already complete.  A state without successors is final.
+    """
     engines = [make_mcm(name) for name in mcms]
     opss = [tuple(p.ops) for p in programs]
 
@@ -59,7 +75,6 @@ def enumerate_outcomes(
     init_sbs = tuple(() for _ in opss)
     init_state = (init_status, init_sbs, (), ())
 
-    outcomes = set()
     visited = set()
     stack = [_fence_closure(init_state, opss, engines)]
     visited.add(stack[0])
@@ -69,15 +84,12 @@ def enumerate_outcomes(
         if len(visited) > MAX_STATES:
             raise RuntimeError("litmus enumeration exceeded state budget")
         successors = list(_successors(state, opss, engines))
-        if not successors:
-            outcomes.add(_outcome(state, opss, observed_addrs))
-            continue
+        yield state, bool(successors)
         for nxt in successors:
             nxt = _fence_closure(nxt, opss, engines)
             if nxt not in visited:
                 visited.add(nxt)
                 stack.append(nxt)
-    return frozenset(outcomes)
 
 
 def _fence_closure(state, opss, engines):

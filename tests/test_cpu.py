@@ -1,11 +1,16 @@
 """Unit tests for the core model and MCM engines against a fake L1."""
 
+import random
+
 import pytest
 
 from repro.cpu.core import Core
 from repro.cpu.isa import (
+    FENCE,
+    FENCE_FULL,
     FENCE_LD,
     FENCE_ST,
+    RMW,
     ThreadProgram,
     fence,
     load,
@@ -14,7 +19,10 @@ from repro.cpu.isa import (
     store,
     store_release,
 )
+from repro.cpu.mcm import DONE, ISSUED, PEND, RETIRED, SCHED, make_mcm
 from repro.sim.engine import Engine
+from repro.verify.axiomatic import _Adapter, reachable_states
+from repro.verify.litmus import LITMUS_TESTS, materialize
 
 CYCLE = 500
 
@@ -267,3 +275,154 @@ def test_dep_validation_rejects_forward_deps():
     program = ThreadProgram("t", [load(1, "r1", deps=(1,))])
     with pytest.raises(ValueError):
         program.validate()
+
+
+# ---------------------------------------------------------------------------
+# ``in_order``: the scan asks an in-order engine about the head op alone.
+# ---------------------------------------------------------------------------
+
+def _later_ops_that_pass(mcm, ops, status):
+    """PEND ops after the head (oldest op below RETIRED) that pass their
+    test: ``fence_done`` for a fence, ``can_issue`` for anything else."""
+    adapter = _Adapter(ops, list(status))
+    head = next((i for i, s in enumerate(status) if s < RETIRED), len(status))
+    passing = []
+    for i in range(head + 1, len(ops)):
+        if status[i] != PEND:
+            continue
+        test = mcm.fence_done if ops[i].kind == FENCE else mcm.can_issue
+        if test(i, adapter):
+            passing.append(i)
+    return passing
+
+
+def _litmus_vectors(name):
+    """Every per-thread (ops, statuses) pair the axiomatic enumeration
+    reaches on the litmus catalogue, with and without synchronization."""
+    vectors = []
+    for test in LITMUS_TESTS:
+        mcms = [name] * test.num_threads
+        for sync in (True, False):
+            programs = materialize(test, mcms, sync=sync)
+            seen = [set() for _ in programs]
+            for state, _ in reachable_states(programs, mcms):
+                for tid, status in enumerate(state[0]):
+                    seen[tid].add(status)
+            for program, statuses in zip(programs, seen):
+                vectors.extend((program.ops, status) for status in statuses)
+    return vectors
+
+
+def _random_vectors(mcm, rng, programs=300):
+    """Random programs, each walked through monotone status vectors: one
+    op at a time moves up the ladder the core gives its kind."""
+    makers = [
+        lambda i: load(rng.randrange(3), "r", deps=_deps(rng, i)),
+        lambda i: store(rng.randrange(3), 1, deps=_deps(rng, i)),
+        lambda i: rmw(rng.randrange(3)),
+        lambda i: load_acquire(rng.randrange(3)),
+        lambda i: store_release(rng.randrange(3), 1),
+        lambda i: fence(rng.choice((FENCE_FULL, FENCE_LD, FENCE_ST))),
+    ]
+    vectors = []
+    for _ in range(programs):
+        ops = [rng.choice(makers)(i) for i in range(rng.randint(2, 8))]
+        ladders = [_ladder(op, mcm) for op in ops]
+        steps = [0] * len(ops)
+        while True:
+            vectors.append((ops, tuple(ladder[k] for ladder, k in zip(ladders, steps))))
+            movable = [i for i, k in enumerate(steps) if k + 1 < len(ladders[i])]
+            if not movable:
+                break
+            i = rng.choice(movable)
+            steps[i] = rng.randrange(steps[i] + 1, len(ladders[i]))
+    return vectors
+
+
+def _deps(rng, i):
+    return tuple(sorted(rng.sample(range(i), rng.randint(0, min(i, 2)))))
+
+
+def _ladder(op, mcm):
+    if op.kind == FENCE:
+        return (PEND, DONE)
+    if op.is_write and op.kind != RMW and mcm.uses_store_buffer:
+        return (PEND, SCHED, RETIRED, DONE)
+    return (PEND, SCHED, ISSUED, DONE)
+
+
+#: A load in flight and an independent load behind it: the later load
+#: may issue under the weak models.
+_OVERTAKING_LOAD = ([load(1, "r1"), load(2, "r2")], (ISSUED, PEND))
+
+
+@pytest.mark.parametrize("name", ["SC", "TSO", "WEAK", "RCC"])
+def test_in_order_matches_the_ordering_rules(name):
+    """``in_order`` holds exactly when no PEND op after the head passes,
+    over every status vector the litmus enumeration reaches, random
+    monotone vectors and one overtaking-load program."""
+    mcm = make_mcm(name)
+    vectors = _litmus_vectors(name) + _random_vectors(mcm, random.Random(11))
+    vectors.append(_OVERTAKING_LOAD)
+    later = [(ops, status, i) for ops, status in vectors
+             for i in _later_ops_that_pass(mcm, ops, status)]
+    if mcm.in_order:
+        assert not later, later[0]
+    else:
+        assert _later_ops_that_pass(mcm, *_OVERTAKING_LOAD) == [1]
+
+
+def _checks_per_scan(core):
+    """Record, for each scan, the op index of every ``can_issue`` and
+    ``fence_done`` call it makes."""
+    scans = []
+    mcm = core.mcm
+    for name in ("can_issue", "fence_done"):
+        def counted(i, c, predicate=getattr(mcm, name)):
+            scans[-1].append(i)
+            return predicate(i, c)
+        setattr(mcm, name, counted)
+
+    def counted_scan(scan=core._scan):
+        scans.append([])
+        scan()
+    core._scan = counted_scan
+    return scans
+
+
+def test_tso_scan_asks_only_about_the_head():
+    """The head load misses; seven independent gapped loads wait behind
+    it.  Each scan asks about one op, never the whole window."""
+    engine = Engine()
+
+    class MissingHeadL1(FakeL1):
+        def _request(self, kind, addr, value, callback):
+            latency = 200 * CYCLE if addr == 0 else 5 * CYCLE
+            self.engine.post(latency, self._perform, kind, addr, value, callback)
+
+    l1 = MissingHeadL1(engine)
+    core = Core(engine, "c0", "TSO", cycle=CYCLE)
+    core.l1 = l1
+    scans = _checks_per_scan(core)
+    ops = [load(0, "r0")] + [load(a, f"r{a}", gap=3) for a in range(1, 8)]
+    core.run_program(ThreadProgram("t", ops), lambda t: None)
+    engine.run()
+    assert [a for _, k, a, _ in l1.performed] == list(range(8))
+    assert [len(calls) for calls in scans if calls] == [1] * 8, scans
+
+
+def test_weak_scan_that_only_schedules_does_not_rescan():
+    """Scheduling gapped ops (PEND -> SCHED) unblocks nothing, so a scan
+    asks about each blocked op once."""
+    engine = Engine()
+    l1 = FakeL1(engine)
+    core = Core(engine, "c0", "WEAK", cycle=CYCLE)
+    core.l1 = l1
+    scans = _checks_per_scan(core)
+    ops = [load(1, "r1", gap=4), load(2, "r2", gap=4),
+           load(3, "r3", deps=(0,)), fence(FENCE_LD), load(4, "r4")]
+    core.run_program(ThreadProgram("t", ops), lambda t: None)
+    engine.run()
+    assert scans[0] == [0, 1, 2, 3, 4], scans[0]
+    assert all(len(calls) == len(set(calls)) for calls in scans), scans
+    assert [a for _, k, a, _ in l1.performed] == [1, 2, 3, 4]
