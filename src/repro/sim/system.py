@@ -238,10 +238,10 @@ class System:
         """
         self.engine.restore(state[0])
         self.network.restore(state[1])
-        for index, parts in enumerate(self.domains):
-            if dirty is None or index in dirty:
-                for part, saved in zip(parts, state[index + 2]):
-                    part.restore(saved)
+        domains = self.domains
+        for index in range(len(domains)) if dirty is None else dirty:
+            for part, saved in zip(domains[index], state[index + 2]):
+                part.restore(saved)
 
     def close(self) -> None:
         """Kill this system so reference counting frees it when dropped.

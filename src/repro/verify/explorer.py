@@ -7,7 +7,8 @@ pieces it builds on:
 - :class:`InterceptNetwork` parks every sent message in an outbox
   instead of scheduling it, so the checker chooses delivery orders
   explicitly (respecting per-channel FIFO, exactly like the real fabric),
-  and saves that outbox for :meth:`repro.sim.system.System.snapshot`;
+  and saves that outbox, with each parked message's encoded flight
+  entry, for :meth:`repro.sim.system.System.snapshot`;
 - :func:`system_config` and :func:`build_intercepted` construct the
   two-cluster system under test on that network;
 - :func:`state_parts` flattens one (system, outbox) state into the
@@ -27,11 +28,19 @@ from repro.sim.system import build_system
 
 
 class InterceptNetwork(Network):
-    """Network that parks sent messages for explicit delivery choices."""
+    """Network that parks sent messages for explicit delivery choices.
+
+    ``entries`` runs beside ``outbox``: for each parked message, its
+    channel and flight entry as a fingerprint encoded them
+    (:func:`repro.verify.mc.fingerprint.canonical_fingerprint`), or None
+    until one has.  A parked message never changes, so it is encoded
+    once, and the snapshot saves the encodings with the outbox.
+    """
 
     def __init__(self, engine, seed=1):
         super().__init__(engine, seed)
         self.outbox: list[Message] = []
+        self.entries: list[tuple | None] = []
 
     def send(self, msg: Message) -> None:
         """Count ``msg``, show it to the observers (delay 0: it has no
@@ -40,6 +49,7 @@ class InterceptNetwork(Network):
         for observer in self.observers:
             observer.on_message(msg, 0)
         self.outbox.append(msg)
+        self.entries.append(None)
 
     def deliverable(self) -> list[int]:
         """Outbox indices eligible for delivery: per-(src, dst, vnet)
@@ -58,18 +68,20 @@ class InterceptNetwork(Network):
     def deliver(self, index: int) -> None:
         """Deliver (and remove) the outbox message at ``index``."""
         msg = self.outbox.pop(index)
+        del self.entries[index]
         self.nodes[msg.dst].handle_message(msg)
 
     def snapshot(self) -> tuple:
-        """The outbox (messages are shared, never copied) and the
-        traffic counters.  Sends never reach the wires here, so there
-        is no wire or jitter state to save."""
-        return list(self.outbox), self.stats.snapshot()
+        """The outbox (messages are shared, never copied), its encoded
+        entries and the traffic counters.  Sends never reach the wires
+        here, so there is no wire or jitter state to save."""
+        return list(self.outbox), list(self.entries), self.stats.snapshot()
 
     def restore(self, state: tuple) -> None:
         """Back to a :meth:`snapshot`, in the same outbox list."""
-        outbox, stats = state
+        outbox, entries, stats = state
         self.outbox[:] = outbox
+        self.entries[:] = entries
         self.stats.restore(stats)
 
 
@@ -224,19 +236,24 @@ def component_parts(system) -> list[tuple]:
     return layout
 
 
+def flight_entry(msg) -> tuple:
+    """One in-flight message's entry in :func:`flight_part`."""
+    # ``_extra``, not ``extra``: the property would give every message
+    # without one a new dict, and messages are shared with the search's
+    # snapshots.
+    extra = msg._extra or _NO_EXTRA
+    return (msg.kind, msg.addr, msg.meta, msg.data, msg.acks,
+            extra.get("req"), extra.get("inv", False),
+            extra.get("kept"), extra.get("dirty", False))
+
+
 def flight_part(network) -> tuple:
     """The last part of :func:`state_parts`: the in-flight messages,
-    grouped per FIFO channel *preserving order* within the channel
-    (order across channels is immaterial)."""
+    grouped per ``(src, dst, vnet)`` FIFO channel *preserving order*
+    within the channel (order across channels is immaterial)."""
     channels: dict = {}
     for msg in network.outbox:
-        # ``_extra``, not ``extra``: the property would give every
-        # message without one a new dict, and messages are shared with
-        # the search's snapshots.
-        extra = msg._extra or _NO_EXTRA
-        entry = (msg.kind, msg.addr, msg.meta, msg.data, msg.acks,
-                 extra.get("req"), extra.get("inv", False),
-                 extra.get("kept"), extra.get("dirty", False))
+        entry = flight_entry(msg)
         key = (msg.src, msg.dst, msg.vnet)
         queue = channels.get(key)
         if queue is None:

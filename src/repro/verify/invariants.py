@@ -38,8 +38,12 @@ The walk's data layout:
   list is built; a check that needs an address's L1 holders peeks every
   non-RCC L1 for that address alone.
 
-SWMR suspects are the pairwise key intersections of the bridge maps plus
-``shared``; no other address can break SWMR.  Value coherence reads only
+SWMR suspects are ``shared`` plus those addresses of the pairwise key
+intersections of the bridge maps that two or more bridges hold in
+S/E/M/O/F, one of them in E/M; no other address can break SWMR.  Only
+the intersections are filtered, one address at a time: a pass over
+every bridge line would cost a monitor sample more than it saves.
+Value coherence reads only
 ``shared | unowned``: an address whose only holder is an owner is its
 own authoritative value.  Inclusion and compound legality are decided
 during the walk.  A bridge line can be compound-illegal only if its
@@ -49,6 +53,11 @@ read.  Compound legality collects one bridge's hits, inclusion one
 L1's, and each reports the hit ``CacheArray.lines()`` lists first
 (``CacheArray.first``: lowest set index, then LRU position), so only
 hits pay for the order.
+
+A model-checking search passes :func:`check_all` a memo keyed by the
+part bytes of every L1 and bridge, and reuses a clean verdict for a
+state whose L1s and bridges were all seen before; the periodic
+monitor always walks.
 
 The walk is read-only and keeps these behaviours:
 
@@ -177,8 +186,22 @@ def _holders(clusters, addr) -> list:
             and line.state in _HOLDER_STATES and not isinstance(l1, RccL1)]
 
 
+def _contested(maps, addr) -> bool:
+    """Whether two or more bridges hold ``addr`` in S/E/M/O/F, one of
+    them in E/M: else its bridge lines cannot break cross-cluster SWMR."""
+    holders = writers = 0
+    for bridge_lines in maps:
+        line = bridge_lines.get(addr)
+        if line is not None and line.state in _HOLDER_STATES:
+            holders += 1
+            if line.state in _WRITER_STATES:
+                writers += 1
+    return holders > 1 and writers > 0
+
+
 def check_swmr(system, walk=None) -> None:
-    """SWMR; only an address with two bridge lines or two L1 holders can break it."""
+    """SWMR; only an address with two L1 holders, or two bridge holders
+    one of which is a writer, can break it."""
     walk = walk or _Walk(system)
     clusters, maps, shared = walk.clusters, walk.maps, walk.shared
     suspects = set(shared)
@@ -186,7 +209,9 @@ def check_swmr(system, walk=None) -> None:
         later = maps[i].keys()
         if later:
             for earlier in maps[:i]:
-                suspects |= later & earlier.keys()
+                for addr in later & earlier.keys():
+                    if addr not in suspects and _contested(maps, addr):
+                        suspects.add(addr)
     for addr in sorted(suspects):
         # One L1 holder cannot break intra-cluster SWMR.
         held = _holders(clusters, addr) if addr in shared else ()
@@ -244,11 +269,16 @@ def check_value_coherence(system, walk=None) -> None:
     """
     walk = walk or _Walk(system)
     suspects = walk.shared | walk.unowned
-    if not suspects:
-        return
-    bridge_peeks = [bridge_lines.get for bridge_lines in walk.maps]
-    for addr in sorted(suspects):
-        held = _holders(walk.clusters, addr)
+    if suspects:
+        _check_values(system, walk.clusters, walk.maps, sorted(suspects))
+
+
+def _check_values(system, clusters, maps, suspects) -> None:
+    """:func:`check_value_coherence` over the sorted addresses
+    ``suspects``."""
+    bridge_peeks = [bridge_lines.get for bridge_lines in maps]
+    for addr in suspects:
+        held = _holders(clusters, addr)
         value = _authoritative(system, addr, held, bridge_peeks)
         if value is None:
             continue
@@ -299,11 +329,49 @@ def check_compound_states(system, walk=None) -> None:
 ALL_CHECKS = (check_swmr, check_value_coherence, check_inclusion, check_compound_states)
 
 
-def check_all(system) -> None:
-    """Run every invariant monitor over one walk; raises on violation."""
+#: Entries kept per :func:`check_all` memo; past it, a state whose
+#: keys are new is walked each time it is checked.  The largest litmus
+#: search in the tests, IRIW on MESI-CXL-MESI, keeps 26,846 entries
+#: (about 4.8 MB) over its 69,847 states; a ``verify`` drain at most 231.
+MEMO_LIMIT = 1 << 15
+
+
+def check_all(system, memo: dict | None = None, key=None) -> None:
+    """Run every invariant monitor over one walk; raises on violation.
+
+    A search that checks many states of one model passes ``memo``, one
+    dict for all of them, and ``key``, which maps an L1 or a bridge to
+    bytes that determine every field the checks read of it (the model
+    checker passes the component's fingerprint part bytes,
+    :meth:`repro.verify.mc.fingerprint.PartBytes.key`).
+
+    The walk, SWMR, inclusion and compound legality read only the L1s
+    and the bridges, so the tuple of their keys (``names``) determines
+    what they find.  Once every check has passed on a walk, ``memo``
+    maps its ``names`` to the walk's value-check suspects (its shared
+    and unowned addresses, sorted).  A state whose L1s and bridges all
+    match an earlier clean state's then runs the value check alone, on
+    those suspects: it also reads the home and the backing store, so it
+    always runs on the live state.  The three other checks would pass
+    again, and the value check sees what a fresh walk would give it, so
+    the verdict and any message are a fresh walk's.
+    """
+    if memo is not None:
+        clusters = system.clusters
+        names = tuple(map(key, [*system.l1s,
+                                *[cluster.bridge for cluster in clusters]]))
+        suspects = memo.get(names)
+        if suspects is not None:
+            if suspects:
+                _check_values(system, clusters,
+                              [cluster.bridge.cache.index
+                               for cluster in clusters], suspects)
+            return
     walk = _Walk(system)
     for check in ALL_CHECKS:
         check(system, walk)
+    if memo is not None and len(memo) < MEMO_LIMIT:
+        memo[names] = tuple(sorted(walk.shared | walk.unowned))
 
 
 def attach_monitor(system, period_ticks: int = 5_000) -> list:

@@ -199,14 +199,17 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
 
     Every step goes through one :class:`LiveSystem`, which records the
     domains each delivery and restore touched: a fingerprint re-encodes
-    only the touched domains' parts and the in-flight part, a restore
-    rewrites only the domains touched since its snapshot, and a
+    only the touched domains' parts and the messages not yet encoded, a
+    restore rewrites only the domains touched since its snapshot, and a
     snapshot shares the saved state of untouched domains with the
     previous one.  A replayed state, punted ones included, is
     fingerprinted with one full walk, which seeds the part bytes its
     successors reuse.  Every fingerprint of the drain goes through one
-    part memo (:func:`~repro.verify.mc.fingerprint.part_bytes`),
-    dropped on return.
+    part memo (:func:`~repro.verify.mc.fingerprint.part_bytes`), and
+    every invariant check through one verdict memo keyed by those part
+    bytes (:func:`~repro.verify.invariants.check_all`), so a state
+    whose L1s and bridges match an earlier state's is not walked
+    again; both are dropped on return.
 
     Returns a plain picklable dict: ``new_fps`` (discovery order),
     ``emit`` (``{owner: [(path, fp)]}``), ``states``, ``terminals``,
@@ -238,6 +241,8 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
     # The drain's one live system, built by the last replay.
     cursor: Any = None
     memo: dict[bytes, bytes] = {}
+    # Invariant verdicts, keyed by the part bytes of the L1s and bridges.
+    verdicts: dict[tuple, tuple] = {}
     while stack:
         path, fp, saved = stack.pop()
         step, live = live, False
@@ -291,7 +296,7 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
         deepest = max(deepest, len(path))
         if model.check_invariants:
             try:
-                invariants.check_all(system)
+                invariants.check_all(system, verdicts, cursor.parts.key)
             except ConsistencyViolation as exc:
                 violations.append((path, KIND_INVARIANT, str(exc), fp, ()))
                 continue

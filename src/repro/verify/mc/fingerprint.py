@@ -29,15 +29,18 @@ network node and the components only it calls
 only its destination's domain and the in-flight messages, so after a
 step only the touched domain's parts and the in-flight part are
 encoded again; the search's :class:`~repro.verify.mc.engine.LiveSystem`
-names them.
+names them.  The in-flight part is joined from per-message bytes
+that the intercept network keeps beside its outbox, so a parked
+message is encoded once (:func:`_flight_entries`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import marshal
+from operator import itemgetter
 
-from repro.verify.explorer import component_parts, flight_part
+from repro.verify.explorer import component_parts, flight_entry
 
 #: Fingerprint width in bytes (64-bit: birthday-safe to ~10^9 states).
 DIGEST_BYTES = 8
@@ -222,10 +225,55 @@ class PartBytes:
                      for component in components}
         layout = component_parts(system)
         self.by_domain: list[list] = [[] for _ in system.domains]
+        self._position: dict[int, int] = {}
         for position, (encode, component) in enumerate(layout):
             self.by_domain[domain_of[id(component)]].append(
                 (position, encode, component))
+            self._position[id(component)] = position
         self.encoded: list[bytes] = [b""] * len(layout)
+
+    def key(self, component) -> bytes:
+        """The bytes of ``component``'s part as last encoded.  Equal
+        bytes mean equal parts, so they name the component's state to
+        any reader that needs only fields its part covers: the
+        invariant checks' memo (:func:`repro.verify.invariants.check_all`)."""
+        return self.encoded[self._position[id(component)]]
+
+
+# The opening bytes of each ``(src, dst, vnet)`` channel's part of
+# :func:`~repro.verify.explorer.flight_part`.  Channel keys are a
+# string, a string and an int, so equal keys have equal bytes.
+_CHANNEL_HEADS: dict[tuple, bytes] = {}
+_BY_CHANNEL = itemgetter(0)
+
+
+def _channel_head(channel: tuple) -> bytes:
+    head = _CHANNEL_HEADS.get(channel)
+    if head is None:
+        head = b"(" + canonical_bytes(channel) + b"("
+        if len(_CHANNEL_HEADS) < LEAF_CACHE_LIMIT:
+            _CHANNEL_HEADS[channel] = head
+    return head
+
+
+def _flight_entries(network, memo: dict) -> list:
+    """``(channel, head, entry)`` for each in-flight message, in outbox
+    order: its ``(src, dst, vnet)`` channel, the bytes that open that
+    channel's part of :func:`~repro.verify.explorer.flight_part`, and
+    its entry's bytes.
+
+    They are kept in the network's ``entries`` list, beside its outbox
+    (:class:`~repro.verify.explorer.InterceptNetwork`), so a message is
+    encoded once however many states it is in flight in.
+    """
+    outbox, entries = network.outbox, network.entries
+    for index, item in enumerate(entries):
+        if item is None:
+            msg = outbox[index]
+            channel = (msg.src, msg.dst, msg.vnet)
+            entries[index] = (channel, _channel_head(channel),
+                              part_bytes(flight_entry(msg), memo))
+    return entries
 
 
 def canonical_fingerprint(system, network, memo: dict | None = None,
@@ -240,9 +288,11 @@ def canonical_fingerprint(system, network, memo: dict | None = None,
     ``parts`` is the :class:`PartBytes` of ``system``, and ``touched``
     the indices of the domains changed since ``parts`` was last
     filled, or None for all.  Only the parts of those domains are
-    re-encoded (into ``parts``); the others keep their bytes.  The
-    in-flight part is encoded every time.  Without ``parts``, every
-    part is encoded into a fresh one.
+    re-encoded (into ``parts``); the others keep their bytes.  Without
+    ``parts``, every part is encoded into a fresh one.  The in-flight
+    part is joined from each message's bytes (:func:`_flight_entries`),
+    sorted by channel: the sort is stable, so each channel keeps its
+    FIFO order.
     """
     if memo is None:
         memo = {}
@@ -255,6 +305,16 @@ def canonical_fingerprint(system, network, memo: dict | None = None,
         for position, encode, component in domain:
             encoded[position] = part_bytes(encode(component), memo)
     out = [b"(", *encoded, b"("]
-    out += [part_bytes(entry, memo) for entry in flight_part(network)]
+    entries = _flight_entries(network, memo)
+    if entries:
+        last = None
+        for channel, head, data in sorted(entries, key=_BY_CHANNEL):
+            if channel != last:
+                if last is not None:
+                    out.append(b"))")
+                out.append(head)
+                last = channel
+            out.append(data)
+        out.append(b"))")
     out.append(b"))")
     return _digest(b"".join(out))

@@ -232,6 +232,78 @@ def test_compound_skips_only_lines_blocked_at_their_own_bridge():
     invariants.check_all(system)
 
 
+@pytest.mark.parametrize("states,message", [
+    (("I", "S"), None),
+    (("S", "S"), None),
+    (("E", "I"), None),
+    (("E", "S"), "SWMR: cluster 0 owns 0x6 while clusters [0, 1] hold copies"),
+    (("M", "M"), "SWMR: clusters [0, 1] both hold global write permission "
+                 "for 0x6"),
+], ids=["I+S", "S+S", "E+I", "E+S", "M+M"])
+def test_swmr_suspects_need_two_bridge_holders_and_a_writer(states, message):
+    """An address both bridges hold is an SWMR suspect only if both hold
+    it in S/E/M/O/F and one of them in E/M: no other pair can break
+    SWMR."""
+    system = _mesi_system()
+    for cluster, state in zip(system.clusters, states):
+        cluster.bridge.cache.insert(0x6, state=state, data=0)
+    maps = [cluster.bridge.cache.index for cluster in system.clusters]
+    assert invariants._contested(maps, 0x6) == (message is not None)
+    if message is None:
+        invariants.check_swmr(system)
+    else:
+        with pytest.raises(ConsistencyViolation) as exc:
+            invariants.check_swmr(system)
+        assert str(exc.value) == message
+
+
+def test_check_all_reuses_what_it_found_under_equal_keys():
+    """A search's ``check_all`` reuses what it found under the same
+    keys, so a key must determine every field the checks read: one
+    that never changes hides a later violation, and keys that follow
+    the lines catch it, with the message of a fresh walk."""
+    system = _mesi_system()
+    memo: dict = {}
+
+    def frozen(component):
+        return component.node_id.encode()
+
+    def lines(component):
+        return repr((component.node_id, sorted(
+            (line.addr, line.state) for line in component.cache.index.values())
+        )).encode()
+
+    invariants.check_all(system, memo, frozen)
+    _plant_double_writer(system, 0x9)
+    invariants.check_all(system, memo, frozen)
+    with pytest.raises(ConsistencyViolation) as exc:
+        invariants.check_all(system, memo, lines)
+    assert str(exc.value) == ("SWMR: clusters [0, 1] both hold global write "
+                              "permission for 0x9")
+
+
+def test_check_all_reuse_still_reads_the_backing_store():
+    """A reused verdict covers only the L1s and the bridges: the value
+    check runs on the live backing store every time, so a write there
+    under unchanged keys is caught, with the message of a fresh walk."""
+    system = _mesi_system()
+    _plant_divergent_sharer(system, 0x3, stale=5)
+    memo: dict = {}
+
+    def frozen(component):
+        return component.node_id.encode()
+
+    invariants.check_all(system, memo, frozen)
+    assert list(memo.values()) == [(0x3,)]
+    system.backing.write(0x3, 7)
+    with pytest.raises(ConsistencyViolation) as fresh:
+        invariants.check_all(system)
+    with pytest.raises(ConsistencyViolation) as reused:
+        invariants.check_all(system, memo, frozen)
+    assert str(reused.value) == str(fresh.value)
+    assert "value" in str(fresh.value)
+
+
 def _plant_system(policy_factory, clusters=("MESI", "MESI")):
     config = SystemConfig(
         clusters=tuple(ClusterConfig(cores=2, protocol=p, mcm="TSO") for p in clusters),
@@ -434,9 +506,9 @@ def test_check_all_over_every_explored_state_pinned(monkeypatch, name, broken,
     results = []
     check_all = invariants.check_all
 
-    def recording(system):
+    def recording(system, *reuse):
         try:
-            check_all(system)
+            check_all(system, *reuse)
         except ConsistencyViolation as exc:
             results.append(str(exc))
             raise

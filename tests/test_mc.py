@@ -290,6 +290,12 @@ def test_fingerprinting_is_read_only():
                       extra={"req": "l1.1.0"})
     network = types.SimpleNamespace(outbox=[*bare, forward])
 
+    def fingerprint():
+        # A fresh ``entries`` list, as a network keeps beside its outbox,
+        # so every message is encoded anew.
+        network.entries = [None] * len(network.outbox)
+        return canonical_fingerprint(system, network)
+
     def snapshot():
         return [(line._meta is None, sorted(line._meta or ()))
                 for cluster in system.clusters
@@ -300,7 +306,7 @@ def test_fingerprinting_is_read_only():
     before = snapshot()
     assert (True, []) in before and (False, ["stale"]) in before
     assert (False, ["dir", "stale"]) in before
-    fp = canonical_fingerprint(system, network)
+    fp = fingerprint()
     assert snapshot() == before
     assert fp == fingerprint_parts(state_parts(system, network))
     assert snapshot() == before
@@ -308,7 +314,7 @@ def test_fingerprinting_is_read_only():
     assert forward._extra == {"req": "l1.1.0"}
     # The extras still count: the requester is part of the state.
     forward._extra["req"] = "l1.1.1"
-    assert fp != canonical_fingerprint(system, network)
+    assert fp != fingerprint()
 
 
 # ---------------------------------------------------------------------------
@@ -840,6 +846,102 @@ def test_search_never_mutates_shared_inputs(monkeypatch, make_model):
     assert {pair: pickle.dumps(compound)
             for pair, compound in compounds.items()} == tables
     assert all(_message_fields(msg) == fields for msg, fields in sent)
+
+
+#: The six models of ``test_memoized_fingerprints_match_the_specification``.
+_SEARCH_MODELS = [
+    pytest.param(lambda: litmus_model("SB", COMBO), id="SB"),
+    pytest.param(_broken_mp, id="MP-violate-atomicity"),
+    pytest.param(_wrc_moesi, id="WRC-MOESI-MESI-MOESI"),
+    pytest.param(lambda: litmus_model("MP", ("MESIF", "CXL", "RCC")),
+                 id="MP-MESIF-CXL-RCC"),
+    pytest.param(_hybrid_model, id="hybrid-memory"),
+    pytest.param(_eviction_model, id="evictions"),
+]
+
+
+@pytest.mark.parametrize("make_model", _SEARCH_MODELS)
+def test_parked_messages_never_change(monkeypatch, make_model):
+    """The network encodes a parked message once and keeps its bytes
+    beside the outbox, through snapshots and restores.  That holds
+    only if no message changes once sent: every field recorded when it
+    is parked is unchanged when it is delivered and after every
+    restore, and every kept encoding equals a fresh one."""
+    from repro.verify.explorer import InterceptNetwork, flight_entry
+
+    model = make_model()
+    parked = {}
+    send, deliver = InterceptNetwork.send, InterceptNetwork.deliver
+    restore = mc_engine.LiveSystem.restore
+    counts = {"delivered": 0, "restores": 0}
+
+    def recording_send(self, msg):
+        parked[id(msg)] = (msg, _message_fields(msg))
+        send(self, msg)
+
+    def checked_deliver(self, index):
+        msg = self.outbox[index]
+        assert parked[id(msg)] == (msg, _message_fields(msg))
+        counts["delivered"] += 1
+        deliver(self, index)
+
+    def checked_restore(self, snapshot):
+        restore(self, snapshot)
+        network = self.network
+        assert len(network.entries) == len(network.outbox)
+        for msg, entry in zip(network.outbox, network.entries):
+            assert parked[id(msg)] == (msg, _message_fields(msg))
+            if entry is not None:
+                assert entry[0] == (msg.src, msg.dst, msg.vnet)
+                assert entry[2] == canonical_bytes(flight_entry(msg))
+        counts["restores"] += 1
+
+    monkeypatch.setattr(InterceptNetwork, "send", recording_send)
+    monkeypatch.setattr(InterceptNetwork, "deliver", checked_deliver)
+    monkeypatch.setattr(mc_engine.LiveSystem, "restore", checked_restore)
+    out = explore_shard(model, 0, 1, [((), None)], set())
+    assert counts["restores"] == out["restores"] > 0
+    assert counts["delivered"] > len(out["new_fps"])
+
+
+def _iriw():
+    """Two cores per cluster: two L1 domains share each bridge."""
+    return litmus_model("IRIW", COMBO)
+
+
+@pytest.mark.parametrize("make_model,max_states", [
+    *((param.values[0], 0) for param in _SEARCH_MODELS),
+    (_iriw, 3_000),
+], ids=[*(param.id for param in _SEARCH_MODELS), "IRIW-first-3000"])
+def test_search_invariant_verdicts_match_a_fresh_walk(monkeypatch,
+                                                      make_model, max_states):
+    """On every state the search checks, its ``check_all`` -- which
+    reuses what it found for L1s and bridges with the same part bytes
+    -- gives the verdict and message of a fresh ``check_all``."""
+    check_all = invariants.check_all
+    verdicts = []
+
+    def verdict(check) -> str:
+        try:
+            check()
+        except ConsistencyViolation as exc:
+            return str(exc)
+        return "ok"
+
+    def compared(system, memo, key):
+        fresh = verdict(lambda: check_all(system))
+        searched = verdict(lambda: check_all(system, memo, key))
+        assert searched == fresh
+        verdicts.append(fresh)
+        if fresh != "ok":
+            raise ConsistencyViolation(fresh)
+
+    monkeypatch.setattr(invariants, "check_all", compared)
+    out = explore_shard(make_model(), 0, 1, [((), None)], set(),
+                        max_states=max_states)
+    assert len(verdicts) == out["states"] > 0
+    broken = make_model is _broken_mp
+    assert any(v != "ok" for v in verdicts) == broken
 
 
 @pytest.mark.parametrize("shards", [1, 2])
