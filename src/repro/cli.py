@@ -29,8 +29,7 @@ exposes the library's main entry points without writing any code:
 - ``check``       exhaustively model-check one litmus program on one
   combo (``repro.verify.mc``): every delivery order explored, invariants
   and deadlock-freedom checked, outcomes compared against the axiomatic
-  model; ``--shards N --backend local`` fans the search out over a
-  process pool.
+  model.
   Exit 0 verified / 1 counterexamples or truncated / 2 bad usage.
 - ``list``        list available workloads and litmus tests.
 
@@ -232,19 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-states", type=int, default=200_000, metavar="N",
                    help="state cap; a capped run exits 1 as inconclusive "
                         "(0 = unlimited, default 200000)")
-    p.add_argument("--shards", type=int, default=1, metavar="N",
-                   help="partition the state space by fingerprint into N "
-                        "shards (default 1; use >= 2x the worker count "
-                        "for parallelism)")
     p.add_argument("--no-shrink", action="store_true",
                    help="keep raw counterexample paths (skip ddmin)")
     p.add_argument("--ce-out", metavar="DIR", default=None,
                    help="write counterexample JSON fixtures into DIR")
     p.add_argument("--json", action="store_true",
                    help="emit the verdict as JSON")
-    _add_jobs_flag(p)
-    _add_backend_flag(p, default="serial")
-    _add_progress_flag(p)
 
     p = sub.add_parser(
         "bench",
@@ -343,7 +335,7 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    """``repro check``: sharded exhaustive model check (exit 0/1/2)."""
+    """``repro check``: exhaustive model check (exit 0/1/2)."""
     import json
     import os
 
@@ -351,7 +343,7 @@ def _cmd_check(args) -> int:
     from repro.obs.metrics import MetricsRegistry
     from repro.verify.axiomatic import enumerate_outcomes
     from repro.verify.litmus import LITMUS_BY_NAME
-    from repro.verify.mc import ModelChecker, litmus_model
+    from repro.verify.mc import check_model, litmus_model
 
     if args.litmus not in LITMUS_BY_NAME:
         print(f"unknown litmus test {args.litmus!r}; see `repro list`",
@@ -367,20 +359,10 @@ def _cmd_check(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    def report_wave(rounds: int, states: int) -> None:
-        print(f"[mc] wave {rounds}: {states} states", file=sys.stderr)
-
     metrics = MetricsRegistry()
-    try:
-        checker = ModelChecker(
-            model, shards=args.shards,
-            backend=args.backend or "serial", jobs=args.jobs,
-            max_states=args.max_states, max_depth=args.depth,
-            metrics=metrics, shrink=not args.no_shrink)
-        result = checker.run(progress=report_wave if args.progress else None)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = check_model(model, max_states=args.max_states,
+                         max_depth=args.depth, metrics=metrics,
+                         shrink=not args.no_shrink)
 
     # Outcome soundness: every terminal outcome the implementation can
     # produce must be allowed by the compound axiomatic model.
@@ -421,14 +403,16 @@ def _cmd_check(args) -> int:
           f"({'/'.join(args.mcms)}): {mark}")
     print(f"  states    : {result.states} ({result.terminals} terminal, "
           f"depth {result.max_depth}, {result.replays} rebuilt from the root, "
-          f"{result.restores} restored from a snapshot)")
-    print(f"  search    : {result.shards} shard(s), {result.rounds} "
-          f"round(s), backend {result.backend}, {result.elapsed:.2f}s")
+          f"{result.restores} restored from a snapshot, "
+          f"{result.elapsed:.2f}s)")
     print(f"  outcomes  : {len(result.outcomes)} observed / "
           f"{len(allowed)} allowed by the axiomatic model")
     if result.truncated:
-        cap = (f"{args.max_states} states" if args.max_states else
-               f"depth {args.depth}")
+        # The state cap fired exactly when the search reached it;
+        # otherwise the depth cap cut the search.
+        cap = (f"{args.max_states} states"
+               if args.max_states and result.states >= args.max_states
+               else f"depth {args.depth}")
         print(f"  truncated : search capped at {cap}; "
               "the verdict proves nothing beyond the cap")
     for outcome in escaped:

@@ -29,8 +29,8 @@ Design constraints (and how they are met):
 - **One pool per search.**  A bare :meth:`SweepRunner.map` opens and
   closes its own pool; inside ``with SweepRunner(...) as runner:`` the
   first map that fans out starts the pool and every later map reuses
-  it, so a loop of batches (model-checker waves, fuzz batches) pays
-  for one pool, not one per batch.
+  it, so a loop of batches (fuzz batches) pays for one pool, not one
+  per batch.
 
 Knobs:
 

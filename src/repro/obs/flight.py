@@ -1,14 +1,13 @@
 """Flight recorder: a bounded ring buffer of recent runtime events.
 
-Black-box-style postmortems for the model checker: each shard's drain
-(:func:`repro.verify.mc.engine.explore_shard`) keeps its last-N replay
+Black-box-style postmortems for the model checker: the search
+(:func:`repro.verify.mc.engine.explore`) keeps its last-N
 steps in a :class:`FlightRecorder`.  When a replay crashes a
 controller, the dump rides the violation home, so the resulting crash
 :class:`~repro.verify.mc.counterexample.Counterexample` carries what the
 search was doing just before it.
 
-Everything recorded must be plain JSON types: dumps cross the process
-boundary inside a pool worker's shard result and end up inside
+Everything recorded must be plain JSON types: dumps end up inside
 counterexample fixtures.
 """
 

@@ -14,9 +14,8 @@
   monitors over a live system.
 - :mod:`repro.verify.mc` -- the model checker (the Murphi substitute):
   stateless exhaustive search over network delivery orders with
-  process-stable canonical fingerprints, partition-by-hash sharding
-  over the sweep runner's serial loop or process pool, and deduplicated,
-  shrunk, replayable counterexample traces (``python -m repro check``;
+  process-stable canonical fingerprints and deduplicated, shrunk,
+  replayable counterexample traces (``python -m repro check``;
   see ``docs/VERIFY.md``).
 - :mod:`repro.verify.explorer` -- what the checker builds on: the
   delivery-intercepting network, the wiring of the system under test,

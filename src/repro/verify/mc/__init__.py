@@ -1,4 +1,4 @@
-"""Sharded exhaustive model checking with replayable counterexamples.
+"""Exhaustive model checking with replayable counterexamples.
 
 ``repro.verify.mc`` is the repository's one search over network
 delivery orders of the implementation, built on the delivery
@@ -8,19 +8,18 @@ interception and state walk of :mod:`repro.verify.explorer`:
   fingerprints (BLAKE2b over an injective encoding; identical under any
   ``PYTHONHASHSEED``).
 - :mod:`~repro.verify.mc.model` -- :class:`CheckModel`, the picklable
-  description from which any worker reconstructs states by replaying
-  delivery paths (stateless model checking).
-- :mod:`~repro.verify.mc.engine` -- :class:`ModelChecker`, the
-  partition-by-hash frontier engine over one
-  :class:`~repro.harness.sweep.SweepRunner`; shard *k* of *n* owns the states
-  with ``fingerprint % n == k``.
+  description from which any state is rebuilt by replaying its
+  delivery path.
+- :mod:`~repro.verify.mc.engine` -- :func:`explore`, the serial
+  depth-first search over one live system, and :func:`check_model`,
+  which turns it into a :class:`CheckResult`.
 - :mod:`~repro.verify.mc.counterexample` -- deduplicated, shrunk,
   JSON-serializable :class:`Counterexample` traces that replay the
   violation byte-identically.
 
 Entry points: :func:`check_model` / :func:`check_litmus` here, or
 ``python -m repro check --combo L:G:L`` on the command line.  See
-``docs/VERIFY.md`` for the sharding discipline and trace format.
+``docs/VERIFY.md`` for the search and trace format.
 """
 
 from repro.verify.mc.counterexample import (
@@ -33,10 +32,9 @@ from repro.verify.mc.counterexample import (
 )
 from repro.verify.mc.engine import (
     CheckResult,
-    ModelChecker,
     check_litmus,
     check_model,
-    explore_shard,
+    explore,
 )
 from repro.verify.mc.fingerprint import (
     canonical_bytes,
@@ -53,13 +51,12 @@ __all__ = [
     "CheckModel",
     "CheckResult",
     "Counterexample",
-    "ModelChecker",
     "canonical_bytes",
     "canonical_fingerprint",
     "check_litmus",
     "check_model",
     "dedup",
-    "explore_shard",
+    "explore",
     "fingerprint_parts",
     "litmus_model",
 ]

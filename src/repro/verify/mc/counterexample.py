@@ -2,7 +2,7 @@
 
 A violation found by the checker is a *delivery path* -- the exact
 sequence of network delivery choices that drives a fresh system into
-the bad state.  Raw paths from a sharded search are noisy: many paths
+the bad state.  Raw paths from the search are noisy: many paths
 reach the same bad state, and a path may contain deliveries irrelevant
 to the failure.  This module
 
@@ -45,8 +45,8 @@ class Counterexample:
     fingerprint: int  # canonical fingerprint of the violating state
     shrunk: bool = False
     meta: dict = field(default_factory=dict)
-    #: Flight-recorder dump (tuple of event dicts) from the shard that
-    #: hit a crash -- what the search was doing just before it blew up.
+    #: Flight-recorder dump (tuple of event dicts) from the search that
+    #: hit a crash -- what it was doing just before it blew up.
     flight: tuple = ()
 
     @property
@@ -210,7 +210,7 @@ def _state_signature(model: CheckModel, system, network) -> tuple | None:
 def dedup(examples) -> list:
     """Keep one counterexample per signature: the shortest path wins,
     ties broken lexicographically, so the survivor set is deterministic
-    for any exploration order or shard count."""
+    for any exploration order."""
     best: dict = {}
     for example in examples:
         key = example.signature

@@ -1,40 +1,20 @@
-"""Frontier-sharded exhaustive exploration over the sweep runner.
+"""Exhaustive depth-first exploration of delivery orders.
 
-A depth-first search over delivery orders, partitioned by **state
-ownership**: shard *k* of *n* owns exactly the states whose canonical
-fingerprint satisfies ``fp % n == k``.  Every shard expands only states
-it owns, so visited-set membership needs no cross-worker coordination
--- a state is deduplicated, invariant-checked and expanded exactly
-once, at its owner.
-A successor owned elsewhere is *punted*: the ``(path, fingerprint)``
-pair is handed to the owner, which can reject already-visited states
-without replaying them.
+One serial search (:func:`explore`) visits every state reachable by
+some order of network deliveries, deduplicated by canonical
+fingerprint; each new state is invariant-checked and classified as a
+terminal, a deadlock or a violation.
 
-Within a shard's drain the search keeps one live system: the first
-successor of an expanded state is a live delivery step, each later
-sibling restores the parent's in-place snapshot and delivers one
-message, and only the root and punted paths are replayed from the
-model (see :func:`explore_shard`).  A :class:`LiveSystem` records which
+The search keeps one live system: the first successor of an expanded
+state is a live delivery step, each later sibling restores the
+parent's in-place snapshot and delivers one message, and only the root
+is replayed from the model.  A :class:`LiveSystem` records which
 domain -- one network node: an L1 and its core, a bridge and its port,
 or the home -- each step touched, so fingerprints, restores and
-snapshots handle only those.  Snapshots never leave the drain; punts
-carry paths.
+snapshots handle only those.
 
-The search proceeds in waves over one
-:class:`~repro.harness.sweep.SweepRunner` (serial loop or local process
-pool): each wave fans one :class:`~repro.harness.sweep.SweepCell` per
-shard-with-work out through :meth:`~repro.harness.sweep.SweepRunner.map`
-and the coordinator routes the punted frontier to the next wave.  The
-runner is held open for the whole search, so the pool is started once,
-at the first wave that fans out, and reused by every later one.  A
-fanned-out wave still pickles each shard's visited set, so small waves
-are drained inline in the coordinator (:data:`INLINE_WAVE`) -- the
-runner only sees waves big enough to repay the fan-out.
-
-Worker failures degrade deterministically: a cell that comes back as a
-:class:`~repro.harness.sweep.CellFailure` is re-run inline, and every
-merge below is order-independent, so states / outcomes /
-counterexamples are bit-identical across shard counts and backends.
+:func:`check_model` runs the search and turns its raw violations into
+deduplicated, shrunk counterexamples (:class:`CheckResult`).
 """
 
 from __future__ import annotations
@@ -44,13 +24,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ConsistencyViolation
-from repro.harness.sweep import (
-    CellFailure,
-    SweepCell,
-    SweepRunner,
-    check_backend,
-    resolve_jobs,
-)
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.verify import invariants
@@ -64,11 +37,6 @@ from repro.verify.mc.counterexample import (
 )
 from repro.verify.mc.fingerprint import PartBytes, canonical_fingerprint
 from repro.verify.mc.model import CheckModel
-
-#: Waves with fewer work items than this are drained inline in the
-#: coordinator: each fanned-out wave pickles every shard's visited set
-#: to its worker and back, a cost a handful of replays never repays.
-INLINE_WAVE = 24
 
 
 class Snapshot:
@@ -85,7 +53,7 @@ class Snapshot:
 
 
 class LiveSystem:
-    """A drain's one live ``(system, network)``, and the domains each
+    """The search's one live ``(system, network)``, and the domains each
     change to it touched.
 
     A delivery to an idle system changes only its destination node's
@@ -165,22 +133,14 @@ class LiveSystem:
         self._encoded = self._tick
 
 
-def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
-                  visited, max_states: int = 0, max_depth: int = 0) -> dict:
-    """Expand one shard's work list; the module-level sweep-cell body.
+def explore(model: CheckModel, max_states: int = 0,
+            max_depth: int = 0) -> dict:
+    """Explore every delivery order of ``model`` depth first.
 
-    ``work`` is a list of ``(path, fingerprint-or-None)`` items; an item
-    with a fingerprint was punted by another shard (already known to be
-    owned here), one without is a locally pushed successor whose
-    fingerprint is found on first visit.  ``visited`` holds the
-    fingerprints this shard has already expanded in earlier waves.
-
-    Runs a depth-first drain: owned new states are invariant-checked,
-    classified (terminal / deadlock / violation) and their successors
-    pushed; states owned elsewhere are accumulated per-owner in
-    ``emit``.  ``max_states`` bounds the *new* states this call may add
-    (0 = unlimited) and ``max_depth`` the path length (0 = unlimited);
-    exceeding either sets ``truncated``.
+    New states are invariant-checked, classified (terminal / deadlock /
+    violation) and their successors pushed.  ``max_states`` bounds the
+    new states (0 = unlimited) and ``max_depth`` the path length (0 =
+    unlimited); exceeding either sets ``truncated``.
 
     Successors are pushed in reverse, so the pop right after an
     expansion is always the expanded state's first successor.  It is
@@ -188,45 +148,37 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
     only reads a state.  An expansion with two or more choices first
     takes one snapshot, which every later sibling carries on the stack:
     popping a sibling restores that snapshot in place on the same
-    system and delivers one message.  Only the root and punted work
-    items are rebuilt by :meth:`CheckModel.replay`.  Work items sit
-    below every pushed successor, so no snapshot is left on the stack
-    when a replay replaces the drain's system; the replay closes the
-    system it replaces (:meth:`~repro.sim.system.System.close`) once
-    it has returned, since an observer wrapping ``build_system`` may
-    read the previous system while the next one is built.  The last
-    system stays open for the caller's observers.
+    system and delivers one message.  Only the root is built by
+    :meth:`CheckModel.replay`, and its system stays open for the
+    caller's observers.
 
     Every step goes through one :class:`LiveSystem`, which records the
     domains each delivery and restore touched: a fingerprint re-encodes
     only the touched domains' parts and the messages not yet encoded, a
     restore rewrites only the domains touched since its snapshot, and a
     snapshot shares the saved state of untouched domains with the
-    previous one.  A replayed state, punted ones included, is
-    fingerprinted with one full walk, which seeds the part bytes its
-    successors reuse.  Every fingerprint of the drain goes through one
-    part memo (:func:`~repro.verify.mc.fingerprint.part_bytes`), and
-    every invariant check through one verdict memo keyed by those part
-    bytes (:func:`~repro.verify.invariants.check_all`), so a state
-    whose L1s and bridges match an earlier state's is not walked
-    again; both are dropped on return.
+    previous one.  The root is fingerprinted with one full walk, which
+    seeds the part bytes its successors reuse.  Every fingerprint goes
+    through one part memo
+    (:func:`~repro.verify.mc.fingerprint.part_bytes`), and every
+    invariant check through one verdict memo keyed by those part bytes
+    (:func:`~repro.verify.invariants.check_all`), so a state whose L1s
+    and bridges match an earlier state's is not walked again; both are
+    dropped on return.
 
-    Returns a plain picklable dict: ``new_fps`` (discovery order),
-    ``emit`` (``{owner: [(path, fp)]}``), ``states``, ``terminals``,
-    ``outcomes`` (``[(outcome, path)]`` with the minimal path per
-    outcome), ``violations`` (``[(path, kind, message, fp, flight)]``
-    where ``flight`` is the shard's flight-recorder dump for crashes
-    and ``()`` otherwise), ``max_depth``, ``replays`` (root rebuilds),
-    ``restores`` (siblings reached from a snapshot; live steps count in
-    neither) and ``truncated``.
+    Returns a dict: ``new_fps`` (discovery order), ``states``,
+    ``terminals``, ``outcomes`` (``[(outcome, path)]`` with the minimal
+    path per outcome), ``violations`` (``[(path, kind, message, fp,
+    flight)]`` where ``flight`` is the search's flight-recorder dump
+    for crashes and ``()`` otherwise), ``max_depth``, ``replays`` (root
+    builds), ``restores`` (siblings reached from a snapshot; live steps
+    count in neither) and ``truncated``.
     """
-    seen = set(visited)
-    # Stack items are (path, fingerprint-or-None, snapshot-or-None): a
-    # sibling carries the snapshot of its parent.  Reversed so
-    # list.pop() explores the first work item's subtree first.
-    stack = [(tuple(path), fp, None) for path, fp in reversed(list(work))]
+    seen: set[int] = set()
+    # Stack items are (path, snapshot-or-None): a sibling carries the
+    # snapshot of its parent.
+    stack: list[tuple] = [((), None)]
     new_fps: list[int] = []
-    emit: dict[int, list] = {}
     outcomes: dict[tuple, tuple] = {}
     violations: list[tuple] = []
     states = terminals = replays = restores = deepest = 0
@@ -238,16 +190,14 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
     # True while the top of the stack is the first successor of the
     # state the live system was just expanded at.
     live = False
-    # The drain's one live system, built by the last replay.
+    # The search's one live system, built by the root's replay.
     cursor: Any = None
     memo: dict[bytes, bytes] = {}
     # Invariant verdicts, keyed by the part bytes of the L1s and bridges.
     verdicts: dict[tuple, tuple] = {}
     while stack:
-        path, fp, saved = stack.pop()
+        path, saved = stack.pop()
         step, live = live, False
-        if fp is not None and fp in seen:
-            continue
         flight.record("replay", depth=len(path), states=states)
         try:
             if step:
@@ -258,10 +208,7 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
                 cursor.advance(model, path[-1])
             else:
                 replays += 1
-                built = LiveSystem(*model.replay(path))
-                if cursor is not None:
-                    cursor.system.close()
-                cursor = built
+                cursor = LiveSystem(*model.replay(path))
         except ConsistencyViolation as exc:
             # A runtime monitor fired mid-delivery: no end state exists
             # to fingerprint, so the exception identity stands in.
@@ -278,16 +225,10 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
                  crash_fingerprint(exc), tuple(flight.dump())))
             continue
         system, network = cursor.system, cursor.network
-        # A replayed state, punted ones too, is fingerprinted in full:
-        # that seeds the part bytes its successors start from.
-        found = canonical_fingerprint(system, network, memo, cursor.parts,
-                                      cursor.touched())
-        if fp is None:
-            fp = found
-        owner = fp % n_shards
-        if owner != shard:
-            emit.setdefault(owner, []).append((path, fp))
-            continue
+        # The root is fingerprinted in full: that seeds the part bytes
+        # its successors start from.
+        fp = canonical_fingerprint(system, network, memo, cursor.parts,
+                                   cursor.touched())
         if fp in seen:
             continue
         seen.add(fp)
@@ -323,13 +264,11 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
         if len(choices) > 1:
             saved = cursor.snapshot()
             for choice in reversed(choices[1:]):
-                stack.append((path + (choice,), None, saved))
-        stack.append((path + (choices[0],), None, None))
+                stack.append((path + (choice,), saved))
+        stack.append((path + (choices[0],), None))
         live = True
     return {
-        "shard": shard,
         "new_fps": new_fps,
-        "emit": emit,
         "states": states,
         "terminals": terminals,
         "outcomes": sorted(outcomes.items()),
@@ -343,11 +282,9 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
 
 @dataclass
 class CheckResult:
-    """Aggregate verdict of one sharded exhaustive check."""
+    """Aggregate verdict of one exhaustive check."""
 
     model: CheckModel
-    shards: int = 1
-    backend: str = "serial"
     states: int = 0
     terminals: int = 0
     outcomes: set = field(default_factory=set)
@@ -355,8 +292,7 @@ class CheckResult:
     outcome_examples: dict = field(default_factory=dict)
     max_depth: int = 0
     truncated: bool = False
-    rounds: int = 0
-    #: States rebuilt from the root: the root and punted work items.
+    #: States built from the root by replay.
     replays: int = 0
     #: Siblings reached by restoring their parent's snapshot in place.
     restores: int = 0
@@ -378,15 +314,12 @@ class CheckResult:
                 f"({self.states} states, {self.terminals} terminals, "
                 f"{len(self.outcomes)} outcomes, depth {self.max_depth}, "
                 f"{self.replays} replays, {self.restores} restores, "
-                f"{self.rounds} rounds, {self.shards} shard(s), "
                 f"{self.elapsed:.2f}s)")
 
     def to_dict(self) -> dict:
         """JSON-ready representation (sets flattened, sorted)."""
         return {
             "combo": list(self.model.combo),
-            "shards": self.shards,
-            "backend": self.backend,
             "ok": self.ok,
             "states": self.states,
             "terminals": self.terminals,
@@ -394,7 +327,6 @@ class CheckResult:
                 [list(pair) for pair in outcome] for outcome in self.outcomes),
             "max_depth": self.max_depth,
             "truncated": self.truncated,
-            "rounds": self.rounds,
             "replays": self.replays,
             "restores": self.restores,
             "elapsed": self.elapsed,
@@ -402,173 +334,62 @@ class CheckResult:
         }
 
 
-class ModelChecker:
-    """Wave coordinator: routes frontiers between shard owners.
-
-    ``shards=1`` degenerates to a single inline drain (the sharded
-    engine's serial mode -- still process-stable fingerprints, still
-    counterexample objects) and builds no runner.  ``backend`` is
-    ``"serial"`` or ``"local"`` (the process pool), checked here even
-    when no runner is built; any other spelling raises the runner's
-    ``ValueError``.  ``jobs`` sizes that pool as ``min(jobs, shards)``,
-    with ``jobs`` resolved like every runner's (``REPRO_JOBS``, then
-    the CPU count).  ``metrics`` is an optional
-    :class:`~repro.obs.metrics.MetricsRegistry` that receives the
-    ``mc.*`` counters.
-    """
-
-    def __init__(self, model: CheckModel, shards: int = 1,
-                 backend: str = "serial", max_states: int = 200_000,
-                 max_depth: int = 0, metrics: MetricsRegistry | None = None,
-                 shrink: bool = True, shrink_limit: int = 25,
-                 jobs: int | None = None) -> None:
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.model = model
-        self.shards = shards
-        # Checked here, not by the runner: a one-shard check builds none.
-        self.backend = check_backend(backend)
-        self.jobs = jobs
-        self.max_states = max_states
-        self.max_depth = max_depth
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.shrink = shrink
-        self.shrink_limit = shrink_limit
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        """Bump the ``mc.<name>`` counter."""
-        self.metrics.counter(f"mc.{name}").add(amount)
-
-    def run(self, progress=None) -> CheckResult:
-        """Explore exhaustively (or to the caps); return the verdict."""
-        if self.shards == 1:
-            return self._search(None, progress)
-        with SweepRunner(jobs=min(resolve_jobs(self.jobs), self.shards),
-                         backend=self.backend, capture_errors=True) as runner:
-            return self._search(runner, progress)
-
-    def _search(self, runner, progress) -> CheckResult:
-        """The wave loop; ``runner`` is None for an inline-only search."""
-        started = time.monotonic()
-        result = CheckResult(model=self.model, shards=self.shards,
-                             backend=self.backend)
-        visited: list[set] = [set() for _ in range(self.shards)]
-        raw_violations: list[tuple] = []
-        outcome_paths: dict[tuple, tuple] = {}
-        # The root's owner is unknown until its first replay; hand it to
-        # shard 0, which will punt it onward if it lands elsewhere.
-        pending: dict[int, list] = {0: [((), None)]}
-        while pending and not result.truncated:
-            result.rounds += 1
-            self._count("waves")
-            wave, pending = pending, {}
-            budget = (max(1, self.max_states - result.states)
-                      if self.max_states else 0)
-            outs = self._run_wave(wave, visited, budget, runner)
-            for out in outs:
-                shard = out["shard"]
-                visited[shard].update(out["new_fps"])
-                result.states += out["states"]
-                result.terminals += out["terminals"]
-                result.max_depth = max(result.max_depth, out["max_depth"])
-                result.replays += out["replays"]
-                result.restores += out["restores"]
-                result.truncated = result.truncated or out["truncated"]
-                raw_violations.extend(out["violations"])
-                for outcome, path in out["outcomes"]:
-                    held = outcome_paths.get(outcome)
-                    if held is None or (len(path), path) < (len(held), held):
-                        outcome_paths[outcome] = tuple(path)
-                for owner, items in out["emit"].items():
-                    self._count("punts", len(items))
-                    fresh = [(tuple(path), fp) for path, fp in items
-                             if fp not in visited[owner]]
-                    if fresh:
-                        pending.setdefault(owner, []).extend(fresh)
-            if self.max_states and result.states >= self.max_states:
-                result.truncated = True
-            if progress is not None:
-                progress(result.rounds, result.states)
-        result.outcomes = set(outcome_paths)
-        result.outcome_examples = dict(sorted(outcome_paths.items()))
-        result.elapsed = time.monotonic() - started
-        self._count("states", result.states)
-        self._count("replays", result.replays)
-        self._count("restores", result.restores)
-        self._count("terminals", result.terminals)
-        result.counterexamples = self._build_counterexamples(raw_violations)
-        self._count("violations", len(result.counterexamples))
-        return result
-
-    # ------------------------------------------------------------------
-    def _run_wave(self, wave, visited, budget, runner) -> list:
-        """Execute one wave, inline or fanned out; returns shard outputs."""
-        items_total = sum(len(items) for items in wave.values())
-        fan_out = (runner is not None and len(wave) > 1
-                   and items_total >= INLINE_WAVE)
-        if not fan_out:
-            self._count("inline_waves")
-            return [
-                explore_shard(self.model, shard, self.shards, items,
-                              visited[shard], budget, self.max_depth)
-                for shard, items in sorted(wave.items())
-            ]
-        cells = [
-            SweepCell(
-                key=("mc", shard),
-                fn=explore_shard,
-                kwargs=dict(model=self.model, shard=shard,
-                            n_shards=self.shards, work=items,
-                            visited=sorted(visited[shard]),
-                            max_states=budget, max_depth=self.max_depth),
-            )
-            for shard, items in sorted(wave.items())
-        ]
-        submitted = runner.map(cells)
-        outs = []
-        for cell in cells:
-            value = submitted[cell.key]
-            if isinstance(value, CellFailure):
-                # Deterministic degradation: the cell body is a pure
-                # function of its kwargs, so an inline re-run yields the
-                # exact result the lost worker would have produced.
-                self._count("cell_retries")
-                value = explore_shard(**cell.kwargs)
-            outs.append(value)
-        return outs
-
-    def _build_counterexamples(self, raw) -> list:
-        """Dedup raw violations, then shrink survivors via replay.
-
-        Shrinking is replay-heavy (hundreds of probes per trace), so a
-        badly broken protocol with thousands of distinct violating
-        states only gets its :attr:`shrink_limit` shortest traces
-        minimized; the tail keeps its raw paths.
-        """
-        examples = [
-            Counterexample(model=self.model, path=tuple(path), kind=kind,
-                           message=message, fingerprint=fp,
-                           flight=tuple(flight))
-            for path, kind, message, fp, flight in raw
-        ]
-        survivors = dedup(examples)
-        if self.shrink:
-            survivors = ([ce.shrink() for ce in survivors[:self.shrink_limit]]
-                         + survivors[self.shrink_limit:])
-        return survivors
-
-
 def check_model(model: CheckModel, shards: int = 1, backend: str = "serial",
                 max_states: int = 200_000, max_depth: int = 0,
                 metrics: MetricsRegistry | None = None, shrink: bool = True,
-                shrink_limit: int = 25, progress=None,
-                jobs: int | None = None) -> CheckResult:
-    """One-call convenience wrapper around :class:`ModelChecker`."""
-    checker = ModelChecker(model, shards=shards, backend=backend,
-                           max_states=max_states, max_depth=max_depth,
-                           metrics=metrics, shrink=shrink,
-                           shrink_limit=shrink_limit, jobs=jobs)
-    return checker.run(progress=progress)
+                shrink_limit: int = 25) -> CheckResult:
+    """Explore ``model`` exhaustively (or to the caps); return the verdict.
+
+    ``max_states`` caps the distinct states and ``max_depth`` the path
+    length (0 = unlimited); a capped search is ``truncated``, never ok.
+    ``metrics`` is an optional
+    :class:`~repro.obs.metrics.MetricsRegistry` that receives the
+    ``mc.*`` counters.  Counterexamples are deduplicated, and the
+    ``shrink_limit`` shortest are shrunk when ``shrink`` is set.
+    ``shards`` and ``backend`` accept only ``1`` and ``"serial"``, the
+    one search there is.
+    """
+    if shards != 1 or backend != "serial":
+        raise ValueError(
+            f"shards={shards!r}, backend={backend!r}: the sharded search "
+            "was removed; the one search is serial (shards=1, "
+            "backend='serial')")
+    started = time.monotonic()
+    out = explore(model, max_states, max_depth)
+    outcome_examples = dict(out["outcomes"])
+    result = CheckResult(
+        model=model, states=out["states"], terminals=out["terminals"],
+        outcomes=set(outcome_examples), outcome_examples=outcome_examples,
+        max_depth=out["max_depth"],
+        truncated=(out["truncated"]
+                   or bool(max_states and out["states"] >= max_states)),
+        replays=out["replays"], restores=out["restores"])
+    result.elapsed = time.monotonic() - started
+    result.counterexamples = _counterexamples(
+        model, out["violations"], shrink, shrink_limit)
+    if metrics is not None:
+        for name in ("states", "replays", "restores", "terminals"):
+            metrics.counter(f"mc.{name}").add(getattr(result, name))
+        metrics.counter("mc.violations").add(len(result.counterexamples))
+    return result
+
+
+def _counterexamples(model, raw, shrink: bool, shrink_limit: int) -> list:
+    """Dedup raw violations, then shrink survivors via replay.
+
+    Shrinking is replay-heavy (hundreds of probes per trace), so a
+    badly broken protocol with thousands of distinct violating states
+    only gets its ``shrink_limit`` shortest traces minimized; the tail
+    keeps its raw paths.
+    """
+    survivors = dedup(
+        Counterexample(model=model, path=tuple(path), kind=kind,
+                       message=message, fingerprint=fp, flight=tuple(flight))
+        for path, kind, message, fp, flight in raw)
+    if shrink:
+        survivors = ([ce.shrink() for ce in survivors[:shrink_limit]]
+                     + survivors[shrink_limit:])
+    return survivors
 
 
 def check_litmus(name: str, combo, mcms=("SC", "SC"), **kwargs) -> CheckResult:

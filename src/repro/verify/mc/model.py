@@ -1,16 +1,15 @@
 """The picklable unit of model-checking work.
 
-A :class:`CheckModel` is everything a worker needs to rebuild the
-system under test from nothing: the protocol combo, the thread
-programs, the MCMs, placement and the observed addresses.  States hold
-closures inside controller objects and cannot cross a process
-boundary; the *model* can, so sharded exploration ships models plus
-delivery paths, and a worker rebuilds a shipped state by replay.
+A :class:`CheckModel` is everything needed to rebuild the system under
+test from nothing: the protocol combo, the thread programs, the MCMs,
+placement and the observed addresses.  States hold closures inside
+controller objects and cannot cross a process boundary; the *model*
+can, so a counterexample is a model plus a delivery path, and any
+process rebuilds its state by replay.
 
 :meth:`CheckModel.replay` rebuilds a state from the root, and
 :meth:`CheckModel.advance` takes one delivery step on a live system.
-Within one process the search replays only its work items and moves
-one live system around: ``advance`` turns the state it just expanded
+The search replays only its root and moves one live system around: ``advance`` turns the state it just expanded
 into that state's first successor, and every later sibling restores
 the parent's in-place snapshot
 (:meth:`~repro.sim.system.System.snapshot`) before its ``advance``.

@@ -15,7 +15,7 @@ from repro.scenario.schema import Scenario
 from repro.sim.config import ClusterConfig, SystemConfig, two_cluster_config
 from repro.sim.system import build_system
 from repro.verify import invariants
-from repro.verify.mc import explore_shard, litmus_model
+from repro.verify.mc import explore, litmus_model
 from repro.workloads import WORKLOADS
 
 FIXTURE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -517,7 +517,7 @@ def test_check_all_over_every_explored_state_pinned(monkeypatch, name, broken,
     monkeypatch.setattr(invariants, "check_all", recording)
     model = litmus_model(name, ("MESI", "CXL", "MESI"))
     model.violate_atomicity = broken
-    explore_shard(model, 0, 1, [((), None)], set())
+    explore(model)
     assert len(results) == count
     assert _digest(results) == digest
 

@@ -1,10 +1,10 @@
-"""Tests for the sharded model checker (repro.verify.mc).
+"""Tests for the model checker (repro.verify.mc).
 
-Covers the four pillars of the subsystem: canonical fingerprints are
-process-stable and injective, the sharded engine is exactly equivalent
-to the serial search, injected defects are *found* (with shrunk,
-replayable counterexamples), and the shipped pairings verify
-exhaustively.
+Covers the pillars of the subsystem: canonical fingerprints are
+process-stable and injective, the search's live steps, restores and
+memos reach exactly the states a fresh replay would, injected defects
+are *found* (with shrunk, replayable counterexamples), and the shipped
+pairings verify exhaustively.
 """
 
 import copy
@@ -39,12 +39,11 @@ from repro.verify.mc import (
     KIND_CRASH,
     CheckModel,
     Counterexample,
-    ModelChecker,
     canonical_fingerprint,
     check_litmus,
     check_model,
     dedup,
-    explore_shard,
+    explore,
     litmus_model,
 )
 from repro.verify.mc import engine as mc_engine
@@ -137,7 +136,7 @@ def test_search_fingerprints_are_pinned(name, broken, count, digest):
     up here."""
     model = litmus_model(name, COMBO)
     model.violate_atomicity = broken
-    fps = explore_shard(model, 0, 1, [((), None)], set())["new_fps"]
+    fps = explore(model)["new_fps"]
     assert len(fps) == count
     packed = b"".join(fp.to_bytes(8, "big") for fp in fps)
     assert hashlib.sha256(packed).hexdigest() == digest
@@ -146,7 +145,8 @@ def test_search_fingerprints_are_pinned(name, broken, count, digest):
 def test_fingerprints_stable_across_hash_seeds():
     """The same protocol state fingerprints identically in processes
     launched with different PYTHONHASHSEED values -- the property
-    partition-by-hash sharding across a worker fleet depends on."""
+    counterexample fixtures and pinned fingerprints, read back in
+    another process, depend on."""
     script = (
         "from repro.verify.mc.fingerprint import canonical_fingerprint\n"
         "from repro.verify.mc.model import litmus_model\n"
@@ -200,7 +200,7 @@ def test_memoized_fingerprints_match_the_specification(monkeypatch,
         return fp
 
     monkeypatch.setattr(mc_engine, "canonical_fingerprint", checked)
-    out = explore_shard(model, 0, 1, [((), None)], set())
+    out = explore(model)
     assert len(out["new_fps"]) == count  # the pinned discovery count
     assert len(memos) >= count
     assert sum(full) == out["replays"] == 1
@@ -267,7 +267,7 @@ def test_memo_bound_changes_no_fingerprint(monkeypatch):
     drains = []
     for limit in (1, 1 << 30):
         monkeypatch.setattr(fingerprint_module, "MEMO_LIMIT", limit)
-        drains.append(explore_shard(model, 0, 1, [((), None)], set()))
+        drains.append(explore(model))
     assert drains[0]["new_fps"] == drains[1]["new_fps"]
     assert drains[0]["states"] == drains[1]["states"] > 0
 
@@ -318,7 +318,7 @@ def test_fingerprinting_is_read_only():
 
 
 # ---------------------------------------------------------------------------
-# Engine equivalence: pinned serial counts == mc sharded.
+# Pinned search counts.
 # ---------------------------------------------------------------------------
 
 def test_mc_corr1_counts_are_pinned(corr1_serial):
@@ -483,7 +483,7 @@ def _fans_out(network) -> bool:
 
 
 def _walk_like_the_search(model, max_popped=None) -> tuple:
-    """Reach every popped state as :func:`explore_shard` reaches it,
+    """Reach every popped state as :func:`explore` reaches it,
     through the same :class:`~repro.verify.mc.engine.LiveSystem` -- a
     live step on the state just expanded, or a restore of the parent's
     snapshot and one delivery, each touching only some domains -- and
@@ -633,7 +633,7 @@ def test_crash_on_live_step_is_classified_like_a_replay():
     base = litmus_model("CoRR1", COMBO)
     model = _CrashOnHomeRead(base.combo, base.programs,
                              observed_addrs=base.observed_addrs)
-    out = explore_shard(model, 0, 1, [((), None)], set())
+    out = explore(model)
     crashes = [v for v in out["violations"] if v[1] == KIND_CRASH]
     assert crashes
     # deliverable()[0] is always outbox index 0: a path ending in 0 is
@@ -648,44 +648,10 @@ def test_crash_on_live_step_is_classified_like_a_replay():
     assert ce.kind == KIND_CRASH and ce.reproduces()
 
 
-def test_sharded_search_is_equivalent_to_serial(corr1_serial):
-    sharded = check_litmus("CoRR1", COMBO, shards=3, max_states=0)
-    assert sharded.states == corr1_serial.states
-    assert sharded.terminals == corr1_serial.terminals
-    assert sharded.outcomes == corr1_serial.outcomes
-    assert sharded.ok
-    assert sharded.rounds > 1  # the frontier really crossed shards
-
-
 def test_same_configuration_is_deterministic(corr1_serial):
     again = check_litmus("CoRR1", COMBO, max_states=0)
     assert again.states == corr1_serial.states
     assert again.outcome_examples == corr1_serial.outcome_examples
-
-
-def test_pool_sharded_search_matches_serial(pool_sizes, monkeypatch):
-    """MP over 4 shards on the local process pool is the serial search,
-    and its big waves really went through one pool of min(jobs, shards)
-    workers, started once for the whole search."""
-    serial = check_litmus("MP", COMBO, max_states=0)
-    assert pool_sizes == []  # a one-shard check starts no pool
-    monkeypatch.setenv("REPRO_JOBS", "8")
-    metrics = MetricsRegistry()
-    pooled = check_litmus("MP", COMBO, shards=4, backend="local",
-                          max_states=0, metrics=metrics)
-    assert (serial.states, serial.terminals, len(serial.outcomes)) \
-        == (823, 3, 3)
-    assert pooled.states == serial.states
-    assert pooled.terminals == serial.terminals
-    assert pooled.outcomes == serial.outcomes
-    assert pooled.ok
-    counters = metrics.counter_values("mc.")
-    assert counters["mc.waves"] > counters["mc.inline_waves"]
-    assert pool_sizes == [4]
-    two = check_litmus("MP", COMBO, shards=4, backend="local",
-                       max_states=0, jobs=2)
-    assert (two.states, two.outcomes) == (serial.states, serial.outcomes)
-    assert pool_sizes == [4, 2]
 
 
 def test_outcome_witness_paths_replay_to_their_outcome(corr1_serial):
@@ -716,15 +682,6 @@ def test_check_model_survives_pickling():
     clone = pickle.loads(pickle.dumps(model))
     assert clone.combo == model.combo
     assert clone.outcome(clone.replay(())[0]) is not None
-
-
-def test_progress_callback_errors_propagate():
-    """A bug in the caller's progress callback is not swallowed."""
-    def progress(rounds, states):
-        raise TypeError("progress callback bug")
-
-    with pytest.raises(TypeError, match="progress callback bug"):
-        check_litmus("CoRR1", COMBO, max_states=0, progress=progress)
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +856,7 @@ def test_parked_messages_never_change(monkeypatch, make_model):
     monkeypatch.setattr(InterceptNetwork, "send", recording_send)
     monkeypatch.setattr(InterceptNetwork, "deliver", checked_deliver)
     monkeypatch.setattr(mc_engine.LiveSystem, "restore", checked_restore)
-    out = explore_shard(model, 0, 1, [((), None)], set())
+    out = explore(model)
     assert counts["restores"] == out["restores"] > 0
     assert counts["delivered"] > len(out["new_fps"])
 
@@ -937,8 +894,7 @@ def test_search_invariant_verdicts_match_a_fresh_walk(monkeypatch,
             raise ConsistencyViolation(fresh)
 
     monkeypatch.setattr(invariants, "check_all", compared)
-    out = explore_shard(make_model(), 0, 1, [((), None)], set(),
-                        max_states=max_states)
+    out = explore(make_model(), max_states=max_states)
     assert len(verdicts) == out["states"] > 0
     broken = make_model is _broken_mp
     assert any(v != "ok" for v in verdicts) == broken
@@ -946,22 +902,18 @@ def test_search_invariant_verdicts_match_a_fresh_walk(monkeypatch,
 
 @pytest.mark.parametrize("shards", [1, 2])
 def test_unknown_backend_is_rejected(shards):
-    """A misspelt backend fails at construction, sharded or not, with
-    the sweep runner's error."""
-    with pytest.raises(ValueError, match="unknown backend 'queue'; "
-                                         "expected serial or local"):
-        check_litmus("CoRR1", COMBO, shards=shards, backend="queue",
-                     max_states=0)
-    assert ModelChecker(litmus_model("CoRR1", COMBO),
-                        backend=" Local ").backend == "local"
-
-
-def test_sharded_search_finds_the_same_defects(broken_mp):
-    model = litmus_model("MP", COMBO)
-    model.violate_atomicity = True
-    sharded = check_model(model, shards=3, max_states=3_000, shrink=False)
-    assert ({ce.signature for ce in sharded.counterexamples}
-            == {ce.signature for ce in broken_mp.counterexamples})
+    """The one search is serial: ``check_model`` takes ``shards=1,
+    backend="serial"`` and rejects any other shard count or backend,
+    the retired process pool included, before it searches."""
+    model = litmus_model("CoRR1", COMBO)
+    for backend in ("local", "queue") if shards == 1 else ("serial",):
+        with pytest.raises(ValueError, match="sharded search was removed"):
+            check_model(model, shards=shards, backend=backend,
+                        max_states=0)
+    if shards == 1:
+        result = check_model(model, shards=1, backend="serial",
+                             max_states=0)
+        assert result.ok and result.states == 99
 
 
 def test_shrinking_only_removes_deliveries(broken_mp):
@@ -1069,8 +1021,7 @@ def test_close_waits_for_build_observers(monkeypatch):
     """An observer that wraps ``build_system`` (as the perfbench tracer
     does) reads the previous system while the next is built, and the
     last system after the check: the search closes none of them early.
-    A serial check builds one system; a sharded one also replays each
-    punted work item."""
+    A check builds one system."""
     from repro.verify import explorer
 
     build = explorer.build_system
@@ -1086,15 +1037,11 @@ def test_close_waits_for_build_observers(monkeypatch):
         return system
 
     monkeypatch.setattr(explorer, "build_system", observed_build)
-    for shards, builds in ((1, 1), (2, 520)):
-        open_systems.clear()
-        read.clear()
-        result = check_litmus("SB", COMBO, shards=shards, max_states=0)
-        (last,) = open_systems
-        read.append((last.engine.events_executed,
-                     last.network.stats.messages))
-        assert len(read) == result.replays == builds
-        assert all(events > 0 and messages > 0 for events, messages in read)
+    result = check_litmus("SB", COMBO, max_states=0)
+    (last,) = open_systems
+    read.append((last.engine.events_executed, last.network.stats.messages))
+    assert len(read) == result.replays == 1
+    assert all(events > 0 and messages > 0 for events, messages in read)
 
 
 # ---------------------------------------------------------------------------
@@ -1149,6 +1096,30 @@ def test_cli_check_truncated_exit_one(capsys):
     assert code == 1
     assert "INCONCLUSIVE" in out
     assert "truncated" in out
+    assert "search capped at 25 states;" in out
+
+
+def test_cli_check_names_the_depth_cap_that_fired(capsys):
+    """A search cut by --depth names the depth cap, not the default
+    state cap it never reached."""
+    from repro.cli import main
+
+    code = main(["check", "--litmus", "MP", "--depth", "5"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "INCONCLUSIVE" in out
+    assert "search capped at depth 5;" in out
+    assert "200000" not in out
+
+
+def test_cli_check_has_no_shards_flag(capsys):
+    """The sharded search is gone, and so is its flag: a usage error."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["check", "--litmus", "CoRR1", "--shards", "2"])
+    assert excinfo.value.code == 2
+    assert "--shards" in capsys.readouterr().err
 
 
 def test_cli_check_unknown_litmus_exit_two(capsys):

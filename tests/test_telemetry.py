@@ -81,9 +81,9 @@ def test_counterexample_flight_round_trips():
     assert "flight" not in clean.to_dict()  # format stays additive
 
 
-def test_explore_shard_crash_ships_flight():
-    """A controller crash mid-search carries the shard's flight dump."""
-    from repro.verify.mc.engine import explore_shard
+def test_explore_crash_ships_flight():
+    """A controller crash mid-search carries the search's flight dump."""
+    from repro.verify.mc.engine import explore
 
     class _CrashModel:
         """Model whose every replay explodes."""
@@ -94,7 +94,7 @@ def test_explore_shard_crash_ships_flight():
             """Blow up unconditionally."""
             raise RuntimeError("controller exploded")
 
-    out = explore_shard(_CrashModel(), 0, 1, [((), None)], set())
+    out = explore(_CrashModel())
     (violation,) = out["violations"]
     path, kind, message, _fp, flight = violation
     assert kind == "crash" and "controller exploded" in message
