@@ -6,12 +6,12 @@ exposes the library's main entry points without writing any code:
 - ``tables``      print Tables I-III.
 - ``table4``      run the litmus matrix (Table IV).
 - ``litmus``      run one litmus test on a chosen configuration.
-- ``workload``    run one kernel and print its statistics (``--obs``
-  adds the span/metrics summary).
-- ``trace``       run one kernel fully instrumented (``repro.obs``) and
-  export a Chrome/Perfetto trace (``--chrome-trace``) and/or a JSON
-  metrics dump (``--metrics``); exits 1 if the runtime Rule-II audit
-  observed a nesting violation.
+- ``workload``    run one kernel and print its statistics.  ``--obs``
+  instruments the run (``repro.obs``) and adds the span/metrics
+  summary; ``--chrome-trace`` (a Chrome/Perfetto trace), ``--metrics``
+  (a JSON metrics dump) and ``--addr`` (per-message trace events for
+  one line) turn it on too.  An instrumented run exits 1 if the
+  runtime Rule-II audit observed a nesting violation.
 - ``fig9/fig10/fig11``  regenerate a figure (``--obs`` for per-cell
   rollups, ``--progress`` for live sweep progress on stderr).
 - ``bench report``    print latest-vs-previous deltas across every
@@ -38,11 +38,16 @@ accept ``--jobs N`` to fan their independent simulation cells out over
 N worker processes (default: the ``REPRO_JOBS`` environment variable,
 then ``os.cpu_count()``; ``--jobs 1`` forces the serial path).  Results
 are bit-identical regardless of the worker count.
+
+A reader that closes stdout early (``| head``) ends no command with a
+traceback: the rest of the output is discarded and the exit code is
+the command's own verdict.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 
@@ -69,13 +74,6 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes for the sweep (default: REPRO_JOBS, then "
              "cpu count; 1 = serial)")
-
-
-def _add_backend_flag(parser: argparse.ArgumentParser,
-                      default: str = "the local process pool") -> None:
-    parser.add_argument(
-        "--backend", default=None, choices=("serial", "local"),
-        help=f"execution backend: serial or local (default: {default})")
 
 
 def _add_progress_flag(parser: argparse.ArgumentParser) -> None:
@@ -109,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table4", help="run the Table IV litmus matrix")
     p.add_argument("--runs", type=int, default=None)
     _add_jobs_flag(p)
-    _add_backend_flag(p)
     _add_progress_flag(p)
 
     p = sub.add_parser("litmus", help="run one litmus test")
@@ -138,42 +135,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also dump raw pstats data for snakeviz/pstats "
                         "(implies --profile)")
     _add_obs_flag(p)
-
-    p = sub.add_parser(
-        "trace",
-        help="run one kernel with full observability and export traces",
-        description="Run one workload with spans, metrics and the runtime "
-                    "Rule-II audit enabled; optionally export a Chrome/"
-                    "Perfetto trace and a JSON metrics dump.  Exit codes: "
-                    "0 clean, 1 Rule-II violations observed, 2 bad usage.")
-    p.add_argument("name", help="workload name (see `repro list`)")
-    p.add_argument("--combo", type=_parse_combo,
-                   default=("MESI", "CXL", "MESI"),
-                   help="protocol combo, L:G:L or L-G-L "
-                        "(default MESI:CXL:MESI)")
-    p.add_argument("--mcms", type=_parse_mcms, default=("WEAK", "WEAK"))
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--cores", type=int, default=2, help="cores per cluster")
     p.add_argument("--chrome-trace", metavar="OUT.json", default=None,
-                   help="write a Perfetto-loadable trace-event JSON file")
+                   help="write a Perfetto-loadable trace-event JSON file "
+                        "(implies --obs)")
     p.add_argument("--metrics", metavar="OUT.json", default=None,
-                   help="write the hierarchical metrics dump as JSON")
+                   help="write the hierarchical metrics dump as JSON "
+                        "(implies --obs)")
     p.add_argument("--addr", type=lambda t: int(t, 0), default=None,
                    help="also record per-message trace events for this "
-                        "line address (hex ok)")
+                        "line address, hex ok (implies --obs)")
 
     p = sub.add_parser("fig9", help="regenerate Figure 9")
     p.add_argument("--per-suite", type=int, default=None,
                    help="limit workloads per suite")
     _add_jobs_flag(p)
-    _add_backend_flag(p)
     _add_progress_flag(p)
     _add_obs_flag(p)
     p = sub.add_parser("fig10", help="regenerate Figure 10")
     p.add_argument("--workloads", nargs="*", default=None)
     _add_jobs_flag(p)
-    _add_backend_flag(p)
     _add_progress_flag(p)
     _add_obs_flag(p)
     p = sub.add_parser("fig11", help="regenerate Figure 11")
@@ -181,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="limit to these workloads (default: the paper's "
                         "four)")
     _add_jobs_flag(p)
-    _add_backend_flag(p)
     _add_progress_flag(p)
     _add_obs_flag(p)
 
@@ -442,51 +421,77 @@ def _print_cell_rollups(result) -> None:
         print(f"[obs] {key}: {compact_obs(rollups[key])}")
 
 
-def _cmd_trace(args) -> int:
-    """``repro trace``: one instrumented run with exporters (exit 0/1/2)."""
+def _cmd_workload(args) -> int:
+    """``repro workload``: run one kernel (exit 0/1/2).
+
+    Observability is on with ``--obs`` or any of its exporters; an
+    instrumented run exits 1 when the Rule-II audit saw a violation.
+    """
     import json
 
-    from repro.obs import Observability, summarize_obs, write_chrome_trace
-    from repro.sim.config import two_cluster_config
-    from repro.sim.system import build_system
-    from repro.sim.trace import MessageTracer
-    from repro.stats.export import merge_obs
+    from repro.harness.experiments import run_workload
+    from repro.stats.collectors import LATENCY_BINS
     from repro.workloads import WORKLOADS
 
     if args.name not in WORKLOADS:
         print(f"unknown workload {args.name!r}; see `repro list`",
               file=sys.stderr)
         return 2
-    local_a, global_protocol, local_b = args.combo
-    config = two_cluster_config(
-        local_a, global_protocol, local_b,
-        mcm_a=args.mcms[0], mcm_b=args.mcms[1],
-        cores_per_cluster=args.cores, seed=args.seed,
-    )
-    system = build_system(config)
-    obs = Observability().attach(system)
-    tracer = None
-    if args.addr is not None:
-        tracer = MessageTracer(system.network, addrs=[args.addr])
-    programs = WORKLOADS[args.name].build(
-        config.total_cores, scale=args.scale, seed=args.seed)
-    result = system.run_threads(programs)
-    merge_obs(result, obs)
+    obs = None
+    if (args.obs or args.chrome_trace or args.metrics
+            or args.addr is not None):
+        from repro.obs import Observability
 
+        obs = Observability(
+            trace_addrs=None if args.addr is None else [args.addr])
+    profile_top = args.profile
+    if args.profile_out is not None and profile_top is None:
+        profile_top = 25
+    profiler = None
+    if profile_top is not None:
+        import cProfile
+
+        profiler = cProfile.Profile()
+        profiler.enable()
+    result = run_workload(args.name, combo=args.combo, mcms=args.mcms,
+                          cores_per_cluster=args.cores,
+                          scale=args.scale, seed=args.seed, obs=obs)
+    if profiler is not None:
+        import pstats
+
+        profiler.disable()
+        stats = pstats.Stats(profiler)
+        if args.profile_out:
+            stats.dump_stats(args.profile_out)
+            print(f"pstats dump written to {args.profile_out}",
+                  file=sys.stderr)
+        stats.sort_stats("cumulative").print_stats(profile_top)
     print(f"{args.name} on {'-'.join(args.combo)} ({'/'.join(args.mcms)}):")
     print(f"  execution time : {result.exec_ns:,.0f} ns")
     print(f"  ops            : {result.stats.ops} "
           f"({result.stats.misses} misses)")
     print(f"  messages       : {result.messages}")
-    print(summarize_obs(result.extra["obs"]))
-    if tracer is not None and tracer.dropped:
-        print(f"  message trace truncated: {tracer.dropped} dropped")
-    if args.chrome_trace:
-        from repro.obs import TraceValidationError
+    print(f"  BIConflicts    : {result.extra['conflicts']}")
+    print(f"  DCOH queueing  : {result.extra['home_queued']} requests")
+    for bin_name, _bound in LATENCY_BINS:
+        print(f"  {bin_name:>6} miss cycles: "
+              f"{result.stats.miss_cycles(bin_name=bin_name):,}")
+    if obs is None:
+        return 0
+    from repro.obs import (
+        TraceValidationError,
+        summarize_obs,
+        write_chrome_trace,
+    )
 
+    dump = result.extra["obs"]
+    print(summarize_obs(dump))
+    if obs.tracer is not None and obs.tracer.dropped:
+        print(f"  message trace truncated: {obs.tracer.dropped} dropped")
+    if args.chrome_trace:
         try:
             count = write_chrome_trace(args.chrome_trace, obs.recorder,
-                                       tracer)
+                                       obs.tracer)
         except TraceValidationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             for problem in exc.problems[:10]:
@@ -495,15 +500,63 @@ def _cmd_trace(args) -> int:
         print(f"wrote {count} trace events to {args.chrome_trace}")
     if args.metrics:
         with open(args.metrics, "w", encoding="utf-8") as handle:
-            json.dump(result.extra["obs"], handle, indent=2, sort_keys=True)
+            json.dump(dump, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote metrics dump to {args.metrics}")
-    return 1 if result.extra["obs"]["rule2"]["violations"] else 0
+    return 1 if dump["rule2"]["violations"] else 0
+
+
+class _ClosedPipeGuard:
+    """Stand-in for stdout that outlives a reader closing the pipe.
+
+    The first :class:`BrokenPipeError` points the real stream's file
+    descriptor at the null device, so that write and every later one
+    (the interpreter's exit flush included) succeed silently and the
+    command runs on to its own verdict.
+    """
+
+    def __init__(self, stream) -> None:
+        self._stream = stream
+
+    def write(self, text: str) -> int:
+        try:
+            return self._stream.write(text)
+        except BrokenPipeError:
+            self._discard()
+            return len(text)
+
+    def flush(self) -> None:
+        try:
+            self._stream.flush()
+        except BrokenPipeError:
+            self._discard()
+
+    def _discard(self) -> None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, self._stream.fileno())
+        finally:
+            os.close(devnull)
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
 
 
 def main(argv=None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    stdout = sys.stdout
+    sys.stdout = _ClosedPipeGuard(stdout)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    finally:
+        sys.stdout = stdout
+    return code
+
+
+def _run(args) -> int:
+    """Run the parsed command; returns its exit code."""
     command = args.command
 
     if command == "tables":
@@ -520,8 +573,7 @@ def main(argv=None) -> int:
         from repro.harness.experiments import table4
 
         result = table4(runs=args.runs, jobs=args.jobs,
-                        backend=args.backend,
-                        progress=_progress_printer if args.progress else None)
+                                    progress=_progress_printer if args.progress else None)
         print(result.format())
         return 0 if result.all_passed() else 1
 
@@ -557,61 +609,13 @@ def main(argv=None) -> int:
         return 0 if result.passed or args.no_sync else 1
 
     if command == "workload":
-        from repro.harness.experiments import run_workload
-        from repro.stats.collectors import LATENCY_BINS
-        from repro.workloads import WORKLOADS
-
-        if args.name not in WORKLOADS:
-            print(f"unknown workload {args.name!r}; see `repro list`",
-                  file=sys.stderr)
-            return 2
-        profile_top = args.profile
-        if args.profile_out is not None and profile_top is None:
-            profile_top = 25
-        profiler = None
-        if profile_top is not None:
-            import cProfile
-
-            profiler = cProfile.Profile()
-            profiler.enable()
-        result = run_workload(args.name, combo=args.combo, mcms=args.mcms,
-                              cores_per_cluster=args.cores,
-                              scale=args.scale, seed=args.seed, obs=args.obs)
-        if profiler is not None:
-            import pstats
-
-            profiler.disable()
-            stats = pstats.Stats(profiler)
-            if args.profile_out:
-                stats.dump_stats(args.profile_out)
-                print(f"pstats dump written to {args.profile_out}",
-                      file=sys.stderr)
-            stats.sort_stats("cumulative").print_stats(profile_top)
-        print(f"{args.name} on {'-'.join(args.combo)} ({'/'.join(args.mcms)}):")
-        print(f"  execution time : {result.exec_ns:,.0f} ns")
-        print(f"  ops            : {result.stats.ops} "
-              f"({result.stats.misses} misses)")
-        print(f"  messages       : {result.messages}")
-        print(f"  BIConflicts    : {result.extra['conflicts']}")
-        print(f"  DCOH queueing  : {result.extra['home_queued']} requests")
-        for bin_name, _bound in LATENCY_BINS:
-            print(f"  {bin_name:>6} miss cycles: "
-                  f"{result.stats.miss_cycles(bin_name=bin_name):,}")
-        if args.obs:
-            from repro.obs import summarize_obs
-
-            print(summarize_obs(result.extra["obs"]))
-        return 0
-
-    if command == "trace":
-        return _cmd_trace(args)
+        return _cmd_workload(args)
 
     if command == "fig9":
         from repro.harness.experiments import figure9
 
         result = figure9(
             workloads_per_suite=args.per_suite, jobs=args.jobs, obs=args.obs,
-            backend=args.backend,
             progress=_progress_printer if args.progress else None)
         print(result.format())
         _print_cell_rollups(result)
@@ -622,7 +626,6 @@ def main(argv=None) -> int:
 
         result = figure10(
             workloads=args.workloads or None, jobs=args.jobs, obs=args.obs,
-            backend=args.backend,
             progress=_progress_printer if args.progress else None)
         print(result.format())
         _print_cell_rollups(result)
@@ -637,7 +640,6 @@ def main(argv=None) -> int:
             workloads=tuple(args.workloads) if args.workloads
             else FIG11_WORKLOADS,
             jobs=args.jobs, obs=args.obs,
-            backend=args.backend,
             progress=_progress_printer if args.progress else None)
         print(result.format())
         _print_cell_rollups(result)

@@ -123,37 +123,22 @@ def run_workload(
 # Sweep plumbing shared by the figure/table drivers.
 # ---------------------------------------------------------------------------
 
-def _workload_time(**kwargs) -> int:
-    """Sweep cell: one workload run reduced to its execution time."""
-    return run_workload(**kwargs).exec_time
+def _workload_time(obs=False, **kwargs):
+    """Sweep cell: one workload run reduced to its execution time (plus
+    the per-cell obs rollup as a :class:`CellOutput` when ``obs``)."""
+    result = run_workload(obs=obs, **kwargs)
+    if obs:
+        return CellOutput(result.exec_time, result.extra["obs"])
+    return result.exec_time
 
 
-def _workload_stats(**kwargs):
-    """Sweep cell: one workload run reduced to its OpStats."""
-    return run_workload(**kwargs).stats
-
-
-def _workload_time_obs(**kwargs) -> CellOutput:
-    """Sweep cell: execution time plus the per-cell obs rollup."""
-    result = run_workload(obs=True, **kwargs)
-    return CellOutput(result.exec_time, result.extra["obs"])
-
-
-def _workload_stats_obs(**kwargs) -> CellOutput:
-    """Sweep cell: OpStats plus the per-cell obs rollup."""
-    result = run_workload(obs=True, **kwargs)
-    return CellOutput(result.stats, result.extra["obs"])
-
-
-def _sweep(cells, jobs: int | None, progress=None, backend=None) -> dict:
-    """Run figure cells through a :class:`SweepRunner`.
-
-    ``backend`` is ``"serial"`` or ``"local"`` (None: the local pool,
-    see :class:`SweepRunner`) -- results are keyed by cell either way,
-    so both regenerate the figure bit-identically.
-    """
-    return SweepRunner(jobs=jobs, progress=progress,
-                       backend=backend).map(cells)
+def _workload_stats(obs=False, **kwargs):
+    """Sweep cell: one workload run reduced to its OpStats (plus the
+    per-cell obs rollup as a :class:`CellOutput` when ``obs``)."""
+    result = run_workload(obs=obs, **kwargs)
+    if obs:
+        return CellOutput(result.stats, result.extra["obs"])
+    return result.stats
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +183,7 @@ class Figure10Result:
 def figure10(workloads=None, cores_per_cluster=2, scale=None,
              seeds=(1, 2, 3), combos=FIG10_COMBOS,
              jobs: int | None = None, obs: bool = False,
-             progress=None, backend=None) -> Figure10Result:
+             progress=None) -> Figure10Result:
     """Regenerate Fig. 10: protocol combinations, normalized time.
 
     Each (workload, combo, seed) cell is an independent simulation;
@@ -213,16 +198,17 @@ def figure10(workloads=None, cores_per_cluster=2, scale=None,
     cells = [
         SweepCell(
             key=(workload, combo_name(combo), seed),
-            fn=_workload_time_obs if obs else _workload_time,
+            fn=_workload_time,
             kwargs=dict(name=workload, combo=combo, mcms=("WEAK", "WEAK"),
                         cores_per_cluster=cores_per_cluster,
-                        scale=scale, seed=seed),
+                        scale=scale, seed=seed, obs=obs),
         )
         for workload in workloads
         for combo in combos
         for seed in seeds
     ]
-    runs, rollups = split_metrics(_sweep(cells, jobs, progress, backend))
+    runs, rollups = split_metrics(
+        SweepRunner(jobs=jobs, progress=progress).map(cells))
     times = {
         (workload, combo_name(combo)): geomean(
             runs[(workload, combo_name(combo), seed)] for seed in seeds)
@@ -269,7 +255,7 @@ class Figure9Result:
 def figure9(workloads_per_suite=None, cores_per_cluster=2, scale=None, seed=1,
             combos=(("MESI", "CXL", "MESI"), ("MESI", "CXL", "MOESI")),
             jobs: int | None = None, obs: bool = False,
-            progress=None, backend=None, seeds=(1, 2)) -> Figure9Result:
+            progress=None, seeds=(1, 2)) -> Figure9Result:
     """Regenerate Fig. 9: per-suite MCM-combination means.
 
     Every (combo, suite, MCM label, workload, seed) cell runs
@@ -287,10 +273,10 @@ def figure9(workloads_per_suite=None, cores_per_cluster=2, scale=None, seed=1,
     cells = [
         SweepCell(
             key=(combo_name(combo), label, suite, name, run_seed),
-            fn=_workload_time_obs if obs else _workload_time,
+            fn=_workload_time,
             kwargs=dict(name=name, combo=combo, mcms=mcms,
                         cores_per_cluster=cores_per_cluster,
-                        scale=scale, seed=run_seed),
+                        scale=scale, seed=run_seed, obs=obs),
         )
         for combo in combos
         for suite in suites
@@ -298,7 +284,8 @@ def figure9(workloads_per_suite=None, cores_per_cluster=2, scale=None, seed=1,
         for name in suite_names[suite]
         for run_seed in seeds
     ]
-    runs, rollups = split_metrics(_sweep(cells, jobs, progress, backend))
+    runs, rollups = split_metrics(
+        SweepRunner(jobs=jobs, progress=progress).map(cells))
     times = {
         (combo_name(combo), label, suite): geomean(
             runs[(combo_name(combo), label, suite, name, run_seed)]
@@ -368,22 +355,23 @@ class Figure11Result:
 
 def figure11(workloads=FIG11_WORKLOADS, cores_per_cluster=2, scale=None,
              seed=1, jobs: int | None = None, obs: bool = False,
-             progress=None, backend=None) -> Figure11Result:
+             progress=None) -> Figure11Result:
     """Regenerate Fig. 11: miss-cycle latency breakdown."""
     scale = default_scale() if scale is None else scale
     combos = (("MESI", "MESI", "MESI"), ("MESI", "CXL", "MESI"))
     cells = [
         SweepCell(
             key=(workload, combo_name(combo)),
-            fn=_workload_stats_obs if obs else _workload_stats,
+            fn=_workload_stats,
             kwargs=dict(name=workload, combo=combo, mcms=("WEAK", "WEAK"),
                         cores_per_cluster=cores_per_cluster,
-                        scale=scale, seed=seed),
+                        scale=scale, seed=seed, obs=obs),
         )
         for workload in workloads
         for combo in combos
     ]
-    stats, rollups = split_metrics(_sweep(cells, jobs, progress, backend))
+    stats, rollups = split_metrics(
+        SweepRunner(jobs=jobs, progress=progress).map(cells))
     return Figure11Result(tuple(workloads), stats, cell_metrics=rollups)
 
 
@@ -428,8 +416,7 @@ class Table4Result:
 
 
 def table4(runs: int | None = None, seed: int = 0,
-           jobs: int | None = None, progress=None,
-           backend=None) -> Table4Result:
+           jobs: int | None = None, progress=None) -> Table4Result:
     """Regenerate Table IV: the litmus matrix.
 
     Each of the 7 tests x 2 combos x 3 MCM pairings is an independent
@@ -447,4 +434,5 @@ def table4(runs: int | None = None, seed: int = 0,
         for combo in TABLE4_PROTOCOLS
         for label, mcms in TABLE4_MCMS
     ]
-    return Table4Result(results=_sweep(cells, jobs, progress, backend))
+    return Table4Result(
+        results=SweepRunner(jobs=jobs, progress=progress).map(cells))

@@ -35,11 +35,8 @@ Design constraints (and how they are met):
 Knobs:
 
 - ``REPRO_JOBS`` (or the ``--jobs`` CLI flag / ``jobs=`` keyword):
-  worker count; defaults to ``os.cpu_count()``; ``1`` forces the
-  serial path.
-- ``--backend`` / ``backend=``: ``"serial"`` (the in-process loop,
-  whatever ``jobs`` says) or ``"local"`` (the pool; the same as
-  ``None``).
+  worker count, the one knob that picks the path: ``1`` runs the
+  in-process loop, ``N > 1`` the pool; defaults to ``os.cpu_count()``.
 - ``REPRO_MP_START``: multiprocessing start method (``fork`` /
   ``spawn`` / ``forkserver``); defaults to the platform default.
 
@@ -195,21 +192,6 @@ def _run_pickled(payload: bytes) -> tuple:
     return (index, *_run_cell(fn, kwargs))
 
 
-def check_backend(backend: str) -> str:
-    """``backend`` stripped and lower-cased: ``"serial"`` or ``"local"``.
-
-    Raises :class:`TypeError` for a non-string and :class:`ValueError`
-    for any other spelling.
-    """
-    if not isinstance(backend, str):
-        raise TypeError(f"backend must be a str, got {backend!r}")
-    backend = backend.strip().lower()
-    if backend not in ("serial", "local"):
-        raise ValueError(f"unknown backend {backend!r}; "
-                         "expected serial or local")
-    return backend
-
-
 class SweepRunner:
     """Run independent sweep cells in-process or over a process pool.
 
@@ -226,14 +208,9 @@ class SweepRunner:
         jobs: int | None = None,
         start_method: str | None = None,
         progress: Callable[[int, int, Hashable, float], None] | None = None,
-        backend: str | None = None,
         capture_errors: bool = False,
     ) -> None:
-        if backend is not None:
-            backend = check_backend(backend)
-        #: ``"serial"``, ``"local"`` or None (the pool, as ``"local"``).
-        self.backend = backend
-        self.jobs = 1 if backend == "serial" else resolve_jobs(jobs)
+        self.jobs = resolve_jobs(jobs)
         self.start_method = (
             start_method
             or os.environ.get(START_METHOD_ENV, "").strip()

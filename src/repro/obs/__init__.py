@@ -37,7 +37,6 @@ from repro.obs.spans import CROSSING_CATS, NestingViolation, Span, SpanRecorder
 
 __all__ = [
     "Observability",
-    "attach_observability",
     "Span",
     "SpanRecorder",
     "NestingViolation",
@@ -59,15 +58,23 @@ __all__ = [
 
 
 class Observability:
-    """Bundle of span recording and metrics for one run."""
+    """Bundle of span recording, metrics and message tracing for one run.
+
+    ``trace_addrs`` (line addresses) also records every message on
+    those lines in a :class:`repro.sim.trace.MessageTracer`
+    (``self.tracer``), whose entries the Chrome trace exports as
+    instant events.
+    """
 
     def __init__(self, spans: bool = True, metrics: bool = True,
-                 span_capacity: int = 250_000) -> None:
+                 span_capacity: int = 250_000, trace_addrs=None) -> None:
         self.want_spans = spans
         self.want_metrics = metrics
         self.span_capacity = span_capacity
+        self.trace_addrs = trace_addrs
         self.recorder: SpanRecorder | None = None
         self.registry: MetricsRegistry | None = None
+        self.tracer = None
         self.system = None
         self._dump: dict | None = None
 
@@ -85,6 +92,11 @@ class Observability:
                 cluster.bridge.obs = self.recorder
         if self.want_metrics:
             self.registry = MetricsRegistry()
+        if self.trace_addrs is not None:
+            from repro.sim.trace import MessageTracer
+
+            self.tracer = MessageTracer(system.network,
+                                        addrs=self.trace_addrs)
         return self
 
     def detach(self) -> None:
@@ -100,6 +112,8 @@ class Observability:
             return
         system.engine.span_recorder = None
         system.network.remove_observer(self.recorder)
+        if self.tracer is not None:
+            self.tracer.detach()
         for l1 in system.l1s:
             l1.obs = None
         for cluster in system.clusters:
@@ -127,7 +141,3 @@ class Observability:
         """Human-readable multi-line summary of the finalized dump."""
         return summarize_obs(self.finalize())
 
-
-def attach_observability(system, **kwargs) -> Observability:
-    """Create an :class:`Observability` and attach it in one call."""
-    return Observability(**kwargs).attach(system)

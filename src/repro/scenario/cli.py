@@ -40,11 +40,9 @@ def add_scenario_parser(sub) -> None:
     r = scenario_sub.add_parser(
         "run", help="run scenarios and check their [expect] tables")
     r.add_argument("files", nargs="+", metavar="FILE")
-    r.add_argument("--backend", default=None, choices=("serial", "local"),
-                   help="execution backend: serial or local (default: "
-                        "serial)")
-    r.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="worker processes for the local pool backend")
+    r.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="worker processes; N > 1 runs the scenarios over "
+                        "a process pool (default 1: in-process)")
     r.add_argument("--json", action="store_true",
                    help="emit every outcome as JSON")
     r.add_argument("--progress", action="store_true",
@@ -59,12 +57,12 @@ def add_scenario_parser(sub) -> None:
                    help="stop after N scenario runs (default 32 when no "
                         "budget is given)")
     f.add_argument("--seed", type=int, default=1)
-    f.add_argument("--backend", default=None, choices=("serial", "local"),
-                   help="execution backend for scenario batches: serial "
-                        "or local (default: serial)")
-    f.add_argument("--jobs", type=int, default=None, metavar="N")
+    f.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="worker processes; N > 1 runs each batch over one "
+                        "process pool held for the session (default 1: "
+                        "in-process)")
     f.add_argument("--batch", type=int, default=8, metavar="N",
-                   help="scenarios per backend batch (default 8)")
+                   help="scenarios per batch (default 8)")
     f.add_argument("--defect", choices=("violate_atomicity",), default=None,
                    help="inject a known defect the fuzzer must find")
     f.add_argument("--out", metavar="DIR", default=None,
@@ -144,7 +142,7 @@ def _cmd_run(args) -> int:
 
     try:
         outcomes = run_scenarios(
-            scenarios, backend=args.backend, jobs=args.jobs,
+            scenarios, jobs=args.jobs,
             progress=progress if args.progress else None)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -182,7 +180,6 @@ def _cmd_fuzz(args) -> int:
         budget_seconds=args.budget_seconds,
         max_scenarios=args.max_scenarios,
         seed=args.seed,
-        backend=args.backend,
         jobs=args.jobs,
         defect=args.defect is not None,
         fixture_dir=args.out,

@@ -285,8 +285,7 @@ def fuzz(
     budget_seconds: float | None = None,
     max_scenarios: int | None = None,
     seed: int = 1,
-    backend=None,
-    jobs: int | None = None,
+    jobs: int = 1,
     defect: bool = False,
     fixture_dir: str | None = None,
     batch_size: int = 8,
@@ -307,8 +306,7 @@ def fuzz(
         max_scenarios = 32
     rng = random.Random(seed)
     # Held open across batches: a pooled session starts one pool.
-    runner = SweepRunner(jobs=jobs, backend=backend or "serial",
-                         capture_errors=True)
+    runner = SweepRunner(jobs=jobs, capture_errors=True)
     report = FuzzReport()
     seen: set[str] = set()
     corpus: list[Scenario] = []

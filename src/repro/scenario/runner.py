@@ -171,11 +171,13 @@ def run_scenario_cell(data: dict) -> dict:
     return run_scenario(scenario)
 
 
-def run_scenarios(scenarios, backend=None, jobs=None, progress=None) -> dict:
+def run_scenarios(scenarios, jobs: int = 1, progress=None) -> dict:
     """Run many scenarios through a sweep runner; ``{name: outcome}``.
 
-    Scenario names must be unique within one batch (they key the result
-    dict, and the sweep contract keys cells).
+    ``jobs`` is the sweep runner's worker count: ``1`` (the default)
+    runs in-process, ``N > 1`` over a process pool.  Scenario names
+    must be unique within one batch (they key the result dict, and the
+    sweep contract keys cells).
     """
     from repro.harness.sweep import SweepCell, SweepRunner
 
@@ -187,9 +189,7 @@ def run_scenarios(scenarios, backend=None, jobs=None, progress=None) -> dict:
         seen.add(scenario.name)
         cells.append(SweepCell(key=scenario.name, fn=run_scenario_cell,
                                kwargs={"data": scenario.to_dict()}))
-    runner = SweepRunner(jobs=jobs, backend=backend or "serial",
-                         progress=progress)
-    return runner.map(cells)
+    return SweepRunner(jobs=jobs, progress=progress).map(cells)
 
 
 def matches_expectation(scenario: Scenario, outcome: dict) -> bool:

@@ -127,14 +127,14 @@ def test_workload_obs_flag_prints_summary(capsys):
     assert "latency attribution" in out
 
 
-def test_trace_command_writes_valid_exports(tmp_path, capsys):
+def test_workload_exporters_write_valid_exports(tmp_path, capsys):
     import json
 
     from repro.obs import validate_chrome_trace
 
     trace_path = tmp_path / "trace.json"
     metrics_path = tmp_path / "metrics.json"
-    assert main(["trace", "fft", "--combo", "MESI:CXL:MESI",
+    assert main(["workload", "fft", "--combo", "MESI:CXL:MESI",
                  "--scale", "0.3", "--addr", "0x0",
                  "--chrome-trace", str(trace_path),
                  "--metrics", str(metrics_path)]) == 0
@@ -150,9 +150,70 @@ def test_trace_command_writes_valid_exports(tmp_path, capsys):
                for path in metrics["metrics"])
 
 
-def test_trace_unknown_workload(capsys):
-    assert main(["trace", "nope"]) == 2
+def test_workload_exporters_unknown_workload(tmp_path, capsys):
+    trace_path = tmp_path / "trace.json"
+    assert main(["workload", "nope", "--chrome-trace", str(trace_path)]) == 2
     assert "unknown workload" in capsys.readouterr().err
+    assert not trace_path.exists()
+
+
+def test_workload_addr_alone_turns_observability_on(capsys):
+    assert main(["workload", "fft", "--scale", "0.3", "--addr", "0x103"]) \
+        == 0
+    assert "rule-II audit: clean" in capsys.readouterr().out
+
+
+def test_trace_command_is_gone(capsys):
+    """``repro workload`` with its exporter flags replaced ``trace``."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["trace", "fft"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'trace'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table4"], ["fig9"], ["fig10"], ["fig11"],
+    ["scenario", "run", "x.toml"], ["scenario", "fuzz"],
+], ids=["table4", "fig9", "fig10", "fig11", "scenario-run",
+        "scenario-fuzz"])
+@pytest.mark.parametrize("backend", ["serial", "local"])
+def test_backend_flag_is_gone(argv, backend, capsys):
+    """``--jobs`` alone picks the serial loop or the pool."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--backend", backend])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["check", "--litmus", "CoRR1", "--max-states", "0"], 0),
+    (["check", "--litmus", "CoRR1", "--max-states", "0", "--json"], 0),
+    (["check", "--litmus", "MP", "--depth", "5"], 1),
+    (["slicc", "mesi", "cxl"], 0),
+], ids=["check", "check-json", "check-inconclusive", "slicc"])
+@pytest.mark.parametrize("unbuffered", ["1", ""],
+                         ids=["unbuffered", "buffered"])
+def test_closed_stdout_keeps_the_verdict(argv, code, unbuffered):
+    """A reader that closes the pipe at once costs no traceback and
+    leaves the command's own exit code, whether the first failed write
+    is a print (unbuffered) or the final flush (buffered)."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "repro", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == code
 
 
 def test_fig10_progress_and_obs_rollups(capsys, monkeypatch):

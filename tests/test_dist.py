@@ -1,10 +1,9 @@
 """Tests for the sweep runner's two execution paths.
 
-:class:`SweepRunner` runs cells in-process (``backend="serial"``) or
-over a ``multiprocessing`` pool (``"local"``, or None).  Covered here:
-the backend spellings and their errors, serial forcing, per-cell error
-capture on both paths, and serial-vs-pool byte equality on a figure
-grid.
+:class:`SweepRunner` runs cells in-process (``jobs=1``) or over a
+``multiprocessing`` pool (``jobs > 1``); ``jobs`` is the only knob that
+picks the path.  Covered here: empty batches, per-cell error capture on
+both paths, and serial-vs-pool byte equality on a figure grid.
 
 Pool workers unpickle cell functions by reference, so every cell
 function used across a process boundary here is module-level.
@@ -32,43 +31,12 @@ def _boom(x):
 
 
 # ---------------------------------------------------------------------------
-# Backend spellings and SweepRunner backend selection.
+# Empty batches.
 # ---------------------------------------------------------------------------
 
-def test_resolve_backend_spellings():
-    """The runner normalizes the two spellings; None means the pool."""
-    assert SweepRunner(jobs=3, backend="serial").jobs == 1
-    pool = SweepRunner(jobs=3, backend=" Local ")
-    assert pool.backend == "local" and pool.jobs == 3
-    assert SweepRunner(jobs=3).backend is None
-
-
-def test_resolve_backend_rejects_bad_specs():
-    for bad in ("warp-drive", "local:2", "serial:x", ""):
-        with pytest.raises(ValueError):
-            SweepRunner(backend=bad)
-    with pytest.raises(TypeError):
-        SweepRunner(backend=42)
-
-
-@pytest.mark.parametrize("spec", ["queue", "queue:2", "ssh:x.toml"])
-def test_resolve_backend_rejects_retired_backends(spec):
-    """Only this machine's two backends remain; the error names them."""
-    with pytest.raises(ValueError, match="expected serial or local"):
-        SweepRunner(backend=spec)
-
-
-@pytest.mark.parametrize("spec", ["serial", "local"])
-def test_empty_submit_returns_empty_dict(spec):
-    assert SweepRunner(jobs=2, backend=spec).map([]) == {}
-
-
-def test_runner_serial_backend_spec_forces_serial_path():
-    runner = SweepRunner(jobs=4, backend="serial")
-    out = runner.map(SweepCell(key=i, fn=_square, kwargs={"x": i})
-                     for i in range(3))
-    assert runner.last_mode == "serial"
-    assert out == {0: 0, 1: 1, 2: 4}
+@pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "local"])
+def test_empty_submit_returns_empty_dict(jobs):
+    assert SweepRunner(jobs=jobs).map([]) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -123,17 +91,18 @@ def test_cell_failure_roundtrips_through_pickle():
 
 
 # ---------------------------------------------------------------------------
-# Cross-backend determinism.
+# Serial-vs-pool determinism.
 # ---------------------------------------------------------------------------
 
 def test_backends_are_byte_identical_on_a_figure_grid():
-    """The same Fig. 10 grid through the serial loop and the process
-    pool must produce byte-identical result dicts."""
+    """The same Fig. 10 grid through the serial loop (``jobs=1``) and
+    the process pool (``jobs=2``) must produce byte-identical result
+    dicts."""
     from repro.harness.experiments import FIG10_COMBOS, figure10
 
     grid = dict(workloads=["vips", "histogram"], combos=FIG10_COMBOS[:2],
                 scale=0.3, seeds=(1,))
-    serial = figure10(backend="serial", **grid)
-    pool = figure10(jobs=2, backend="local", **grid)
+    serial = figure10(jobs=1, **grid)
+    pool = figure10(jobs=2, **grid)
     assert serial.times == pool.times
     assert pickle.dumps(serial.times) == pickle.dumps(pool.times)

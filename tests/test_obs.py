@@ -22,7 +22,6 @@ from repro.obs import (
     MetricsRegistry,
     Observability,
     SpanRecorder,
-    attach_observability,
     chrome_trace,
     collect_system_metrics,
     compact_obs,
@@ -255,7 +254,7 @@ def test_collect_system_metrics_publishes_component_paths():
 
 def test_finalize_is_idempotent_and_json_ready():
     system = contended_system()
-    obs = attach_observability(system)
+    obs = Observability().attach(system)
     system.run_threads(contended_programs(rounds=2), placement=[0, 1, 2, 3])
     dump = obs.finalize()
     assert obs.finalize() is dump

@@ -1,4 +1,4 @@
-"""Differential scenario runs: backends and engines must agree exactly.
+"""Differential scenario runs: serial vs pool and engines must agree exactly.
 
 Extends the ``test_engine_parity`` discipline to the scenario layer,
 including *faulted* runs: the same scenario corpus must produce
@@ -39,18 +39,16 @@ def _canon(outcomes: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Backend parity: serial vs pool.
+# Execution-path parity: serial (jobs=1) vs pool (jobs=2).
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend,jobs", [
-    ("local", 2),
-], ids=["pool"])
-def test_backends_match_serial_bit_for_bit(backend, jobs):
+@pytest.mark.parametrize("jobs", [2], ids=["pool"])
+def test_backends_match_serial_bit_for_bit(jobs):
     scenarios = _scenarios()
-    reference = _canon(run_scenarios(scenarios, backend="serial"))
-    outcomes = run_scenarios(scenarios, backend=backend, jobs=jobs)
+    reference = _canon(run_scenarios(scenarios, jobs=1))
+    outcomes = run_scenarios(scenarios, jobs=jobs)
     assert _canon(outcomes) == reference, (
-        f"backend {backend!r} produced different scenario outcomes")
+        f"jobs={jobs} produced different scenario outcomes")
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,17 @@ def test_run_scenarios_rejects_duplicate_names():
         run_scenarios([scenario, scenario])
 
 
+def test_run_scenarios_jobs_alone_picks_the_pool(pool_sizes):
+    """``jobs > 1`` runs the batch over a pool; the default stays
+    in-process."""
+    scenarios = [Scenario.from_dict(_quick_doc(name=f"q{i}"))
+                 for i in range(2)]
+    pooled = run_scenarios(scenarios, jobs=2)
+    assert pool_sizes == [2]
+    assert run_scenarios(scenarios) == pooled
+    assert pool_sizes == [2]  # jobs=1: no second pool
+
+
 def test_workload_mix_interleaves_threads():
     from repro.scenario.runner import build_programs
 
@@ -238,7 +249,7 @@ def test_fuzz_respects_max_scenarios():
 
 
 def test_pooled_fuzz_session_starts_one_pool(pool_sizes):
-    report = fuzz(max_scenarios=4, seed=2, backend="local", jobs=2,
+    report = fuzz(max_scenarios=4, seed=2, jobs=2,
                   shrink=False, batch_size=2)
     assert report.scenarios_run == 4  # two batches
     assert pool_sizes == [2]
@@ -247,17 +258,6 @@ def test_pooled_fuzz_session_starts_one_pool(pool_sizes):
 # ---------------------------------------------------------------------------
 # CLI exit codes.
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("argv", [
-    ["scenario", "run", "x.toml", "--backend", "queue"],
-    ["scenario", "fuzz", "--backend", "queue"],
-], ids=["run", "fuzz"])
-def test_cli_scenario_backend_choices(argv, capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(argv)
-    assert excinfo.value.code == 2
-    assert "invalid choice: 'queue'" in capsys.readouterr().err
-
 
 def test_cli_validate_ok_and_invalid(tmp_path, capsys):
     good = tmp_path / "good.toml"
@@ -286,6 +286,21 @@ def test_cli_run_expectation_exit_codes(tmp_path, capsys):
     expected = tmp_path / "expected.toml"
     Scenario.from_dict(doc).dump(expected)
     assert main(["scenario", "run", str(expected)]) == 0
+
+
+def test_cli_run_jobs_picks_the_pool(tmp_path, capsys, pool_sizes):
+    """``scenario run --jobs 2`` takes the pool; no ``--jobs`` stays
+    in-process."""
+    paths = []
+    for name in ("one", "two"):
+        path = tmp_path / f"{name}.toml"
+        Scenario.from_dict(_quick_doc(name=name)).dump(path)
+        paths.append(str(path))
+    assert main(["scenario", "run", *paths]) == 0
+    assert pool_sizes == []
+    assert main(["scenario", "run", *paths, "--jobs", "2"]) == 0
+    assert pool_sizes == [2]
+    assert capsys.readouterr().out.count("ok       ") == 4
 
 
 def test_cli_run_json_output(tmp_path, capsys):
